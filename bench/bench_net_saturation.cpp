@@ -408,8 +408,6 @@ int main(int argc, char** argv) {
   config.listener.handler_threads = 4;
   config.router.shards = 2;
   config.router.engine.workers = 2;
-  config.router.engine.queue_capacity = 4096;
-  config.router.engine.overflow_policy = serve::OverflowPolicy::kReject;
   // Per-shard content-addressed verdict cache, sized so the whole
   // unique pool fits with headroom even if sharding lands unevenly.
   config.router.engine.cache_capacity = std::bit_ceil(4 * unique_sessions);

@@ -36,7 +36,7 @@
 //         http://<addr>:<port>/score
 //
 // Shutdown on SIGINT/SIGTERM is graceful and ordered: stop the score
-// ingress (stop intake -> drain shards -> stop shards), stop the
+// ingress (stop intake -> join handlers -> stop shards), stop the
 // introspection server, drain and stop the demo scoring engine, then
 // flush the final metrics dump.
 #include <atomic>
@@ -437,16 +437,16 @@ int main(int argc, char** argv) {
     score_config.listener.port = score_listen.port;
     score_config.listener.handler_threads = 4;
     score_config.router.shards = 2;
-    score_config.router.engine.workers = 2;
-    score_config.router.engine.queue_capacity = 1024;
-    score_config.router.engine.overflow_policy = serve::OverflowPolicy::kReject;
+    // Frames are scored inline on the handler threads; shard workers
+    // only serve in-process submit(), which the ingress never calls.
+    score_config.router.engine.workers = 1;
     score_config.router.engine.cache_capacity = 4096;  // per shard
     score_config.router.engine.degrade_without_model = true;
     score_config.router.engine.registry = &metrics;
     score_config.router.engine.metrics_prefix = "bp_net";
     // Cross-hop tracing: frames arriving with a t: trace context get
-    // their server-side spans (slot admission, queue wait, kernel,
-    // serialize) recorded into the same sink /tracez serves — paste a
+    // their server-side spans (request, queue wait, kernel, serialize)
+    // recorded into the same sink /tracez serves — paste a
     // client's trace id into /tracez?trace=<id> to see this half.
     score_config.router.engine.trace = &request_trace;
     score_config.registry = &metrics;
@@ -473,7 +473,7 @@ int main(int argc, char** argv) {
 
   // Ordered graceful teardown, shared by the signal path and the
   // normal exit: stop the score ingress (its stop() is itself ordered:
-  // stop intake -> drain shards -> stop shards), stop taking scrapes,
+  // stop intake -> join handlers -> stop shards), stop taking scrapes,
   // drain what the demo engine admitted, stop its workers, then flush
   // the final metrics dump.
   const auto graceful_shutdown = [&] {

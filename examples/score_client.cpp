@@ -120,7 +120,7 @@ int run_connect(const std::string& host, std::uint16_t port, int calls,
   // With --listen, keep the client half of the trace scrapeable until
   // SIGINT: /tracez?trace=<id> here shows the client_call/attempt
   // spans, the same query on the server's introspection port shows the
-  // slot/queue/kernel half.
+  // request/queue/kernel half.
   if (listen_enabled) {
     bp::obs::introspect::Sources sources;
     sources.metrics = &registry;

@@ -263,8 +263,9 @@ if [[ -n "${BP_SANITIZE:-}" ]]; then
   # resilient ScoreClient, chaos proxy, wire fuzz), and the continuous
   # profiling plane (sampler start/stop against live registered
   # workers, remote tag reads, contention sites, and the callback-gauge
-  # unregistration race).
+  # unregistration race), and the traffic generator's parallel lanes
+  # over the shared baseline-candidate memo.
   ctest --test-dir "${san_dir}" \
-    -R 'Serve|BoundedQueue|Parallel|TrainingDeterminism|Fault|RetrainSupervisor|ModelIntegrity|Chaos|Client|SockOps|HttpListener|WireFuzz|Obs|Audit|Introspect|Slo|Health|Net|Router|Batch|Cache|DistTrace|Prof|Contention' \
+    -R 'Serve|BoundedQueue|Parallel|TrainingDeterminism|Fault|RetrainSupervisor|ModelIntegrity|Chaos|Client|SockOps|HttpListener|WireFuzz|Obs|Audit|Introspect|Slo|Health|Net|Router|Batch|Cache|DistTrace|Prof|Contention|Generator' \
     --output-on-failure
 fi

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <mutex>
+#include <shared_mutex>
 #include <tuple>
 
 #include "browser/engine_timelines.h"
@@ -128,13 +130,19 @@ const CandidateValues& baseline_candidates(Engine engine, int engine_version,
                                            bool previous_era) {
   // Values are deterministic per (engine, version, cohort); the traffic
   // generator touches them hundreds of thousands of times, so memoize.
-  // Keyed caching is safe: the process is single-threaded by design (the
-  // simulation is deterministic), and the release set is tiny.
+  // SessionGenerator::generate() calls in from parallel_for lanes, so
+  // the memo is guarded: readers share the lock, a first sighting takes
+  // it exclusively.  std::map never moves its nodes, so a returned
+  // reference stays valid while other keys are inserted.
+  static std::shared_mutex mutex;
   static std::map<std::tuple<int, int, bool>, CandidateValues> cache;
   const auto key = std::make_tuple(static_cast<int>(engine), engine_version,
                                    previous_era);
-  auto it = cache.find(key);
-  if (it != cache.end()) return it->second;
+  {
+    std::shared_lock lock(mutex);
+    const auto it = cache.find(key);
+    if (it != cache.end()) return it->second;
+  }
 
   const auto& catalog = FeatureCatalog::instance();
   CandidateValues values(catalog.candidate_count());
@@ -143,6 +151,9 @@ const CandidateValues& baseline_candidates(Engine engine, int engine_version,
                     ? previous_era_value(engine, engine_version, i)
                     : baseline_value(engine, engine_version, i);
   }
+  std::unique_lock lock(mutex);
+  // A racing first sighting may have inserted the same key meanwhile;
+  // emplace then keeps that entry, whose values are identical.
   return cache.emplace(key, std::move(values)).first->second;
 }
 

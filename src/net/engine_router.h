@@ -16,9 +16,9 @@
 //     a publish lands atomically and each shard's in-flight batches
 //     finish on the version they hold.  A mid-swap drain() is the
 //     way to observe "every response from here on is the new model".
-//   * drain()  — waits shard by shard until every admitted request
-//     has been answered (the ingress calls this between stopping
-//     intake and joining its handler pool).
+//   * drain()  — waits shard by shard until every request submitted
+//     to a shard queue has been answered (inline score_now() calls
+//     answer before they return, so they are never waited on).
 //   * stop()   — ordered: shard 0 first, then 1, ... so teardown is
 //     deterministic and a stuck shard is identifiable by index.
 //
@@ -38,6 +38,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "serve/model_registry.h"
@@ -61,7 +62,8 @@ class EngineRouter {
  public:
   // Starts every shard's worker pool immediately.  `registry` must
   // outlive the router; `on_response` follows ScoringEngine's contract
-  // (worker threads, thread-safe, cheap) and is shared by all shards.
+  // (worker threads, thread-safe, cheap), is shared by all shards and
+  // may be empty for a caller that only scores inline.
   EngineRouter(const serve::ModelRegistry& registry, RouterConfig config,
                serve::ScoringEngine::ResponseCallback on_response);
   ~EngineRouter();
@@ -75,12 +77,23 @@ class EngineRouter {
   // Pure; stable for the router's lifetime.
   std::size_t shard_of(std::uint64_t session_id) const noexcept;
 
-  // Route and submit.  `request.id` is the caller's correlation token
-  // (the ingress uses response-slot indices); routing uses
-  // `session_id`, which the two-argument form keeps separate so a
-  // caller never has to overload one field with both meanings.
+  // Route and submit.  `request.id` is the caller's correlation token;
+  // routing uses `session_id`, which the two-argument form keeps
+  // separate so a caller never has to overload one field with both
+  // meanings.
   serve::SubmitResult submit(std::uint64_t session_id,
                              serve::ScoreRequest request);
+
+  // Route and score inline on the calling thread: ScoringEngine::
+  // score_now on shard_of(session_id), so that shard's verdict cache
+  // is probed and filled exactly as for a queued request.
+  serve::SubmitResult score_now(std::uint64_t session_id,
+                                std::span<serve::ScoreRequest> requests,
+                                std::span<serve::ScoreResponse> responses,
+                                serve::ScoreScratch& scratch) {
+    return engines_[shard_of(session_id)]->score_now(requests, responses,
+                                                     scratch);
+  }
 
   // Blocks until every admitted request on every shard has been
   // responded to.  Producers should be quiescent.

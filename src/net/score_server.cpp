@@ -23,15 +23,7 @@ HttpResponse plain(int status, std::string body) {
 ScoreServer::ScoreServer(const serve::ModelRegistry& models,
                          ScoreServerConfig config)
     : config_(std::move(config)),
-      slots_(config_.max_inflight == 0 ? 1 : config_.max_inflight),
-      router_(models, config_.router,
-              [this](const serve::ScoreResponse& response) {
-                dispatch(response);
-              }) {
-  free_.reserve(slots_.size());
-  for (std::size_t i = slots_.size(); i > 0; --i) {
-    free_.push_back(static_cast<std::uint32_t>(i - 1));
-  }
+      router_(models, config_.router, nullptr) {
   if (config_.registry != nullptr) {
     config_.registry->gauge_callback(
         config_.metrics_prefix + "_inflight",
@@ -63,49 +55,6 @@ ScoreServer::~ScoreServer() {
   if (config_.registry != nullptr) {
     obs::remove_http_listener_metrics(*config_.registry,
                                       config_.metrics_prefix + "_http");
-  }
-}
-
-std::optional<std::uint32_t> ScoreServer::acquire_slot() {
-  std::lock_guard<std::mutex> lock(free_mutex_);
-  if (free_.empty()) return std::nullopt;
-  const std::uint32_t index = free_.back();
-  free_.pop_back();
-  return index;
-}
-
-void ScoreServer::release_slot(std::uint32_t index) {
-  Slot& slot = slots_[index];
-  {
-    std::lock_guard<std::mutex> lock(slot.mutex);
-    slot.done = false;
-    slot.abandoned = false;
-  }
-  std::lock_guard<std::mutex> lock(free_mutex_);
-  free_.push_back(index);
-}
-
-void ScoreServer::dispatch(const serve::ScoreResponse& response) {
-  // The exactly-once engine contract means this id was minted by an
-  // acquire_slot() whose handler is either waiting or has abandoned the
-  // slot after a timeout — never anything else.
-  const auto index = static_cast<std::uint32_t>(response.id);
-  Slot& slot = slots_[index];
-  bool reclaim = false;
-  {
-    std::lock_guard<std::mutex> lock(slot.mutex);
-    if (slot.abandoned) {
-      reclaim = true;  // the handler gave up; the slot is ours to free
-    } else {
-      slot.response = response;
-      slot.done = true;
-    }
-  }
-  if (reclaim) {
-    release_slot(index);
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
-  } else {
-    slot.cv.notify_one();
   }
 }
 
@@ -149,9 +98,9 @@ HttpResponse ScoreServer::handle(const HttpRequest& request) {
 
   // Adopted cross-hop trace context (the wire's t: segment): the
   // engine's spans for this request join the client's trace, and the
-  // ingress contributes slot_admission/serialize spans of its own into
-  // the shards' shared sink.  The client's sampling decision is final —
-  // an unsampled context is adopted (counted, propagated to the engine)
+  // ingress contributes a serialize span of its own into the shards'
+  // shared sink.  The client's sampling decision is final — an
+  // unsampled context is adopted (counted, propagated to the engine)
   // but records nothing.
   const WireTraceContext trace = wire_request.trace;
   obs::TraceSink* trace_sink =
@@ -162,58 +111,32 @@ HttpResponse ScoreServer::handle(const HttpRequest& request) {
     trace_adopted_->increment();
   }
 
-  const std::int64_t admission_start_us =
-      trace_record ? obs::steady_now_us() : 0;
-  const auto slot_index = acquire_slot();
-  if (!slot_index) {
-    admission_rejected_.fetch_add(1, std::memory_order_relaxed);
-    return plain(503, "in-flight budget exhausted\n");
-  }
-  inflight_.fetch_add(1, std::memory_order_relaxed);
-
-  serve::ScoreRequest score_request;
-  score_request.id = *slot_index;
-  score_request.features = wire_request.features;  // copy; engine owns it
+  // Score inline, as a span of one on the session's shard.  Request,
+  // response and scratch are thread-local like the wire buffers, so
+  // their capacity persists across requests on this handler thread.
+  // The session id is the engine correlation id (and, without a t:
+  // context, the engine's trace id).
+  thread_local serve::ScoreRequest score_request;
+  thread_local serve::ScoreResponse engine_response;
+  thread_local serve::ScoreScratch scratch;
+  score_request.id = wire_request.session_id;
+  score_request.features.assign(wire_request.features.begin(),
+                                wire_request.features.end());
   score_request.claimed = wire_request.claimed;
   score_request.trace_id = trace.trace_id;
   score_request.trace_parent = trace.parent_span;
   score_request.trace_sampled = trace.sampled;
-  const serve::SubmitResult submit =
-      router_.submit(wire_request.session_id, std::move(score_request));
-  if (submit != serve::SubmitResult::kAdmitted) {
+  inflight_.fetch_add(1, std::memory_order_relaxed);
+  const serve::SubmitResult scored = router_.score_now(
+      wire_request.session_id, {&score_request, 1}, {&engine_response, 1},
+      scratch);
+  if (scored != serve::SubmitResult::kAdmitted) {
     inflight_.fetch_sub(1, std::memory_order_relaxed);
-    release_slot(*slot_index);
     admission_rejected_.fetch_add(1, std::memory_order_relaxed);
-    return plain(503, submit == serve::SubmitResult::kStopped
+    return plain(503, scored == serve::SubmitResult::kStopped
                           ? "shutting down\n"
-                          : "shard queue full\n");
+                          : "no model published\n");
   }
-  if (trace_record) {
-    // Recorded only once the request is truly admitted, so the span's
-    // parent ("server_request", base+1) is guaranteed to follow from
-    // the engine — a refused admission leaves no dangling child.
-    trace_sink->record_forced({trace.trace_id, span_base + 4, span_base + 1,
-                               "slot_admission", admission_start_us,
-                               obs::steady_now_us()});
-  }
-
-  Slot& slot = slots_[*slot_index];
-  serve::ScoreResponse engine_response;
-  {
-    PROF_SCOPE("net.await");
-    std::unique_lock<std::mutex> lock(slot.mutex);
-    if (!slot.cv.wait_for(lock, config_.response_timeout,
-                          [&slot] { return slot.done; })) {
-      // Shard wedged past the defensive bound.  Mark the slot so the
-      // late delivery reclaims it; this handler answers 503 and the
-      // in-flight count stays held until that delivery.
-      slot.abandoned = true;
-      return plain(503, "scoring timeout\n");
-    }
-    engine_response = slot.response;
-  }
-  inflight_.fetch_sub(1, std::memory_order_relaxed);
-  release_slot(*slot_index);
 
   WireScoreResponse wire_response;
   wire_response.session_id = wire_request.session_id;
@@ -236,6 +159,7 @@ HttpResponse ScoreServer::handle(const HttpRequest& request) {
                                obs::steady_now_us()});
   }
   responses_.fetch_add(1, std::memory_order_relaxed);
+  inflight_.fetch_sub(1, std::memory_order_relaxed);
 
   HttpResponse response;
   response.status = 200;
@@ -252,16 +176,14 @@ void ScoreServer::stop() {
   }
   std::lock_guard<std::mutex> lock(stop_mutex_);
   stopping_.store(true, std::memory_order_release);
-  // 1. Stop intake: no new connections; handlers still answer frames
-  //    already read but admit nothing new (stopping_ gate above).
+  // 1. Stop intake: no new connections; frames read from here on
+  //    answer 503 (stopping_ gate in handle()).
   if (listener_) listener_->begin_stop();
-  // 2. Drain shards: every admitted request gets its response, which
-  //    unblocks every handler parked on a slot condvar.
-  router_.drain();
-  // 3. Ordered shard stop.
-  router_.stop();
-  // 4. Join the handler pool — safe now, nothing left to wait on.
+  // 2. Join the handler pool: a handler scores inline, so every frame
+  //    it already holds is answered before it returns.
   if (listener_) listener_->stop();
+  // 3. Ordered shard stop — no handler can be inside a shard now.
+  router_.stop();
 }
 
 }  // namespace bp::net

@@ -8,43 +8,41 @@
 // is one wire frame carrying the verdict and the model version that
 // produced it.
 //
+// Each parsed frame is scored inline on the handler thread that read
+// it — a span of one on its session's shard (EngineRouter::score_now),
+// whose verdict cache is probed and filled as usual.  There is no
+// hand-off to a shard worker and nothing to wait on: the kernel is
+// ~200 ns of arithmetic, so the queue push and the two wake-ups a
+// hand-off adds around it are dropped.
+//
 // Overload posture, outermost first:
 //
-//   1. shed-at-accept    — the listener drops connections beyond its
-//                          bounded pending queue (overloaded());
-//   2. in-flight budget  — a fixed slot table caps requests admitted
-//                          but not yet answered across all
-//                          connections.  Slot exhausted -> 503 with
-//                          "in-flight budget exhausted" (counted in
-//                          admission_rejected()); the slot index
-//                          doubles as the engine correlation id, so
-//                          dispatching a response back to its waiting
-//                          handler is an array index, not a map;
-//   3. engine policy     — each shard's bounded queue applies the
-//                          EngineConfig overflow policy: kReject
-//                          answers 503 immediately, kDropOldest
-//                          displaces the oldest queued request, whose
-//                          handler answers its client with an explicit
-//                          "shed" wire frame.  (kBlock would park a
-//                          handler thread on a full queue — legal, but
-//                          the ingress default is kReject: at the
-//                          network edge, backpressure means telling
-//                          the client, not holding its socket.)
+//   1. shed-at-accept  — the listener drops connections beyond its
+//                        bounded pending queue (overloaded());
+//   2. handler threads — a frame is in flight only while a handler
+//                        thread scores it, so in-flight work is bounded
+//                        by ListenerConfig::handler_threads; excess
+//                        requests wait in their connections' socket
+//                        buffers, not in server memory.
 //
-// Ordered teardown (stop()): stop intake (listener stops accepting,
-// handlers answer in-flight frames but admit no new ones) -> drain
-// shards (unblocks every handler waiting on a verdict) -> stop shards
-// (ordered, 0..N-1) -> join the handler pool.  Every admitted request
-// is answered before its connection closes.
+// Explicit 503s (counted in admission_rejected()), never a hang:
+// "shutting down" once stop() has begun or the shards are stopped, and
+// "no model published" while nothing is published and
+// EngineConfig::degrade_without_model is off (with it on, the answer is
+// a degraded verdict naming version 0).  The shard queues and their
+// overflow policy serve in-process EngineRouter::submit() callers only.
+//
+// Ordered teardown (stop()): mark stopping (frames read from now on
+// answer 503) -> stop accepting -> join the handler pool (every frame a
+// handler already holds is answered before its connection closes) ->
+// stop the shards (ordered, 0..N-1).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "net/engine_router.h"
 #include "net/http_common.h"
@@ -60,20 +58,10 @@ struct ScoreServerConfig {
   ListenerConfig listener;
   RouterConfig router;
 
-  // Requests admitted (slot held) but not yet answered, across all
-  // connections.  Also the hard bound on handler-blocked memory.
-  std::size_t max_inflight = 1024;
-
   // Expected feature-vector length; frames with any other length are
-  // refused with 400 before touching a slot.  0 = accept any length
+  // refused with 400 before they reach a shard.  0 = accept any length
   // (only for tests that control every client).
   std::size_t expected_features = 0;
-
-  // Defensive bound on waiting for a verdict.  The engines answer
-  // every admitted request, so this only fires if a shard is wedged;
-  // the slot is then marked abandoned and reclaimed when the late
-  // response arrives.
-  std::chrono::milliseconds response_timeout{10'000};
 
   // Ingress counters land here when set ("<metrics_prefix>_ingress_*",
   // plus an "<metrics_prefix>_inflight" callback gauge and the
@@ -115,7 +103,8 @@ class ScoreServer {
   std::uint64_t malformed() const noexcept {
     return malformed_.load(std::memory_order_relaxed);
   }
-  // Admissions refused 503: slot table exhausted + engine kReject.
+  // Frames refused 503: shutting down / shards stopped, or no model
+  // published without the degraded fallback.
   std::uint64_t admission_rejected() const noexcept {
     return admission_rejected_.load(std::memory_order_relaxed);
   }
@@ -123,6 +112,7 @@ class ScoreServer {
   std::uint64_t responses() const noexcept {
     return responses_.load(std::memory_order_relaxed);
   }
+  // Frames between parse and answer (at most handler_threads).
   std::size_t inflight() const noexcept {
     return inflight_.load(std::memory_order_relaxed);
   }
@@ -131,25 +121,9 @@ class ScoreServer {
   void stop();
 
  private:
-  // One waiting HTTP handler.  The slot's index in `slots_` is the
-  // ScoreRequest::id correlation token.
-  struct Slot {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-    bool abandoned = false;  // handler timed out; reclaim on delivery
-    serve::ScoreResponse response;
-  };
-
   HttpResponse handle(const HttpRequest& request);
-  void dispatch(const serve::ScoreResponse& response);
-  std::optional<std::uint32_t> acquire_slot();
-  void release_slot(std::uint32_t index);
 
   ScoreServerConfig config_;
-  std::vector<Slot> slots_;
-  std::mutex free_mutex_;
-  std::vector<std::uint32_t> free_;
 
   std::atomic<bool> stopping_{false};
   std::atomic<bool> stopped_{false};

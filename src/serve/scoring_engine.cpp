@@ -1,5 +1,7 @@
 #include "serve/scoring_engine.h"
 
+#include <atomic>
+#include <cassert>
 #include <span>
 #include <utility>
 
@@ -30,7 +32,13 @@ std::int64_t to_us(std::chrono::steady_clock::time_point tp) noexcept {
       .count();
 }
 
+// Inline scratches take successive counter stripes (see ScoreScratch).
+std::atomic<std::uint32_t> next_scratch_lane{0};
+
 }  // namespace
+
+ScoreScratch::ScoreScratch() noexcept
+    : lane(next_scratch_lane.fetch_add(1, std::memory_order_relaxed)) {}
 
 ScoringEngine::ScoringEngine(const ModelRegistry& registry, EngineConfig config,
                              ResponseCallback on_response)
@@ -94,7 +102,8 @@ bool ScoringEngine::try_cached_submit(const ScoreRequest& request) {
   // is only served when its entry was minted under exactly that
   // version), a fixed counter stripe (one submitter keeps one set of
   // cache lines hot), and the clock only read when a trace span needs
-  // timestamps.  A repeat session costs one hash + one seqlock read.
+  // timestamps (the latency is 0 either way).  A repeat session costs
+  // one hash + one seqlock read.
   if (cache_ == nullptr) return false;
   const std::uint64_t version = registry_.version();
   if (version == 0) return false;
@@ -103,22 +112,13 @@ bool ScoringEngine::try_cached_submit(const ScoreRequest& request) {
                       version, detection, /*stripe_hint=*/0)) {
     return false;
   }
-  ScoreResponse response;
-  response.id = request.id;
-  response.status = ResponseStatus::kScored;
-  response.detection = detection;
-  response.model_version = version;
-  response.worker = 0;
-  response.cached = true;
-  response.latency = std::chrono::microseconds{0};  // sub-microsecond
-  metrics_.record_cached(/*stripe=*/0, detection.flagged, 0,
-                         exemplar_trace_id(request));
+  const auto now = config_.trace != nullptr
+                       ? std::chrono::steady_clock::now()
+                       : std::chrono::steady_clock::time_point{};
+  const ScoreResponse response =
+      answer(request, detection, version, /*cached=*/true, /*lane=*/0,
+             {now, now, now});
   if (on_response_) on_response_(response);
-  record_audit(request, response);
-  if (config_.trace != nullptr) {
-    const std::int64_t now_us = steady_now_us();
-    record_request_trace(request, "cache_hit", now_us, now_us);
-  }
   return true;
 }
 
@@ -153,7 +153,7 @@ SubmitResult ScoringEngine::submit_miss(ScoreRequest&& request) {
     case PushResult::kDisplacedOldest:
       // The new request is admitted; the oldest queued one is completed
       // here and now as an explicit shed.
-      deliver_shed(std::move(*displaced), 0, /*from_submit=*/true);
+      deliver_unscored(*displaced, ResponseStatus::kShed, 0);
       return SubmitResult::kAdmitted;
     case PushResult::kRejected:
       retract_admission();
@@ -166,13 +166,147 @@ SubmitResult ScoringEngine::submit_miss(ScoreRequest&& request) {
   return SubmitResult::kStopped;  // unreachable
 }
 
+SubmitResult ScoringEngine::score_now(std::span<ScoreRequest> requests,
+                                      std::span<ScoreResponse> responses,
+                                      ScoreScratch& scratch) {
+  assert(requests.size() == responses.size());
+  if (stopping_.load(std::memory_order_acquire)) return SubmitResult::kStopped;
+  const auto now = std::chrono::steady_clock::now();
+  for (ScoreRequest& request : requests) {
+    request.admitted_at = now;
+    if (cache_ != nullptr) {
+      request.cache_key =
+          VerdictCache::key_of(request.features, request.claimed);
+    }
+  }
+  return score_span(registry_.current(), requests, responses, scratch, now,
+                    /*deliver=*/false)
+             ? SubmitResult::kAdmitted
+             : SubmitResult::kRejected;
+}
+
+bool ScoringEngine::score_span(const ModelSnapshot& snapshot,
+                               std::span<const ScoreRequest> requests,
+                               std::span<ScoreResponse> responses,
+                               ScoreScratch& scratch,
+                               std::chrono::steady_clock::time_point picked_up,
+                               bool deliver) {
+  // Each response reaches the callback as soon as it is built, so the
+  // first verdict of a batch does not wait for the last.
+  const auto emit = [&](std::size_t i) {
+    if (deliver && on_response_) on_response_(responses[i]);
+  };
+  if (!snapshot) {
+    if (!config_.degrade_without_model) return false;
+    // Degraded mode: no model, but the engine still answers — the
+    // UA-prior fallback judges the claimed UA alone, and the status
+    // tells the caller no fingerprint evidence was used.
+    PROF_SCOPE("serve.degraded");
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const ScoreRequest& request = requests[i];
+      responses[i] = answer(
+          request, degraded_score(request.claimed), /*version=*/0,
+          /*cached=*/false, scratch.lane,
+          {request.admitted_at, picked_up, std::chrono::steady_clock::now()});
+      emit(i);
+    }
+    return true;
+  }
+  PROF_SCOPE("serve.batch");
+  // Repeat sessions are replayed from the cache — checked against
+  // *this* snapshot's version, so a hot swap between admission and
+  // scoring never replays an older model's verdict — and the rest are
+  // staged for the fused kernel.
+  scratch.pending.clear();
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const ScoreRequest& request = requests[i];
+    core::Detection detection;
+    if (cache_ != nullptr &&
+        cache_->lookup(request.cache_key, snapshot.version, detection,
+                       scratch.lane)) {
+      responses[i] = answer(
+          request, detection, snapshot.version, /*cached=*/true, scratch.lane,
+          {request.admitted_at, picked_up, std::chrono::steady_clock::now()});
+      emit(i);
+      continue;
+    }
+    scratch.pending.push_back(i);
+  }
+  if (scratch.pending.empty()) return true;
+  scratch.rows.clear();
+  scratch.claims.clear();
+  for (const std::size_t i : scratch.pending) {
+    scratch.rows.emplace_back(requests[i].features);
+    scratch.claims.push_back(requests[i].claimed);
+  }
+  scratch.detections.resize(scratch.pending.size());
+  {
+    // The whole span goes through the SoA kernel in one pass —
+    // bit-identical to per-request score() by the kernel's equivalence
+    // guarantee, so this is purely a layout change.
+    PROF_SCOPE("serve.kernel");
+    snapshot.model->score_batch(
+        std::span<const std::span<const std::int32_t>>(scratch.rows),
+        std::span<const ua::UserAgent>(scratch.claims),
+        std::span<core::Detection>(scratch.detections), scratch.kernel);
+  }
+  PROF_SCOPE("serve.respond");
+  const auto done = std::chrono::steady_clock::now();
+  for (std::size_t p = 0; p < scratch.pending.size(); ++p) {
+    const ScoreRequest& request = requests[scratch.pending[p]];
+    const core::Detection& detection = scratch.detections[p];
+    responses[scratch.pending[p]] =
+        answer(request, detection, snapshot.version, /*cached=*/false,
+               scratch.lane, {request.admitted_at, picked_up, done});
+    emit(scratch.pending[p]);
+    if (cache_ != nullptr) {
+      cache_->insert(request.cache_key, snapshot.version, detection,
+                     scratch.lane);
+    }
+  }
+  return true;
+}
+
+ScoreResponse ScoringEngine::answer(const ScoreRequest& request,
+                                    const core::Detection& detection,
+                                    std::uint64_t version, bool cached,
+                                    std::uint32_t lane,
+                                    const AnswerTimes& times) {
+  ScoreResponse response;
+  response.id = request.id;
+  response.status =
+      version == 0 ? ResponseStatus::kDegraded : ResponseStatus::kScored;
+  response.detection = detection;
+  response.model_version = version;
+  response.worker = lane;
+  response.cached = cached;
+  response.latency = std::chrono::duration_cast<std::chrono::microseconds>(
+      times.done - times.admitted);
+  const auto latency_us = static_cast<std::uint64_t>(response.latency.count());
+  const std::uint64_t exemplar = exemplar_trace_id(request);
+  const char* terminal = "score";
+  if (version == 0) {
+    metrics_.record_degraded(lane, detection.flagged, latency_us, exemplar);
+    terminal = "degrade";
+  } else if (cached) {
+    metrics_.record_cached(lane, detection.flagged, latency_us, exemplar);
+    terminal = "cache_hit";
+  } else {
+    metrics_.record_scored(lane, detection.flagged, latency_us, exemplar);
+  }
+  record_audit(request, response);
+  record_request_trace(request, terminal, to_us(times.admitted),
+                       to_us(times.picked_up), to_us(times.done));
+  return response;
+}
+
 void ScoringEngine::record_request_trace(const ScoreRequest& request,
                                          const char* terminal,
+                                         std::int64_t admitted_us,
                                          std::int64_t picked_up_us,
                                          std::int64_t done_us) const {
   obs::TraceSink* sink = config_.trace;
   if (sink == nullptr) return;
-  const std::int64_t admitted_us = to_us(request.admitted_at);
   if (request.trace_id != 0) {
     // Adopted cross-hop context: the client already decided sampling
     // for the whole trace — honor it in both directions (record_forced
@@ -247,13 +381,9 @@ void ScoringEngine::record_audit(const ScoreRequest& request,
 void ScoringEngine::worker_loop(std::uint32_t worker_index) {
   obs::prof::ThreadHandle prof_handle("serve.worker", worker_index);
   std::vector<ScoreRequest> batch;
-  core::BatchScratch scratch;
-  // Reused per-batch staging (capacity sticks after the first batch, so
-  // the steady state stays allocation-free like the scalar path was):
-  std::vector<std::size_t> pending;  // batch indices that need scoring
-  std::vector<std::span<const std::int32_t>> rows;
-  std::vector<ua::UserAgent> claims;
-  std::vector<core::Detection> detections;
+  std::vector<ScoreResponse> responses;
+  ScoreScratch scratch;
+  scratch.lane = worker_index;
   Heartbeat& heartbeat = heartbeats_[worker_index];
   for (;;) {
     {
@@ -270,132 +400,44 @@ void ScoringEngine::worker_loop(std::uint32_t worker_index) {
     }
     // One snapshot per batch: the whole batch is attributed to a single
     // published model version, and a concurrent publish() never tears a
-    // batch across two models.
+    // batch across two models.  Without a model (and without the
+    // degraded fallback) the batch waits for the first publish.
     ModelSnapshot snapshot = registry_.current();
-    if (!snapshot && config_.degrade_without_model) {
-      // Degraded mode: no model, but the engine still answers — the
-      // UA-prior fallback judges the claimed UA alone, and the status
-      // tells the caller no fingerprint evidence was used.
-      PROF_SCOPE("serve.degraded");
-      std::uint64_t answered_in_batch = 0;
-      for (ScoreRequest& request : batch) {
-        const auto picked_up = std::chrono::steady_clock::now();
-        if (past_deadline(request, picked_up)) {
-          deliver_deadline_exceeded(std::move(request), worker_index);
-          continue;
-        }
-        ScoreResponse response;
-        response.id = request.id;
-        response.status = ResponseStatus::kDegraded;
-        response.detection = degraded_score(request.claimed);
-        response.worker = worker_index;
-        const auto done = std::chrono::steady_clock::now();
-        response.latency =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                done - request.admitted_at);
-        metrics_.record_degraded(
-            worker_index, response.detection.flagged,
-            static_cast<std::uint64_t>(response.latency.count()),
-            exemplar_trace_id(request));
-        if (on_response_) on_response_(response);
-        record_audit(request, response);
-        record_request_trace(request, "degrade", to_us(picked_up), to_us(done));
-        ++answered_in_batch;
-      }
-      if (answered_in_batch > 0) note_completed(answered_in_batch);
-      heartbeat.busy_since_us.store(0, std::memory_order_relaxed);
-      continue;
-    }
-    while (!snapshot) {
-      if (stopping_.load(std::memory_order_acquire)) break;
+    while (!snapshot && !config_.degrade_without_model &&
+           !stopping_.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
       snapshot = registry_.current();
     }
-    if (!snapshot) {
+    if (!snapshot && !config_.degrade_without_model) {
       // Stopped before any model was ever published: complete the batch
       // as shed so no admitted request is left without a response.
-      for (ScoreRequest& request : batch) {
-        deliver_shed(std::move(request), worker_index, /*from_submit=*/false);
+      for (const ScoreRequest& request : batch) {
+        deliver_unscored(request, ResponseStatus::kShed, worker_index);
       }
       heartbeat.busy_since_us.store(0, std::memory_order_relaxed);
       continue;
     }
-    metrics_.record_batch(worker_index, batch.size());
+    if (snapshot) metrics_.record_batch(worker_index, batch.size());
+    // Deadline triage: misses are answered here and compacted out; the
+    // rest go through the span scorer in one pass.
     const auto picked_up = std::chrono::steady_clock::now();
-    std::uint64_t answered_in_batch = 0;
-    // Triage pass: deadline misses out, repeat sessions replayed from
-    // the cache (re-checked here against the *batch's* snapshot version
-    // — a hot swap between submit and pickup must not replay an older
-    // model's verdict), the rest staged for the fused kernel.
-    pending.clear();
-    PROF_SCOPE("serve.batch");
+    std::size_t kept = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      ScoreRequest& request = batch[i];
-      if (past_deadline(request, picked_up)) {
-        // deliver_deadline_exceeded note_completed()s itself — counting
-        // it in answered_in_batch too would overshoot completed_ and
-        // release a concurrent drain() with requests still in flight.
-        deliver_deadline_exceeded(std::move(request), worker_index);
+      if (past_deadline(batch[i], picked_up)) {
+        // deliver_unscored note_completed()s itself — counting it in
+        // `kept` too would overshoot completed_ and release a concurrent
+        // drain() with requests still in flight.
+        deliver_unscored(batch[i], ResponseStatus::kDeadlineExceeded,
+                         worker_index);
         continue;
       }
-      if (cache_ != nullptr) {
-        core::Detection detection;
-        if (cache_->lookup(request.cache_key, snapshot.version, detection,
-                           worker_index)) {
-          deliver_cached(request, detection, snapshot.version, worker_index,
-                         worker_index, picked_up);
-          ++answered_in_batch;
-          continue;
-        }
-      }
-      pending.push_back(i);
+      if (kept != i) batch[kept] = std::move(batch[i]);
+      ++kept;
     }
-    if (!pending.empty()) {
-      rows.clear();
-      claims.clear();
-      for (const std::size_t i : pending) {
-        rows.emplace_back(batch[i].features);
-        claims.push_back(batch[i].claimed);
-      }
-      detections.resize(pending.size());
-      {
-        // The whole drain goes through the SoA kernel in one pass —
-        // bit-identical to per-request score() by the kernel's
-        // equivalence guarantee, so this is purely a layout change.
-        PROF_SCOPE("serve.kernel");
-        snapshot.model->score_batch(
-            std::span<const std::span<const std::int32_t>>(rows),
-            std::span<const ua::UserAgent>(claims),
-            std::span<core::Detection>(detections), scratch);
-      }
-      PROF_SCOPE("serve.respond");
-      const auto done = std::chrono::steady_clock::now();
-      for (std::size_t p = 0; p < pending.size(); ++p) {
-        ScoreRequest& request = batch[pending[p]];
-        ScoreResponse response;
-        response.id = request.id;
-        response.status = ResponseStatus::kScored;
-        response.detection = detections[p];
-        response.model_version = snapshot.version;
-        response.worker = worker_index;
-        response.latency =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                done - request.admitted_at);
-        metrics_.record_scored(
-            worker_index, response.detection.flagged,
-            static_cast<std::uint64_t>(response.latency.count()),
-            exemplar_trace_id(request));
-        if (on_response_) on_response_(response);
-        record_audit(request, response);
-        record_request_trace(request, "score", to_us(picked_up), to_us(done));
-        if (cache_ != nullptr) {
-          cache_->insert(request.cache_key, snapshot.version, detections[p],
-                         worker_index);
-        }
-        ++answered_in_batch;
-      }
-    }
-    if (answered_in_batch > 0) note_completed(answered_in_batch);
+    responses.resize(kept);
+    score_span(snapshot, std::span<const ScoreRequest>(batch.data(), kept),
+               responses, scratch, picked_up, /*deliver=*/true);
+    if (kept > 0) note_completed(kept);
     heartbeat.busy_since_us.store(0, std::memory_order_relaxed);
   }
 }
@@ -423,60 +465,26 @@ void ScoringEngine::watchdog_loop() {
   }
 }
 
-void ScoringEngine::deliver_shed(ScoreRequest request,
-                                 std::uint32_t worker_index, bool from_submit) {
+void ScoringEngine::deliver_unscored(const ScoreRequest& request,
+                                     ResponseStatus status,
+                                     std::uint32_t worker_index) {
   ScoreResponse response;
   response.id = request.id;
-  response.status = ResponseStatus::kShed;
+  response.status = status;
   response.worker = worker_index;
   const auto done = std::chrono::steady_clock::now();
   response.latency = std::chrono::duration_cast<std::chrono::microseconds>(
       done - request.admitted_at);
-  if (from_submit) {
-    metrics_.record_shed_on_submit();
-  } else {
+  const bool shed = status == ResponseStatus::kShed;
+  if (shed) {
     metrics_.record_shed(worker_index);
+  } else {
+    metrics_.record_deadline_exceeded(worker_index);
   }
   if (on_response_) on_response_(response);
-  record_request_trace(request, "shed", to_us(done), to_us(done));
+  record_request_trace(request, shed ? "shed" : "deadline",
+                       to_us(request.admitted_at), to_us(done), to_us(done));
   note_completed(1);
-}
-
-void ScoringEngine::deliver_deadline_exceeded(ScoreRequest request,
-                                              std::uint32_t worker_index) {
-  ScoreResponse response;
-  response.id = request.id;
-  response.status = ResponseStatus::kDeadlineExceeded;
-  response.worker = worker_index;
-  const auto done = std::chrono::steady_clock::now();
-  response.latency = std::chrono::duration_cast<std::chrono::microseconds>(
-      done - request.admitted_at);
-  metrics_.record_deadline_exceeded(worker_index);
-  if (on_response_) on_response_(response);
-  record_request_trace(request, "deadline", to_us(done), to_us(done));
-  note_completed(1);
-}
-
-void ScoringEngine::deliver_cached(
-    const ScoreRequest& request, const core::Detection& detection,
-    std::uint64_t version, std::uint32_t worker_index, std::size_t stripe,
-    std::chrono::steady_clock::time_point picked_up) {
-  ScoreResponse response;
-  response.id = request.id;
-  response.status = ResponseStatus::kScored;
-  response.detection = detection;
-  response.model_version = version;
-  response.worker = worker_index;
-  response.cached = true;
-  const auto done = std::chrono::steady_clock::now();
-  response.latency = std::chrono::duration_cast<std::chrono::microseconds>(
-      done - request.admitted_at);
-  metrics_.record_cached(stripe, detection.flagged,
-                         static_cast<std::uint64_t>(response.latency.count()),
-                         exemplar_trace_id(request));
-  if (on_response_) on_response_(response);
-  record_audit(request, response);
-  record_request_trace(request, "cache_hit", to_us(picked_up), to_us(done));
 }
 
 void ScoringEngine::note_completed(std::uint64_t n) {

@@ -1,31 +1,28 @@
-// Concurrent scoring engine: the serving tier of §6.5.
-//
-// A sharded pool of worker threads drains a bounded MPMC queue in
-// batches and scores each session with the registry's current model
-// snapshot:
+// Concurrent scoring engine: the serving tier of §6.5.  One scoring
+// path, two ways in:
 //
 //   submit()  ->  BoundedQueue  ->  worker pool  ->  ResponseCallback
-//                                     |  one ModelSnapshot per batch
-//                                     |  one ScoringScratch per worker
-//                                     v
-//                                 ServeMetrics (per-worker counters)
+//                                     |
+//   score_now() (inline) -------------+->  score_span(): one snapshot,
+//                                          cache, SoA kernel, metrics
 //
 // Invariants the tests pin down:
 //   * every admitted request produces exactly one response — a score
 //     (kScored), an explicit shed (kShed), a deadline miss
 //     (kDeadlineExceeded) or a model-less fallback verdict (kDegraded);
 //     a rejected submission produces none and is reported synchronously;
-//   * a batch is scored by exactly one published model version (the
-//     snapshot is taken once per batch), and every response names the
-//     version that produced it (0 for sheds/deadline/degraded);
-//   * the worker hot path performs no per-session allocation: requests
-//     are moved through the queue and each drained batch is scored in
-//     one fused pass through Polygraph::score_batch (a per-worker
-//     BatchScratch holds the SoA panels) — bit-identical to per-session
-//     Polygraph::score by the kernel's equivalence guarantee;
+//   * a span is scored by exactly one published model version (the
+//     snapshot is taken once per batch or inline call), and every
+//     response names the version that produced it (0 for
+//     sheds/deadline/degraded);
+//   * the scoring path performs no per-session allocation: each span
+//     is scored in one fused pass through Polygraph::score_batch (a
+//     reused ScoreScratch holds the SoA panels) — bit-identical to
+//     per-session Polygraph::score by the kernel's equivalence
+//     guarantee;
 //   * with EngineConfig::cache_capacity > 0, a verdict cache
 //     short-circuits repeat (fingerprint, UA) sessions at submit() and
-//     again at batch pickup; cached responses are kScored with
+//     again inside the span scorer; cached responses are kScored with
 //     ScoreResponse::cached set, always carry the version whose model
 //     produced the verdict, and a hot swap atomically invalidates every
 //     older entry (version-keyed lookups — see serve/verdict_cache.h).
@@ -43,13 +40,15 @@
 //     the count as MetricsSnapshot::stalled_workers.
 //
 // The callback runs on worker threads (and, for displaced-by-overflow
-// sheds, on the submitting thread); it must be thread-safe and cheap.
+// sheds and submit-side cache hits, on the submitting thread); it must
+// be thread-safe and cheap.  score_now() never calls it.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -90,8 +89,9 @@ struct ScoreRequest {
 // the two server visits of a hedged twin (distinct attempt parent
 // spans, one shared trace id) can never collide.  Within a block:
 // base+1 "server_request" (parented under the client span), base+2
-// "queue_wait", base+3 terminal, base+4 "slot_admission", base+5
-// "serialize" (the last two recorded by net::ScoreServer).
+// "queue_wait" (zero-length when scored inline), base+3 terminal,
+// base+5 "serialize" (recorded by net::ScoreServer).  base+4 is
+// unassigned.
 inline constexpr std::uint32_t adopted_span_base(
     std::uint32_t trace_parent) noexcept {
   return trace_parent * 16u;
@@ -109,7 +109,7 @@ struct ScoreResponse {
   ResponseStatus status = ResponseStatus::kScored;
   core::Detection detection;        // valid iff kScored or kDegraded
   std::uint64_t model_version = 0;  // publishing version that scored it
-  std::uint32_t worker = 0;         // scoring worker (0 for sheds)
+  std::uint32_t worker = 0;  // worker or ScoreScratch::lane (0: submit)
   std::chrono::microseconds latency{0};  // admission -> response
   // kScored answered by the verdict cache — the detection was produced
   // by `model_version` for an identical (fingerprint, UA) earlier and
@@ -118,9 +118,22 @@ struct ScoreResponse {
 };
 
 enum class SubmitResult : std::uint8_t {
-  kAdmitted,  // a response will follow
-  kRejected,  // queue full under kReject; no response follows
+  kAdmitted,  // a response will follow (score_now: was written)
+  kRejected,  // queue full under kReject (score_now: no model); none follows
   kStopped,   // engine stopped; no response follows
+};
+
+// Per-thread staging for score_now(): SoA panels and per-span columns
+// whose capacity sticks, so a reused scratch allocates nothing.  `lane`
+// is the counter stripe; each new scratch takes the next one.
+struct ScoreScratch {
+  ScoreScratch() noexcept;
+  std::uint32_t lane;
+  core::BatchScratch kernel;
+  std::vector<std::size_t> pending;  // span indices the kernel scores
+  std::vector<std::span<const std::int32_t>> rows;
+  std::vector<ua::UserAgent> claims;
+  std::vector<core::Detection> detections;
 };
 
 struct EngineConfig {
@@ -133,11 +146,11 @@ struct EngineConfig {
   // cache (rounded up to a power of two); 0 disables it.  With the
   // cache on, submit() answers repeat sessions synchronously on the
   // submitting thread (the response callback runs before submit
-  // returns, as it already can for displaced sheds), and workers check
-  // it again per request against the batch's snapshot version before
-  // falling through to the SoA kernel.  Version-keyed entries make a
-  // registry hot swap an atomic whole-cache invalidation.  Counters
-  // appear under `<metrics_prefix>_cache_*`.
+  // returns, as it already can for displaced sheds), and the span
+  // scorer checks it again per request against the span's snapshot
+  // version before falling through to the SoA kernel.  Version-keyed
+  // entries make a registry hot swap an atomic whole-cache
+  // invalidation.  Counters appear under `<metrics_prefix>_cache_*`.
   std::size_t cache_capacity = 0;
 
   // Per-request deadline, measured from admission.  Zero disables: a
@@ -170,7 +183,10 @@ struct EngineConfig {
   // decided deterministically by the sink) the engine records spans:
   //   1 "request"    admission -> response          (root)
   //   2 "queue_wait" admission -> batch pickup      (parent 1)
-  //   3 terminal     "score" | "degrade" | "shed" | "deadline" (parent 1)
+  //   3 terminal     "score" | "cache_hit" | "degrade" | "shed" |
+  //                  "deadline"                       (parent 1)
+  // An inline score_now() call records the same spans; its queue_wait
+  // is zero-length.
   // A request carrying an adopted cross-hop context (trace_id != 0)
   // instead records "server_request"/"queue_wait"/terminal at
   // adopted_span_base(trace_parent)+{1,2,3} under the client's trace
@@ -205,6 +221,16 @@ class ScoringEngine {
   SubmitResult submit(ScoreRequest&& request);
   SubmitResult submit(const ScoreRequest& request);
 
+  // Inline scoring on the calling thread through the workers' span
+  // scorer, against the current snapshot: responses[i] answers
+  // requests[i] (sizes must match; admitted_at and cache_key are
+  // stamped here).  kRejected: nothing published and no degraded
+  // fallback.  Refusals write nothing; the callback never runs and
+  // drain() never waits on these calls.
+  SubmitResult score_now(std::span<ScoreRequest> requests,
+                         std::span<ScoreResponse> responses,
+                         ScoreScratch& scratch);
+
   // Blocks until every admitted request has been responded to.
   // Producers should be quiescent (or the wait is racy by nature).
   void drain();
@@ -233,26 +259,40 @@ class ScoringEngine {
     std::atomic<std::int64_t> busy_since_us{0};
   };
 
+  // When one answered request was admitted, picked up and answered.
+  struct AnswerTimes {
+    std::chrono::steady_clock::time_point admitted, picked_up, done;
+  };
+
   void worker_loop(std::uint32_t worker_index);
   void watchdog_loop();
+  // The one scoring path: cache probe against the snapshot's version,
+  // the SoA kernel for the misses, cache insert, answer() per request
+  // (handed to the callback when `deliver`).  An empty snapshot answers
+  // kDegraded under degrade_without_model, else returns false having
+  // done nothing.
+  bool score_span(const ModelSnapshot& snapshot,
+                  std::span<const ScoreRequest> requests,
+                  std::span<ScoreResponse> responses, ScoreScratch& scratch,
+                  std::chrono::steady_clock::time_point picked_up,
+                  bool deliver);
+  // The only place a scored, cache-hit (`cached`) or degraded
+  // (`version` 0) response is built; records metrics, audit, trace.
+  ScoreResponse answer(const ScoreRequest& request,
+                       const core::Detection& detection,
+                       std::uint64_t version, bool cached, std::uint32_t lane,
+                       const AnswerTimes& times);
   void record_request_trace(const ScoreRequest& request, const char* terminal,
+                            std::int64_t admitted_us,
                             std::int64_t picked_up_us,
                             std::int64_t done_us) const;
   // The trace id this request's spans land under when its trace is
   // sampled, 0 otherwise — the latency histogram's exemplar.
   std::uint64_t exemplar_trace_id(const ScoreRequest& request) const noexcept;
   void record_audit(const ScoreRequest& request, const ScoreResponse& response);
-  void deliver_shed(ScoreRequest request, std::uint32_t worker_index,
-                    bool from_submit);
-  void deliver_deadline_exceeded(ScoreRequest request,
-                                 std::uint32_t worker_index);
-  // Replay a cached detection as a kScored/cached response (shared by
-  // the submit-side fast path and the worker-side per-batch lookup).
-  // Does not touch the completion accounting; callers do.
-  void deliver_cached(const ScoreRequest& request,
-                      const core::Detection& detection, std::uint64_t version,
-                      std::uint32_t worker_index, std::size_t stripe,
-                      std::chrono::steady_clock::time_point picked_up);
+  // Completes a request without a verdict: kShed or kDeadlineExceeded.
+  void deliver_unscored(const ScoreRequest& request, ResponseStatus status,
+                        std::uint32_t worker_index);
   // Submit-side cache fast path; true = answered, request not admitted.
   bool try_cached_submit(const ScoreRequest& request);
   // The queue path both public submit overloads fall through to after

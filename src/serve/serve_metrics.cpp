@@ -145,8 +145,6 @@ void ServeMetrics::record_batch(std::size_t worker,
 
 void ServeMetrics::record_rejected() noexcept { rejected_->increment(); }
 
-void ServeMetrics::record_shed_on_submit() noexcept { shed_->increment(); }
-
 MetricsSnapshot ServeMetrics::snapshot() const {
   MetricsSnapshot out;
   out.scored = scored_->value();

@@ -114,9 +114,9 @@ class ServeMetrics {
                         obs::MetricsRegistry* registry = nullptr,
                         std::string_view prefix = "bp_serve");
 
-  // Hot-path recording; `worker` < n_workers, callable concurrently
-  // from distinct workers without contention (worker index = stripe
-  // hint).  `exemplar_trace_id` (nonzero only for a request whose trace
+  // Hot-path recording; `worker` is the stripe hint (a worker index or
+  // an inline caller's lane, any value), so distinct threads record
+  // concurrently without contention.  `exemplar_trace_id` (nonzero only for a request whose trace
   // is sampled) is remembered as the latency histogram's per-bucket
   // exemplar, linking the JSON exporter's buckets back to /tracez.
   void record_scored(std::size_t worker, bool flagged,
@@ -136,9 +136,8 @@ class ServeMetrics {
                        std::uint64_t latency_micros,
                        std::uint64_t exemplar_trace_id = 0) noexcept;
 
-  // Admission-side events (any thread).
+  // Admission-side event (any thread).
   void record_rejected() noexcept;
-  void record_shed_on_submit() noexcept;
 
   // Watchdog gauge (single writer: the watchdog thread).
   void set_stalled_workers(std::uint64_t n) noexcept {

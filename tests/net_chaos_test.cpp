@@ -72,8 +72,6 @@ ScoreServerConfig server_config() {
   ScoreServerConfig config;
   config.router.shards = 2;
   config.router.engine.workers = 1;
-  config.router.engine.queue_capacity = 1024;
-  config.router.engine.overflow_policy = serve::OverflowPolicy::kReject;
   config.expected_features = 2;
   config.listener.handler_threads = 4;
   return config;

@@ -63,8 +63,6 @@ ScoreServerConfig server_config(obs::TraceSink* sink) {
   ScoreServerConfig config;
   config.router.shards = 2;
   config.router.engine.workers = 1;
-  config.router.engine.queue_capacity = 1024;
-  config.router.engine.overflow_policy = serve::OverflowPolicy::kReject;
   config.router.engine.trace = sink;
   config.expected_features = 2;
   config.listener.handler_threads = 4;
@@ -154,10 +152,9 @@ TEST(DistTrace, SingleCallAssemblesOneTraceAcrossTheWire) {
     EXPECT_EQ(event.trace_id, result.trace_id);
     server_spans.insert(event.span_id);
   }
-  // base+1 server_request, +2 queue_wait, +3 terminal, +4
-  // slot_admission, +5 serialize.
-  EXPECT_EQ(server_spans,
-            (std::set<std::uint32_t>{161, 162, 163, 164, 165}));
+  // base+1 server_request, +2 queue_wait (zero-length: scored inline),
+  // +3 terminal, +5 serialize.
+  EXPECT_EQ(server_spans, (std::set<std::uint32_t>{161, 162, 163, 165}));
   expect_assembled(client_sink, server_sink, result.trace_id);
 
   EXPECT_EQ(client.stats().trace_propagated, 1u);
@@ -293,6 +290,32 @@ TEST(DistTrace, RenderWithoutTimingIsByteReplayable) {
   const std::string filtered = obs::TraceSink(
       {.capacity = 1, .sample_rate = 1.0}).render(false, 42);
   EXPECT_TRUE(filtered.empty());
+}
+
+// Without a t: context a wire request's engine correlation id is its
+// session id, so the engine's local spans land under the session id as
+// trace id — not under some server-internal index shared by unrelated
+// requests.
+TEST(DistTrace, UncontextedWireRequestTracesUnderItsSessionId) {
+  serve::ModelRegistry models;
+  ASSERT_TRUE(models.publish(tiny_model()));
+  obs::TraceSink server_sink({.capacity = 1024, .sample_rate = 1.0});
+  ScoreServer server(models, server_config(&server_sink));
+  ASSERT_TRUE(server.running()) << server.error();
+
+  const std::int32_t clean[] = {0, 0};
+  for (const std::uint64_t session : {41u, 42u}) {
+    std::string frame;
+    render_score_request(session, "Chrome 100", clean, &frame);
+    const HttpResult result =
+        http_post("127.0.0.1", server.port(), "/score", frame);
+    ASSERT_EQ(result.status, 200) << result.error;
+  }
+  std::set<std::uint64_t> trace_ids;
+  for (const obs::TraceEvent& event : server_sink.events()) {
+    trace_ids.insert(event.trace_id);
+  }
+  EXPECT_EQ(trace_ids, (std::set<std::uint64_t>{41, 42}));
 }
 
 }  // namespace

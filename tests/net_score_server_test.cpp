@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -50,8 +51,6 @@ ScoreServerConfig small_config() {
   ScoreServerConfig config;
   config.router.shards = 2;
   config.router.engine.workers = 1;
-  config.router.engine.queue_capacity = 1024;
-  config.router.engine.overflow_policy = serve::OverflowPolicy::kReject;
   config.expected_features = 2;
   return config;
 }
@@ -151,6 +150,30 @@ TEST_F(NetScoreServerTest, DegradedVerdictBeforeFirstPublish) {
   ASSERT_EQ(parse_score_response(result.body, &verdict), WireError::kOk);
   EXPECT_EQ(verdict.status, serve::ResponseStatus::kDegraded);
   EXPECT_EQ(verdict.model_version, 0u);
+}
+
+// No model and no degraded fallback: the ingress says so at once with
+// an explicit 503 — it never parks the request waiting for a publish —
+// and scores normally once a model lands.
+TEST_F(NetScoreServerTest, NoModelWithoutDegradeIsAnImmediateFiveOhThree) {
+  StartServer(small_config(), /*publish=*/false);
+  const auto start = std::chrono::steady_clock::now();
+  HttpResult result = http_post("127.0.0.1", server_->port(), "/score",
+                                request_frame(1, "Chrome 100", {0, 0}));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_EQ(result.status, 503) << result.error;
+  EXPECT_EQ(result.body, "no model published\n");
+  EXPECT_EQ(server_->admission_rejected(), 1u);
+  EXPECT_EQ(server_->inflight(), 0u);
+
+  ASSERT_TRUE(models_.publish(tiny_model()));
+  result = http_post("127.0.0.1", server_->port(), "/score",
+                     request_frame(2, "Chrome 100", {0, 0}));
+  ASSERT_EQ(result.status, 200) << result.error;
+  WireScoreResponse verdict;
+  ASSERT_EQ(parse_score_response(result.body, &verdict), WireError::kOk);
+  EXPECT_EQ(verdict.status, serve::ResponseStatus::kScored);
+  EXPECT_EQ(verdict.model_version, 1u);
 }
 
 // ----------------------------- HTTP-layer policy -----------------------------
@@ -270,8 +293,9 @@ TEST_F(NetScoreServerTest, ShardQueueRejectIsFiveOhThree) {
   config.router.engine.overflow_policy = serve::OverflowPolicy::kReject;
   config.listener.handler_threads = 8;
   StartServer(std::move(config));
-  // Flood 64 concurrent posts at a 1-deep queue: some score, and under
-  // contention some are rejected; every client gets *an* answer.
+  // Flood 64 concurrent posts at a 1-deep queue.  The wire scores
+  // inline on its handler threads and never touches the shard queue, so
+  // every client gets an answer and none is lost to the queue bound.
   std::atomic<int> ok{0};
   std::atomic<int> unavailable{0};
   std::vector<std::thread> clients;
@@ -293,6 +317,7 @@ TEST_F(NetScoreServerTest, ShardQueueRejectIsFiveOhThree) {
   for (std::thread& client : clients) client.join();
   EXPECT_EQ(ok.load() + unavailable.load(), 64);
   EXPECT_GT(ok.load(), 0);
+  EXPECT_EQ(unavailable.load(), 0);
 }
 
 // ------------------------- hot swap under client load -------------------------

@@ -14,6 +14,9 @@
 #include <thread>
 #include <vector>
 
+#include "obs/audit.h"
+#include "obs/prof/prof.h"
+#include "obs/trace.h"
 #include "serve/model_registry.h"
 #include "serve/scoring_engine.h"
 
@@ -366,6 +369,143 @@ TEST(ServeEngine, LatencyHistogramFeedsPercentiles) {
   // 100 ms budget.
   EXPECT_TRUE(metrics.within_budget());
   EXPECT_FALSE(metrics.summary().empty());
+}
+
+// ------------------------------ inline scoring ------------------------------
+
+TEST(ServeInline, ScoresMatchDirectModelCallsWithoutTheQueue) {
+  ModelRegistry registry;
+  registry.publish(make_model(false));
+  const ModelSnapshot snapshot = registry.current();
+  std::atomic<int> callbacks{0};
+  EngineConfig config;
+  config.workers = 1;
+  config.cache_capacity = 64;
+  ScoringEngine engine(registry, config,
+                       [&](const ScoreResponse&) { callbacks.fetch_add(1); });
+
+  std::vector<ScoreRequest> requests;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    ScoreRequest request;
+    request.id = 100 + i;
+    request.features = i % 3 == 0 ? std::vector<std::int32_t>{9, 11}
+                                  : std::vector<std::int32_t>{1, 0};
+    request.claimed = i % 2 == 0 ? kChrome100 : kFirefox100;
+    requests.push_back(request);
+  }
+  std::vector<ScoreResponse> responses(requests.size());
+  ScoreScratch scratch;
+  // Twice: the second span is answered from the cache the first filled.
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_EQ(engine.score_now(requests, responses, scratch),
+              SubmitResult::kAdmitted);
+    core::ScoringScratch direct;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const ScoreResponse& response = responses[i];
+      EXPECT_EQ(response.id, requests[i].id);
+      EXPECT_EQ(response.status, ResponseStatus::kScored);
+      EXPECT_EQ(response.model_version, 1u);
+      EXPECT_EQ(response.cached, round == 1);
+      const core::Detection expected = snapshot.model->score(
+          std::span<const std::int32_t>(requests[i].features),
+          requests[i].claimed, direct);
+      EXPECT_EQ(response.detection.predicted_cluster,
+                expected.predicted_cluster);
+      EXPECT_EQ(response.detection.expected_cluster, expected.expected_cluster);
+      EXPECT_EQ(response.detection.flagged, expected.flagged);
+      EXPECT_EQ(response.detection.risk_factor, expected.risk_factor);
+    }
+  }
+  engine.drain();  // inline calls are outside drain()'s accounting
+  EXPECT_EQ(callbacks.load(), 0);
+  const MetricsSnapshot metrics = engine.metrics();
+  EXPECT_EQ(metrics.scored, 2 * requests.size());
+  EXPECT_EQ(metrics.cached, requests.size());
+  EXPECT_EQ(metrics.batches, 0u);  // no worker drained anything
+  engine.stop();
+}
+
+TEST(ServeInline, RefusesWithoutModelUnlessDegradedAndWhenStopped) {
+  ModelRegistry registry;
+  ScoreScratch scratch;
+  ScoreRequest request = request_at_origin(5);
+  ScoreResponse response;
+  response.id = 99;  // a refusal must leave it untouched
+  {
+    EngineConfig config;
+    config.workers = 1;
+    ScoringEngine engine(registry, config, nullptr);
+    EXPECT_EQ(engine.score_now({&request, 1}, {&response, 1}, scratch),
+              SubmitResult::kRejected);
+    EXPECT_EQ(response.id, 99u);
+    EXPECT_EQ(engine.metrics().scored + engine.metrics().degraded, 0u);
+  }
+  EngineConfig config;
+  config.workers = 1;
+  config.degrade_without_model = true;
+  ScoringEngine engine(registry, config, nullptr);
+  ASSERT_EQ(engine.score_now({&request, 1}, {&response, 1}, scratch),
+            SubmitResult::kAdmitted);
+  EXPECT_EQ(response.id, 5u);
+  EXPECT_EQ(response.status, ResponseStatus::kDegraded);
+  EXPECT_EQ(response.model_version, 0u);
+  EXPECT_EQ(engine.metrics().degraded, 1u);
+  engine.stop();
+  EXPECT_EQ(engine.score_now({&request, 1}, {&response, 1}, scratch),
+            SubmitResult::kStopped);
+}
+
+// "Allocation-free steady state" as a gate: after warm-up, inline calls
+// — cache hits and kernel-scored misses, with metrics, trace, audit and
+// cache insert all on — allocate nothing.  The request and scratch are
+// reused exactly as net::ScoreServer's handler threads reuse theirs.
+TEST(ServeInline, SteadyStateIsAllocationFree) {
+  if (!obs::prof::alloc_hook_linked()) {
+    GTEST_SKIP() << "bp_prof_alloc not linked into this binary "
+                    "(sanitizer build compiles the hook out)";
+  }
+  ModelRegistry registry;
+  registry.publish(make_model(false));
+  obs::TraceSink trace({.capacity = 256, .sample_rate = 1.0});
+  obs::AuditTrail audit({.capacity = 256, .unflagged_sample_rate = 1.0});
+  EngineConfig config;
+  config.workers = 1;
+  config.cache_capacity = 1024;
+  config.trace = &trace;
+  config.audit = &audit;
+  ScoringEngine engine(registry, config, nullptr);
+
+  thread_local ScoreScratch scratch;
+  ScoreRequest request = request_at_origin(0);
+  ScoreResponse response;
+  // Even calls repeat one cached fingerprint; odd calls bring a fresh
+  // one, so the kernel and the cache insert run too.
+  std::int32_t fresh = 1;
+  const auto call = [&](std::uint64_t i) {
+    request.id = i;
+    request.features[0] = i % 2 == 0 ? 0 : fresh++;
+    return engine.score_now({&request, 1}, {&response, 1}, scratch);
+  };
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    ASSERT_EQ(call(i), SubmitResult::kAdmitted);
+  }
+  constexpr std::uint64_t kCalls = 1000;
+  std::uint64_t hits = 0;
+  const obs::prof::AllocCounts before = obs::prof::alloc_counts();
+  obs::prof::set_alloc_counting(true);
+  for (std::uint64_t i = 0; i < kCalls; ++i) {
+    if (call(i) != SubmitResult::kAdmitted) break;
+    hits += response.cached ? 1 : 0;
+  }
+  obs::prof::set_alloc_counting(false);
+  const obs::prof::AllocCounts after = obs::prof::alloc_counts();
+  EXPECT_EQ(after.allocations - before.allocations, 0u);
+  // Both paths ran (a fresh key can evict the hot one from its
+  // direct-mapped slot, so the split need not be exactly half).
+  EXPECT_GT(hits, 0u);
+  EXPECT_LE(hits, kCalls / 2);
+  EXPECT_EQ(engine.metrics().scored, 64 + kCalls);
+  engine.stop();
 }
 
 }  // namespace

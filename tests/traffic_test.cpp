@@ -5,6 +5,7 @@
 #include <set>
 
 #include "traffic/session_generator.h"
+#include "util/parallel.h"
 
 namespace bp::traffic {
 namespace {
@@ -156,6 +157,37 @@ TEST(Generator, StreamingMatchesBatch) {
   for (std::size_t i = 0; i < 50; ++i) {
     const SessionRecord r = b.next_session(indices);
     EXPECT_EQ(r.session_id, batch.records()[i].session_id);
+  }
+}
+
+// generate() shards sessions across util::parallel_for lanes, and every
+// lane's first sighting of a release fills extractor.cpp's memo of
+// baseline candidate values.  Run on a cold memo (each test is its own
+// process under ctest), so the lanes race to fill it — the TSan pass
+// covers this suite — and the result must equal a single-lane run.
+TEST(Generator, MultiThreadPoolMatchesSingleThread) {
+  struct RestorePool {
+    ~RestorePool() { util::set_parallel_threads(0); }
+  } restore;
+  const auto indices = experiment_feature_indices();
+  util::set_parallel_threads(8);
+  const Dataset parallel = SessionGenerator(small_config(6'000, 5)).generate(indices);
+  util::set_parallel_threads(1);
+  const Dataset serial = SessionGenerator(small_config(6'000, 5)).generate(indices);
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    const SessionRecord& p = parallel.records()[i];
+    const SessionRecord& s = serial.records()[i];
+    ASSERT_EQ(p.session_id, s.session_id) << "row " << i;
+    ASSERT_EQ(p.date, s.date) << "row " << i;
+    ASSERT_EQ(p.user_agent, s.user_agent) << "row " << i;
+    ASSERT_EQ(p.claimed, s.claimed) << "row " << i;
+    ASSERT_EQ(p.features, s.features) << "row " << i;
+    ASSERT_EQ(p.untrusted_ip, s.untrusted_ip) << "row " << i;
+    ASSERT_EQ(p.untrusted_cookie, s.untrusted_cookie) << "row " << i;
+    ASSERT_EQ(p.ato, s.ato) << "row " << i;
+    ASSERT_EQ(p.kind, s.kind) << "row " << i;
+    ASSERT_EQ(p.origin, s.origin) << "row " << i;
   }
 }
 
