@@ -41,8 +41,8 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "net/http_common.h"
 #include "obs/audit.h"
-#include "obs/introspect/http.h"
 #include "obs/introspect/server.h"
 #include "obs/metrics_registry.h"
 #include "obs/prof/prof.h"
@@ -406,7 +406,7 @@ int main(int argc, char** argv) {
     std::thread scraper([&] {
       bool metrics_turn = true;
       while (!stop_scraper.load(std::memory_order_acquire)) {
-        const obs::introspect::HttpResult got = obs::introspect::http_get(
+        const net::HttpResult got = net::http_get(
             "127.0.0.1", server.port(), metrics_turn ? "/metrics" : "/tracez");
         if (got.status == 200) ++scrapes;
         metrics_turn = !metrics_turn;

@@ -377,22 +377,23 @@ int main(int argc, char** argv) {
                       net_cache.capacity);
         extra += line;
       }
-      // How full the SoA batch kernel runs: one line per histogram
-      // bucket that saw a drain ("<=N: count").
+      // How full the SoA batch kernel runs: one entry per histogram
+      // bucket that saw a drain ("<=N: count", "<=N" being the bucket's
+      // inclusive upper bound in the obs::hist layout).
       const serve::MetricsSnapshot snap = engine.metrics();
       extra += "batch sizes:";
       bool any = false;
       for (std::size_t b = 0; b < snap.batch_size_histogram.size(); ++b) {
         if (snap.batch_size_histogram[b] == 0) continue;
         any = true;
-        if (b < serve::kBatchSizeBucketBounds.size()) {
+        if (b + 1 < obs::hist::kBuckets) {
           std::snprintf(line, sizeof(line), " <=%llu: %llu",
-                        static_cast<unsigned long long>(
-                            serve::kBatchSizeBucketBounds[b]),
+                        static_cast<unsigned long long>(obs::hist::upper(b)),
                         static_cast<unsigned long long>(
                             snap.batch_size_histogram[b]));
         } else {
-          std::snprintf(line, sizeof(line), " >256: %llu",
+          std::snprintf(line, sizeof(line), " >=%llu: %llu",
+                        static_cast<unsigned long long>(obs::hist::lower(b)),
                         static_cast<unsigned long long>(
                             snap.batch_size_histogram[b]));
         }

@@ -42,8 +42,13 @@ std::string_view trim(std::string_view s) noexcept {
 
 // Value of header `name` (case-insensitive) in `head`, which starts at
 // the first header line (past the request/status line).  Empty view
-// when absent.
-std::string_view find_header(std::string_view head, std::string_view name) {
+// when absent.  When `repeated` is given, the whole head is scanned and
+// *repeated says whether `name` appears more than once.
+std::string_view find_header(std::string_view head, std::string_view name,
+                             bool* repeated = nullptr) {
+  std::string_view value;
+  bool found = false;
+  if (repeated != nullptr) *repeated = false;
   std::size_t pos = 0;
   while (pos < head.size()) {
     std::size_t eol = head.find("\r\n", pos);
@@ -52,11 +57,17 @@ std::string_view find_header(std::string_view head, std::string_view name) {
     const std::size_t colon = line.find(':');
     if (colon != std::string_view::npos &&
         iequals(trim(line.substr(0, colon)), name)) {
-      return trim(line.substr(colon + 1));
+      if (found) {
+        *repeated = true;
+        return value;
+      }
+      value = trim(line.substr(colon + 1));
+      found = true;
+      if (repeated == nullptr) return value;
     }
     pos = eol + 2;
   }
-  return {};
+  return value;
 }
 
 bool parse_size(std::string_view text, std::size_t* out) noexcept {
@@ -114,7 +125,12 @@ bool parse_request_head(std::string_view head, HttpRequest* out) {
   const std::string_view connection = find_header(headers, "Connection");
   if (iequals(connection, "close")) out->keep_alive = false;
   if (iequals(connection, "keep-alive")) out->keep_alive = true;
-  const std::string_view length = find_header(headers, "Content-Length");
+  // A second Content-Length is the request-smuggling shape: a proxy and
+  // this parser could frame the body differently, so refuse it.
+  bool repeated = false;
+  const std::string_view length =
+      find_header(headers, "Content-Length", &repeated);
+  if (repeated) return false;
   if (!length.empty() && !parse_size(length, &out->content_length)) {
     return false;
   }

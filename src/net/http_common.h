@@ -73,9 +73,10 @@ struct HttpResponse {
 std::string_view status_reason(int status) noexcept;
 
 // Parse the head of an HTTP/1.1 request ("GET /path HTTP/1.1\r\n" +
-// header lines).  Returns false on a malformed request line or a
-// non-numeric Content-Length.  Recognized headers: Content-Length and
-// Connection (case-insensitive); everything else is ignored.
+// header lines).  Returns false on a malformed request line, a
+// non-numeric Content-Length or more than one Content-Length.
+// Recognized headers: Content-Length and Connection (case-insensitive);
+// everything else is ignored.
 bool parse_request_head(std::string_view head, HttpRequest* out);
 
 // Serialize status line + minimal headers + body.  The Connection

@@ -20,9 +20,9 @@ IntrospectionServer::IntrospectionServer(Sources sources, ServerConfig config)
   // contract (scrapers open fresh connections each cadence anyway).
   listener_config.keep_alive = false;
   listener_.emplace(std::move(listener_config),
-                    [this](const HttpRequest& request) {
+                    [this](const net::HttpRequest& request) {
                       if (request.method != "GET") {
-                        HttpResponse response;
+                        net::HttpResponse response;
                         response.status = 405;
                         response.body = "only GET is served here\n";
                         return response;
@@ -33,8 +33,9 @@ IntrospectionServer::IntrospectionServer(Sources sources, ServerConfig config)
 
 IntrospectionServer::~IntrospectionServer() { stop(); }
 
-HttpResponse IntrospectionServer::handle(const HttpRequest& request) const {
-  HttpResponse response;
+net::HttpResponse IntrospectionServer::handle(
+    const net::HttpRequest& request) const {
+  net::HttpResponse response;
   if (request.path == "/metrics") {
     if (sources_.metrics == nullptr) {
       response.status = 404;

@@ -31,7 +31,8 @@
 //   /profilez.json tag-attribution tree (self/total sample counts)
 //                  over the whole profiler run
 //   /contentionz   named contention sites: queue block time, registry
-//                  swap stalls, cache CAS losses, with log2 histograms
+//                  swap stalls, cache CAS losses, with block-time
+//                  histograms in the obs::hist layout
 //
 // Design constraints, in order: never perturb the scoring hot path
 // (handlers only call the registry/sink render functions, which take
@@ -51,7 +52,6 @@
 
 #include "net/http_common.h"
 #include "obs/audit.h"
-#include "obs/introspect/http.h"
 #include "obs/metrics_registry.h"
 #include "obs/prof/contention.h"
 #include "obs/prof/prof.h"
@@ -117,7 +117,7 @@ class IntrospectionServer {
 
   // Dispatch one parsed request.  Const and lock-light: every data
   // source is read through its own thread-safe render call.
-  HttpResponse handle(const HttpRequest& request) const;
+  net::HttpResponse handle(const net::HttpRequest& request) const;
 
   // Stops accepting, drains/closes pending connections, joins all
   // threads.  Idempotent; the destructor calls it.

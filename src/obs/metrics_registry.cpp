@@ -1,6 +1,5 @@
 #include "obs/metrics_registry.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdio>
 
@@ -38,43 +37,23 @@ std::string escape_help(std::string_view help) {
 
 }  // namespace
 
-std::size_t Histogram::bucket_index(std::uint64_t value) const noexcept {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  return static_cast<std::size_t>(it - bounds_.begin());
-}
-
-Histogram::Histogram(std::vector<std::uint64_t> bounds)
-    : bounds_(std::move(bounds)) {
-  for (Stripe& stripe : stripes_) {
-    stripe.buckets =
-        std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
-    for (std::size_t b = 0; b <= bounds_.size(); ++b) {
-      stripe.buckets[b].store(0, std::memory_order_relaxed);
-    }
-  }
-  exemplars_ = std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
-  for (std::size_t b = 0; b <= bounds_.size(); ++b) {
-    exemplars_[b].store(0, std::memory_order_relaxed);
-  }
-}
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(n_buckets(), 0);
+Histogram::Counts Histogram::bucket_counts() const noexcept {
+  Counts out{};
   for (const Stripe& stripe : stripes_) {
-    for (std::size_t b = 0; b < out.size(); ++b) {
+    for (std::size_t b = 0; b < hist::kBuckets; ++b) {
       out[b] += stripe.buckets[b].load(std::memory_order_relaxed);
     }
   }
   return out;
 }
 
-std::uint64_t Histogram::count() const {
+std::uint64_t Histogram::count() const noexcept {
   std::uint64_t total = 0;
   for (std::uint64_t c : bucket_counts()) total += c;
   return total;
 }
 
-std::uint64_t Histogram::sum() const {
+std::uint64_t Histogram::sum() const noexcept {
   std::uint64_t total = 0;
   for (const Stripe& stripe : stripes_) {
     total += stripe.sum.load(std::memory_order_relaxed);
@@ -82,9 +61,9 @@ std::uint64_t Histogram::sum() const {
   return total;
 }
 
-std::vector<std::uint64_t> Histogram::exemplar_trace_ids() const {
-  std::vector<std::uint64_t> out(n_buckets(), 0);
-  for (std::size_t b = 0; b < out.size(); ++b) {
+Histogram::Counts Histogram::exemplar_trace_ids() const noexcept {
+  Counts out{};
+  for (std::size_t b = 0; b < hist::kBuckets; ++b) {
     out[b] = exemplars_[b].load(std::memory_order_relaxed);
   }
   return out;
@@ -131,21 +110,19 @@ Gauge& MetricsRegistry::gauge(std::string_view name, std::string_view help) {
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::span<const std::uint64_t> bounds,
                                       std::string_view help) {
   std::lock_guard lock(mutex_);
   auto it = instruments_.find(name);
   if (it != instruments_.end()) {
     if (it->second.kind == Kind::kHistogram) return *it->second.histogram;
     assert(false && "metric name re-registered as a different kind");
-    static Histogram scrap{std::vector<std::uint64_t>{}};
+    static Histogram scrap;
     return scrap;
   }
   Instrument instrument;
   instrument.kind = Kind::kHistogram;
   instrument.help = std::string(help);
-  instrument.histogram = std::unique_ptr<Histogram>(
-      new Histogram(std::vector<std::uint64_t>(bounds.begin(), bounds.end())));
+  instrument.histogram = std::unique_ptr<Histogram>(new Histogram());
   return *instruments_.emplace(std::string(name), std::move(instrument))
               .first->second.histogram;
 }
@@ -192,13 +169,10 @@ std::optional<double> MetricsRegistry::read_histogram_over(
   if (it == instruments_.end() || it->second.kind != Kind::kHistogram) {
     return std::nullopt;
   }
-  const Histogram& h = *it->second.histogram;
-  const std::vector<std::uint64_t> counts = h.bucket_counts();
-  // Bucket b counts samples <= bounds[b]; everything in a bucket whose
-  // bound is <= threshold is certainly not over it.
+  const Histogram::Counts counts = it->second.histogram->bucket_counts();
   std::uint64_t over = 0;
-  for (std::size_t b = 0; b < counts.size(); ++b) {
-    if (b >= h.bounds().size() || h.bounds()[b] > threshold) over += counts[b];
+  for (std::size_t b = 0; b < hist::kBuckets; ++b) {
+    if (hist::lower(b) > threshold) over += counts[b];
   }
   return static_cast<double>(over);
 }
@@ -232,12 +206,13 @@ std::string MetricsRegistry::render_prometheus() const {
       case Kind::kHistogram: {
         const Histogram& h = *instrument.histogram;
         out += "# TYPE " + name + " histogram\n";
-        const std::vector<std::uint64_t> counts = h.bucket_counts();
+        const Histogram::Counts counts = h.bucket_counts();
         std::uint64_t cumulative = 0;
-        for (std::size_t b = 0; b < counts.size(); ++b) {
+        for (std::size_t b = 0; b < hist::kBuckets; ++b) {
           cumulative += counts[b];
-          const std::string le =
-              b < h.bounds().size() ? std::to_string(h.bounds()[b]) : "+Inf";
+          const std::string le = b + 1 < hist::kBuckets
+                                     ? std::to_string(hist::upper(b))
+                                     : "+Inf";
           out += name + "_bucket{le=\"" + le + "\"} " +
                  std::to_string(cumulative) + "\n";
         }
@@ -272,9 +247,9 @@ std::string MetricsRegistry::render_json() const {
         const Histogram& h = *instrument.histogram;
         if (!histograms.empty()) histograms += ", ";
         std::string bounds, counts;
-        for (std::uint64_t b : h.bounds()) {
+        for (std::size_t b = 0; b + 1 < hist::kBuckets; ++b) {
           if (!bounds.empty()) bounds += ", ";
-          bounds += std::to_string(b);
+          bounds += std::to_string(hist::upper(b));
         }
         for (std::uint64_t c : h.bucket_counts()) {
           if (!counts.empty()) counts += ", ";
@@ -286,7 +261,7 @@ std::string MetricsRegistry::render_json() const {
                       ", \"count\": " + std::to_string(h.count());
         // Exemplars are emitted only when at least one bucket has one,
         // so histograms without tracing keep their exact prior shape.
-        const std::vector<std::uint64_t> exemplar_ids = h.exemplar_trace_ids();
+        const Histogram::Counts exemplar_ids = h.exemplar_trace_ids();
         bool any_exemplar = false;
         for (std::uint64_t id : exemplar_ids) any_exemplar |= id != 0;
         if (any_exemplar) {

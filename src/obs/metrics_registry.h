@@ -40,10 +40,10 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
+
+#include "obs/histogram_layout.h"
 
 namespace bp::obs {
 
@@ -99,15 +99,17 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-// Fixed-bucket histogram over unsigned sample values (microseconds,
-// bytes, ...).  Bucket b counts samples <= bounds[b] (lower_bound
-// semantics, matching serve::latency_bucket); the last bucket is
-// open-ended.  Bounds are frozen at registration.
+// Histogram over unsigned sample values (microseconds, nanoseconds,
+// counts, ...) in the process-wide log-linear layout of
+// obs/histogram_layout.h: every histogram has the same hist::kBuckets
+// buckets, bucket b counting samples in [hist::lower(b), hist::upper(b)].
 class Histogram {
  public:
+  using Counts = std::array<std::uint64_t, hist::kBuckets>;
+
   void observe(std::uint64_t value, std::size_t stripe_hint = 0) noexcept {
     Stripe& stripe = stripes_[stripe_hint & (Counter::kStripes - 1)];
-    stripe.buckets[bucket_index(value)].fetch_add(1,
+    stripe.buckets[hist::bucket(value)].fetch_add(1,
                                                   std::memory_order_relaxed);
     stripe.sum.fetch_add(value, std::memory_order_relaxed);
   }
@@ -121,35 +123,30 @@ class Histogram {
                         std::size_t stripe_hint = 0) noexcept {
     observe(value, stripe_hint);
     if (trace_id != 0) {
-      exemplars_[bucket_index(value)].store(trace_id,
+      exemplars_[hist::bucket(value)].store(trace_id,
                                             std::memory_order_relaxed);
     }
   }
 
-  std::size_t bucket_index(std::uint64_t value) const noexcept;
-  std::span<const std::uint64_t> bounds() const noexcept { return bounds_; }
-  std::size_t n_buckets() const noexcept { return bounds_.size() + 1; }
-
-  // Folded per-bucket counts (size n_buckets()).
-  std::vector<std::uint64_t> bucket_counts() const;
-  std::uint64_t count() const;
-  std::uint64_t sum() const;
-  // Per-bucket last-exemplar trace ids (size n_buckets(); 0 = none).
-  std::vector<std::uint64_t> exemplar_trace_ids() const;
+  // Folded per-bucket counts.
+  Counts bucket_counts() const noexcept;
+  std::uint64_t count() const noexcept;
+  std::uint64_t sum() const noexcept;
+  // Per-bucket last-exemplar trace ids (0 = none).
+  Counts exemplar_trace_ids() const noexcept;
 
  private:
   friend class MetricsRegistry;
-  explicit Histogram(std::vector<std::uint64_t> bounds);
+  Histogram() = default;
 
   struct alignas(64) Stripe {
-    std::unique_ptr<std::atomic<std::uint64_t>[]> buckets;
+    std::array<std::atomic<std::uint64_t>, hist::kBuckets> buckets{};
     std::atomic<std::uint64_t> sum{0};
   };
 
-  std::vector<std::uint64_t> bounds_;
-  std::array<Stripe, Counter::kStripes> stripes_;
+  std::array<Stripe, Counter::kStripes> stripes_{};
   // Unstriped: exemplars are last-write-wins markers, not counts.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> exemplars_;
+  std::array<std::atomic<std::uint64_t>, hist::kBuckets> exemplars_{};
 };
 
 class MetricsRegistry {
@@ -168,9 +165,7 @@ class MetricsRegistry {
   // that is never exported.
   Counter& counter(std::string_view name, std::string_view help = "");
   Gauge& gauge(std::string_view name, std::string_view help = "");
-  Histogram& histogram(std::string_view name,
-                       std::span<const std::uint64_t> bounds,
-                       std::string_view help = "");
+  Histogram& histogram(std::string_view name, std::string_view help = "");
 
   // A gauge whose value is computed at render time (always fresh).
   // Re-registering replaces the callback.  The callback must stay
@@ -189,11 +184,12 @@ class MetricsRegistry {
   // through (obs/slo/time_series.h).
   std::optional<double> read_value(std::string_view name) const;
 
-  // Count of samples recorded strictly above `threshold` in histogram
-  // `name` (exact when `threshold` is one of the histogram's bucket
-  // bounds; otherwise the enclosing bucket counts as over).  nullopt
-  // when `name` is not a histogram.  Lets an SLO rule treat
-  // "requests over the latency budget" as a counter series.
+  // Count of samples recorded above `threshold` in histogram `name`: a
+  // bucket counts as over only when its lowest value exceeds
+  // `threshold`, so samples sharing the threshold's bucket read as not
+  // over (an undercount of at most that one bucket).  nullopt when
+  // `name` is not a histogram.  Lets an SLO rule treat "requests over
+  // the latency budget" as a counter series.
   std::optional<double> read_histogram_over(std::string_view name,
                                             std::uint64_t threshold) const;
 

@@ -52,18 +52,14 @@ std::string ContentionRegistry::render() const {
            "\n  blocks: " + std::to_string(blocks) +
            "\n  total_block_us: " + std::to_string(site->total_ns() / 1000) +
            "\n";
-    if (blocks == 0) continue;
-    std::uint64_t bound_ns = 1000;
-    for (std::size_t b = 0; b < kContentionBuckets; ++b) {
+    for (std::size_t b = 0; b < hist::kBuckets; ++b) {
       const std::uint64_t count = site->bucket(b);
-      if (count != 0) {
-        const std::string label =
-            b + 1 < kContentionBuckets
-                ? "<" + std::to_string(bound_ns / 1000) + "us"
-                : ">=" + std::to_string((bound_ns >> 1) / 1000) + "us";
-        out += "  " + label + ": " + std::to_string(count) + "\n";
-      }
-      bound_ns <<= 1;
+      if (count == 0) continue;
+      const std::string label =
+          b + 1 < hist::kBuckets
+              ? "<=" + std::to_string(hist::upper(b)) + "ns"
+              : ">=" + std::to_string(hist::lower(b)) + "ns";
+      out += "  " + label + ": " + std::to_string(count) + "\n";
     }
   }
   return out;

@@ -15,7 +15,8 @@
 //   serve.cache.insert_cas   VerdictCache insert lost the slot CAS
 //
 // Rendered by /contentionz as one text block per site: event counts
-// plus a log2 block-time histogram (microsecond decades).
+// plus a block-time histogram in nanoseconds, in the process-wide
+// log-linear layout (obs/histogram_layout.h).
 #pragma once
 
 #include <atomic>
@@ -23,9 +24,9 @@
 #include <mutex>
 #include <string>
 
-namespace bp::obs::prof {
+#include "obs/histogram_layout.h"
 
-inline constexpr std::size_t kContentionBuckets = 16;
+namespace bp::obs::prof {
 
 class ContentionSite {
  public:
@@ -34,7 +35,7 @@ class ContentionSite {
     events_.fetch_add(1, std::memory_order_relaxed);
     blocks_.fetch_add(1, std::memory_order_relaxed);
     total_ns_.fetch_add(ns, std::memory_order_relaxed);
-    buckets_[bucket_of(ns)].fetch_add(1, std::memory_order_relaxed);
+    buckets_[hist::bucket(ns)].fetch_add(1, std::memory_order_relaxed);
   }
 
   // A contention event with no meaningful duration (a lost CAS).
@@ -51,21 +52,11 @@ class ContentionSite {
   std::uint64_t total_ns() const noexcept {
     return total_ns_.load(std::memory_order_relaxed);
   }
+  // Blocks whose duration in ns falls in obs::hist bucket `i`.
   std::uint64_t bucket(std::size_t i) const noexcept {
     return buckets_[i].load(std::memory_order_relaxed);
   }
   const char* name() const noexcept { return name_; }
-
-  // Bucket 0 holds waits under 1us; each later bucket doubles, with the
-  // last one open-ended (>= 16.384ms).
-  static std::size_t bucket_of(std::uint64_t ns) noexcept {
-    std::uint64_t bound = 1000;  // 1us
-    for (std::size_t b = 0; b + 1 < kContentionBuckets; ++b) {
-      if (ns < bound) return b;
-      bound <<= 1;
-    }
-    return kContentionBuckets - 1;
-  }
 
  private:
   friend class ContentionRegistry;
@@ -73,7 +64,7 @@ class ContentionSite {
   std::atomic<std::uint64_t> events_{0};
   std::atomic<std::uint64_t> blocks_{0};
   std::atomic<std::uint64_t> total_ns_{0};
-  std::atomic<std::uint64_t> buckets_[kContentionBuckets]{};
+  std::atomic<std::uint64_t> buckets_[hist::kBuckets]{};
 };
 
 class ContentionRegistry {

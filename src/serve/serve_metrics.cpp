@@ -1,49 +1,8 @@
 #include "serve/serve_metrics.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 namespace bp::serve {
-
-std::size_t latency_bucket(std::uint64_t micros) noexcept {
-  const auto it = std::lower_bound(kLatencyBucketBoundsMicros.begin(),
-                                   kLatencyBucketBoundsMicros.end(), micros);
-  return static_cast<std::size_t>(it - kLatencyBucketBoundsMicros.begin());
-}
-
-double MetricsSnapshot::latency_quantile_micros(double q) const noexcept {
-  std::uint64_t total = 0;
-  for (std::uint64_t c : latency_histogram) total += c;
-  if (total == 0) return 0.0;
-  // Guard before clamping: std::clamp on NaN would propagate it into
-  // the rank arithmetic and return NaN, which every caller would then
-  // compare against the budget.  Treat NaN as q = 0.
-  if (std::isnan(q)) q = 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double rank = q * static_cast<double>(total);
-  std::uint64_t cumulative = 0;
-  for (std::size_t b = 0; b < latency_histogram.size(); ++b) {
-    if (latency_histogram[b] == 0) continue;
-    const std::uint64_t next = cumulative + latency_histogram[b];
-    if (rank <= static_cast<double>(next)) {
-      const double lo =
-          b == 0 ? 0.0
-                 : static_cast<double>(kLatencyBucketBoundsMicros[b - 1]);
-      // Open-ended last bucket: report its lower bound.
-      const double hi =
-          b < kLatencyBucketBoundsMicros.size()
-              ? static_cast<double>(kLatencyBucketBoundsMicros[b])
-              : lo;
-      const double fraction =
-          (rank - static_cast<double>(cumulative)) /
-          static_cast<double>(latency_histogram[b]);
-      return lo + (hi - lo) * fraction;
-    }
-    cumulative = next;
-  }
-  return static_cast<double>(kLatencyBucketBoundsMicros.back());
-}
 
 std::string MetricsSnapshot::summary() const {
   char buf[320];
@@ -95,11 +54,9 @@ ServeMetrics::ServeMetrics(std::size_t n_workers,
                                   "responses from the UA-prior fallback");
   latency_ = &registry_->histogram(
       p + "_latency_micros",
-      std::span<const std::uint64_t>(kLatencyBucketBoundsMicros),
       "queue wait + scoring per answered session, microseconds");
-  batch_size_ = &registry_->histogram(
-      p + "_batch_size", std::span<const std::uint64_t>(kBatchSizeBucketBounds),
-      "requests drained per worker batch");
+  batch_size_ = &registry_->histogram(p + "_batch_size",
+                                      "requests drained per worker batch");
   stalled_workers_ = &registry_->gauge(
       p + "_stalled_workers", "workers stuck inside one batch (watchdog)");
 }
@@ -157,14 +114,8 @@ MetricsSnapshot ServeMetrics::snapshot() const {
   out.degraded = degraded_->value();
   out.stalled_workers =
       static_cast<std::uint64_t>(stalled_workers_->value());
-  const std::vector<std::uint64_t> latency = latency_->bucket_counts();
-  for (std::size_t b = 0; b < out.latency_histogram.size(); ++b) {
-    out.latency_histogram[b] = latency[b];
-  }
-  const std::vector<std::uint64_t> batch_sizes = batch_size_->bucket_counts();
-  for (std::size_t b = 0; b < out.batch_size_histogram.size(); ++b) {
-    out.batch_size_histogram[b] = batch_sizes[b];
-  }
+  out.latency_histogram = latency_->bucket_counts();
+  out.batch_size_histogram = batch_size_->bucket_counts();
   return out;
 }
 

@@ -29,12 +29,12 @@
 // gauges registered by the engine), so exported values follow the same
 // semantics: fresh at read time, unsynchronized with counters.
 //
-// Latency is recorded as a fixed-bucket histogram over microseconds so
-// p50/p95/p99 can be reported against the paper's 100 ms per-request
-// budget (§3) without storing samples.
+// Latency is recorded as a histogram over microseconds, in the
+// process-wide log-linear layout (obs/histogram_layout.h: exact below
+// 8 us, at most 25% wide above), so p50/p95/p99 can be reported against
+// the paper's 100 ms per-request budget (§3) without storing samples.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -47,21 +47,6 @@ namespace bp::serve {
 
 // §3's per-request budget: "around 100 milliseconds".
 inline constexpr std::uint64_t kLatencyBudgetMicros = 100'000;
-
-// Bucket upper bounds in microseconds: a coarse log ladder from 50 µs
-// to 10 s.  The last bucket is open-ended.
-inline constexpr std::array<std::uint64_t, 16> kLatencyBucketBoundsMicros = {
-    50,      100,     250,     500,       1'000,     2'500,
-    5'000,   10'000,  25'000,  50'000,    100'000,   250'000,
-    500'000, 1'000'000, 5'000'000, 10'000'000};
-
-std::size_t latency_bucket(std::uint64_t micros) noexcept;
-
-// Bucket upper bounds for the per-drain batch-size histogram: powers of
-// two up to 256 (max_batch is typically 32-64; the open-ended last
-// bucket catches experiments beyond that).
-inline constexpr std::array<std::uint64_t, 9> kBatchSizeBucketBounds = {
-    1, 2, 4, 8, 16, 32, 64, 128, 256};
 
 // Folded view of the engine's counters at one instant.
 struct MetricsSnapshot {
@@ -77,26 +62,28 @@ struct MetricsSnapshot {
   std::uint64_t stalled_workers = 0;  // watchdog gauge, at snapshot time
   std::uint64_t queue_depth = 0;  // instantaneous, at snapshot time
   std::uint64_t model_version = 0;  // latest published at snapshot time
-  std::array<std::uint64_t, kLatencyBucketBoundsMicros.size() + 1>
-      latency_histogram{};  // queue wait + scoring, per answered session
-                            // (model-scored and degraded)
-  std::array<std::uint64_t, kBatchSizeBucketBounds.size() + 1>
-      batch_size_histogram{};  // requests drained per worker batch
+  // Both in the obs::hist layout.  Latency: queue wait + scoring per
+  // answered session (model-scored and degraded).  Batch size: requests
+  // drained per worker batch.
+  obs::Histogram::Counts latency_histogram{};
+  obs::Histogram::Counts batch_size_histogram{};
 
   double flag_rate() const noexcept {
     const std::uint64_t answered = scored + degraded;
     return answered == 0 ? 0.0 : static_cast<double>(flagged) / answered;
   }
-  // Histogram quantile (linear interpolation inside a bucket).  q is
-  // clamped to [0, 1]; NaN is treated as 0.  Returns 0 when nothing
-  // was scored.
-  double latency_quantile_micros(double q) const noexcept;
+  // obs::hist::quantile of the latency histogram (linear interpolation
+  // inside a bucket).  q is clamped to [0, 1]; NaN is treated as 0.
+  // Returns 0 when nothing was scored.
+  double latency_quantile_micros(double q) const noexcept {
+    return obs::hist::quantile(latency_histogram, q);
+  }
   double p50_micros() const noexcept { return latency_quantile_micros(0.50); }
   double p95_micros() const noexcept { return latency_quantile_micros(0.95); }
   double p99_micros() const noexcept { return latency_quantile_micros(0.99); }
   // Inclusive: a p99 of exactly 100 ms is *within* the budget ("around
   // 100 milliseconds" is a target, not an open bound), matching the
-  // `<=` semantics of the histogram's bucket bounds.
+  // inclusive upper bounds of the histogram's buckets.
   bool within_budget() const noexcept {
     return p99_micros() <= static_cast<double>(kLatencyBudgetMicros);
   }

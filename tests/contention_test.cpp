@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/histogram_layout.h"
 #include "obs/prof/contention.h"
 #include "serve/bounded_queue.h"
 #include "serve/verdict_cache.h"
@@ -26,19 +27,46 @@ namespace prof = bp::obs::prof;
 namespace {
 
 TEST(ContentionSite, BucketBoundaries) {
-  // Buckets double from 1us: [0,1us) is bucket 0, the last is open.
-  EXPECT_EQ(prof::ContentionSite::bucket_of(0), 0u);
-  EXPECT_EQ(prof::ContentionSite::bucket_of(999), 0u);
-  EXPECT_EQ(prof::ContentionSite::bucket_of(1'000), 1u);
-  EXPECT_EQ(prof::ContentionSite::bucket_of(1'999), 1u);
-  EXPECT_EQ(prof::ContentionSite::bucket_of(2'000), 2u);
-  // Doubling bounds: 1ms falls in the [512us, 1024us) bucket, one past
-  // where 511us lands.
-  EXPECT_EQ(prof::ContentionSite::bucket_of(1'000'000),
-            prof::ContentionSite::bucket_of(511'000) + 1);
-  // Far past the last bound: clamped into the open-ended bucket.
-  EXPECT_EQ(prof::ContentionSite::bucket_of(UINT64_MAX),
-            prof::kContentionBuckets - 1);
+  // Block times land in the obs::hist bucket of their nanoseconds:
+  // every edge of the bucket holding 1us, and clamped into the
+  // open-ended bucket far past the last bound.
+  prof::ContentionSite& site =
+      prof::ContentionRegistry::instance().site("test.bucket_boundaries");
+  const std::size_t b = bp::obs::hist::bucket(1'000);
+  for (const std::uint64_t ns :
+       {std::uint64_t{0}, bp::obs::hist::lower(b), std::uint64_t{1'000},
+        bp::obs::hist::upper(b), bp::obs::hist::upper(b) + 1, UINT64_MAX}) {
+    const std::size_t want = bp::obs::hist::bucket(ns);
+    const std::uint64_t before = site.bucket(want);
+    site.record_block(ns);
+    EXPECT_EQ(site.bucket(want), before + 1) << ns;
+  }
+  EXPECT_EQ(site.bucket(b), 3u);  // lower(b), 1000 and upper(b)
+  EXPECT_EQ(site.bucket(b + 1), 1u);
+  EXPECT_EQ(site.bucket(bp::obs::hist::kBuckets - 1), 1u);
+}
+
+TEST(ObsHistogramContention, SubMicroAndLongBlocksLandWhereTheLayoutSays) {
+  prof::ContentionSite& site =
+      prof::ContentionRegistry::instance().site("test.layout_extremes");
+  site.record_block(750);         // < 1us
+  site.record_block(16'800'000);  // >= 16.8ms: past 2^24 ns
+  EXPECT_EQ(site.bucket(bp::obs::hist::bucket(750)), 1u);
+  EXPECT_EQ(site.bucket(bp::obs::hist::kBuckets - 1), 1u);
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < bp::obs::hist::kBuckets; ++i) {
+    total += site.bucket(i);
+  }
+  EXPECT_EQ(total, 2u);
+  // /contentionz labels both buckets from the layout.
+  const std::string rendered = prof::ContentionRegistry::instance().render();
+  EXPECT_NE(rendered.find("<=" +
+                          std::to_string(bp::obs::hist::upper(
+                              bp::obs::hist::bucket(750))) +
+                          "ns: 1"),
+            std::string::npos)
+      << rendered;
+  EXPECT_NE(rendered.find(">=16777216ns: "), std::string::npos) << rendered;
 }
 
 TEST(ContentionSite, RecordAccumulates) {

@@ -287,5 +287,46 @@ TEST(HttpListenerHardening, LifetimeCapReapsBetweenRequests) {
   EXPECT_EQ(client.connects(), 2u);
 }
 
+// Two Content-Length headers are the request-smuggling shape: "5" then
+// "50" must not be framed as a 5-byte body.  The head is refused, so the
+// listener answers 400 and closes instead of serving either reading.
+TEST(HttpListenerHardening, DuplicateContentLengthIsA400AndClose) {
+  const std::string_view head =
+      "POST /score HTTP/1.1\r\nContent-Length: 5\r\n"
+      "Content-Length: 50\r\n";
+  HttpRequest request;
+  EXPECT_FALSE(parse_request_head(head, &request));
+
+  ListenerConfig config;
+  config.keep_alive = true;
+  HttpListener listener(config, echo_handler());
+  ASSERT_TRUE(listener.running()) << listener.error();
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(listener.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  timeval tv{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  const std::string wire =
+      std::string(head) + "\r\nhelloGET /next HTTP/1.1\r\n\r\n";
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
+            static_cast<ssize_t>(wire.size()));
+  // Read to EOF: the connection closes after the one 400.
+  std::string response;
+  char buf[1024];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    response.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_EQ(n, 0) << "connection was not closed";
+  EXPECT_EQ(response.rfind("HTTP/1.1 400 ", 0), 0u) << response;
+  EXPECT_EQ(response.find("HTTP/1.1", 1), std::string::npos) << response;
+}
+
 }  // namespace
 }  // namespace bp::net

@@ -1,6 +1,8 @@
 // Seeded mutation fuzz for the wire parsers (net/wire.h): byte flips,
 // truncations, insertions and random garbage against
-// parse_score_request / parse_score_response.  The contract under
+// parse_score_request / parse_score_response, and the same mutations
+// against the HTTP request-head parser in front of them
+// (net/http_common.h parse_request_head).  The contract under
 // fuzz: the parser never crashes and always returns a typed WireError;
 // when a mutation happens to leave a frame valid, the parsed result
 // still satisfies the grammar's invariants.  Mutations are drawn from
@@ -9,8 +11,10 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "net/http_common.h"
 #include "net/wire.h"
 #include "util/rng.h"
 
@@ -269,6 +273,80 @@ TEST(WireFuzz, StackedTracedMutationsStayTyped) {
     ASSERT_FALSE(wire_error_name(error).empty()) << "round " << round;
     if (error == WireError::kOk && parsed.trace.present()) {
       ASSERT_NE(parsed.trace.trace_id, 0u) << "round " << round;
+    }
+  }
+}
+
+// -------------------------- HTTP request heads --------------------------
+
+// The head parser is the first code to touch untrusted bytes.  Its
+// contract under fuzz: a head either parses into a request whose method
+// is non-empty and whose target starts with '/', or is refused; it
+// never crashes.
+bool parsed_sanely_or_refused(std::string_view head, HttpRequest* request) {
+  if (!parse_request_head(head, request)) return true;
+  return !request->method.empty() && !request->target.empty() &&
+         request->target[0] == '/';
+}
+
+// Heads as the listener hands them over: through the CRLF that ends the
+// last header line, without the blank line.  The first two are valid;
+// the two after them must be refused.
+constexpr const char* kHeadCorpus[] = {
+    "POST /score HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: 42\r\n",
+    "GET /metrics?n=1 HTTP/1.0\r\nConnection: keep-alive\r\n",
+    // Content-Length overflow and duplication.
+    "POST /score HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n",
+    "POST /score HTTP/1.1\r\ncontent-length: 5\r\nCONTENT-LENGTH:5\r\n",
+    // Stray CR and LF.
+    "POST /score HTTP/1.1\r\n\rContent-Length: 5\r\n",
+    "POST /score HTTP/1.1\nContent-Length: 5\n",
+    "POST /score\r HTTP/1.1\r\nContent-Length: 5\r\r\n",
+};
+
+TEST(WireFuzz, HttpHeadCorpusSeedsAreJudged) {
+  HttpRequest request;
+  EXPECT_TRUE(parse_request_head(kHeadCorpus[0], &request));
+  EXPECT_EQ(request.content_length, 42u);
+  EXPECT_TRUE(parse_request_head(kHeadCorpus[1], &request));
+  EXPECT_FALSE(parse_request_head(kHeadCorpus[2], &request));
+  EXPECT_FALSE(parse_request_head(kHeadCorpus[3], &request));
+}
+
+TEST(WireFuzz, MutatedHttpHeadsParseOrAreRefused) {
+  std::uint64_t state = 0x4EAD;
+  HttpRequest request;
+  int accepted = 0;
+  for (const char* seed : kHeadCorpus) {
+    std::string stacked = seed;
+    for (int i = 0; i < 1000; ++i) {
+      const std::string mutated = mutate(seed, state);
+      ASSERT_TRUE(parsed_sanely_or_refused(mutated, &request)) << mutated;
+      accepted += parse_request_head(mutated, &request) ? 1 : 0;
+      stacked = mutate(stacked, state);
+      if (stacked.size() > 4096) stacked = seed;
+      ASSERT_TRUE(parsed_sanely_or_refused(stacked, &request)) << stacked;
+    }
+  }
+  // Both outcomes must occur for the fuzz to mean anything.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, 7000);
+}
+
+// Separators split at every byte: each seed cut at every offset, and a
+// stray CR, LF or CRLF inserted at every offset.
+TEST(WireFuzz, HttpHeadSeparatorsSplitAtEveryByte) {
+  HttpRequest request;
+  for (const char* seed : kHeadCorpus) {
+    const std::string head = seed;
+    for (std::size_t at = 0; at <= head.size(); ++at) {
+      ASSERT_TRUE(parsed_sanely_or_refused(head.substr(0, at), &request))
+          << head.substr(0, at);
+      for (const char* separator : {"\r", "\n", "\r\n"}) {
+        std::string split = head;
+        split.insert(at, separator);
+        ASSERT_TRUE(parsed_sanely_or_refused(split, &request)) << split;
+      }
     }
   }
 }

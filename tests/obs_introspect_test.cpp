@@ -11,7 +11,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <array>
 #include <atomic>
 #include <cstring>
 #include <string>
@@ -19,8 +18,8 @@
 #include <vector>
 
 #include "core/polygraph.h"
+#include "net/http_common.h"
 #include "obs/audit.h"
-#include "obs/introspect/http.h"
 #include "obs/introspect/server.h"
 #include "obs/metrics_registry.h"
 #include "obs/slo/health.h"
@@ -91,31 +90,31 @@ AuditRecord audit_record(std::uint64_t session_id, bool flagged) {
 // ------------------------------ HTTP plumbing ------------------------------
 
 TEST(ObsIntrospectHttp, ParsesRequestHead) {
-  HttpRequest request;
-  ASSERT_TRUE(parse_request_head(
+  net::HttpRequest request;
+  ASSERT_TRUE(net::parse_request_head(
       "GET /auditz?n=50 HTTP/1.1\r\nHost: x\r\n\r\n", &request));
   EXPECT_EQ(request.method, "GET");
   EXPECT_EQ(request.target, "/auditz?n=50");
   EXPECT_EQ(request.path, "/auditz");
   EXPECT_EQ(request.query, "n=50");
 
-  ASSERT_TRUE(parse_request_head("GET / HTTP/1.0\r\n\r\n", &request));
+  ASSERT_TRUE(net::parse_request_head("GET / HTTP/1.0\r\n\r\n", &request));
   EXPECT_EQ(request.path, "/");
   EXPECT_TRUE(request.query.empty());
 
-  EXPECT_FALSE(parse_request_head("garbage", &request));
-  EXPECT_FALSE(parse_request_head("GET /x SMTP/1.1\r\n", &request));
-  EXPECT_FALSE(parse_request_head("GET no-leading-slash HTTP/1.1\r\n",
+  EXPECT_FALSE(net::parse_request_head("garbage", &request));
+  EXPECT_FALSE(net::parse_request_head("GET /x SMTP/1.1\r\n", &request));
+  EXPECT_FALSE(net::parse_request_head("GET no-leading-slash HTTP/1.1\r\n",
                                   &request));
 }
 
 TEST(ObsIntrospectHttp, QueryUint) {
-  EXPECT_EQ(query_uint("n=50", "n", 7), 50u);
-  EXPECT_EQ(query_uint("a=1&n=50&b=2", "n", 7), 50u);
-  EXPECT_EQ(query_uint("a=1", "n", 7), 7u);
-  EXPECT_EQ(query_uint("", "n", 7), 7u);
-  EXPECT_EQ(query_uint("n=abc", "n", 7), 7u);
-  EXPECT_EQ(query_uint("n=", "n", 7), 7u);
+  EXPECT_EQ(net::query_uint("n=50", "n", 7), 50u);
+  EXPECT_EQ(net::query_uint("a=1&n=50&b=2", "n", 7), 50u);
+  EXPECT_EQ(net::query_uint("a=1", "n", 7), 7u);
+  EXPECT_EQ(net::query_uint("", "n", 7), 7u);
+  EXPECT_EQ(net::query_uint("n=abc", "n", 7), 7u);
+  EXPECT_EQ(net::query_uint("n=", "n", 7), 7u);
 }
 
 TEST(ObsIntrospectHttp, QueryUintChecked) {
@@ -177,38 +176,38 @@ TEST(ObsIntrospect, ServesAllEndpointsOverRealTcp) {
   ASSERT_NE(server.port(), 0);
 
   const auto get = [&](const std::string& target) {
-    return http_get("127.0.0.1", server.port(), target);
+    return net::http_get("127.0.0.1", server.port(), target);
   };
 
-  const HttpResult metrics_result = get("/metrics");
+  const net::HttpResult metrics_result = get("/metrics");
   ASSERT_EQ(metrics_result.status, 200) << metrics_result.error;
   EXPECT_NE(metrics_result.body.find("# TYPE bp_test_scored_total counter"),
             std::string::npos);
   EXPECT_NE(metrics_result.body.find("bp_test_scored_total 42"),
             std::string::npos);
 
-  const HttpResult json_result = get("/metrics.json");
+  const net::HttpResult json_result = get("/metrics.json");
   ASSERT_EQ(json_result.status, 200);
   EXPECT_NE(json_result.body.find("\"bp_test_scored_total\": 42"),
             std::string::npos);
   EXPECT_EQ(json_result.body.front(), '{');
 
-  const HttpResult healthz = get("/healthz");
+  const net::HttpResult healthz = get("/healthz");
   ASSERT_EQ(healthz.status, 200);
   EXPECT_EQ(healthz.body, "ok\n");
 
-  const HttpResult readyz = get("/readyz");
+  const net::HttpResult readyz = get("/readyz");
   ASSERT_EQ(readyz.status, 200);
   EXPECT_EQ(readyz.body, "ok\n");
 
-  const HttpResult statusz = get("/statusz");
+  const net::HttpResult statusz = get("/statusz");
   ASSERT_EQ(statusz.status, 200);
   EXPECT_NE(statusz.body.find("live: true"), std::string::npos);
   EXPECT_NE(statusz.body.find("ready: true"), std::string::npos);
   EXPECT_NE(statusz.body.find("model_version: 1"), std::string::npos);
   EXPECT_NE(statusz.body.find("example_line: 1"), std::string::npos);
 
-  const HttpResult tracez = get("/tracez");
+  const net::HttpResult tracez = get("/tracez");
   ASSERT_EQ(tracez.status, 200);
   EXPECT_NE(tracez.body.find("trace=1 span=1 parent=0 name=request"),
             std::string::npos);
@@ -216,7 +215,7 @@ TEST(ObsIntrospect, ServesAllEndpointsOverRealTcp) {
             std::string::npos);
 
   // ?trace=<id> keeps exactly that trace's events.
-  const HttpResult filtered = get("/tracez?trace=2");
+  const net::HttpResult filtered = get("/tracez?trace=2");
   ASSERT_EQ(filtered.status, 200);
   EXPECT_EQ(filtered.body.find("trace=1 "), std::string::npos);
   EXPECT_NE(filtered.body.find("trace=2 span=1 parent=0 name=request"),
@@ -225,7 +224,7 @@ TEST(ObsIntrospect, ServesAllEndpointsOverRealTcp) {
             std::string::npos);
 
   // ?n=K keeps the K most recent matching events.
-  const HttpResult limited = get("/tracez?trace=2&n=1");
+  const net::HttpResult limited = get("/tracez?trace=2&n=1");
   ASSERT_EQ(limited.status, 200);
   EXPECT_EQ(limited.body.find("span=1"), std::string::npos);
   EXPECT_NE(limited.body.find("trace=2 span=2"), std::string::npos);
@@ -237,12 +236,12 @@ TEST(ObsIntrospect, ServesAllEndpointsOverRealTcp) {
   EXPECT_EQ(get("/tracez?trace=bogus").status, 400);
   EXPECT_EQ(get("/tracez?n=bogus").status, 400);
 
-  const HttpResult auditz = get("/auditz?n=10");
+  const net::HttpResult auditz = get("/auditz?n=10");
   ASSERT_EQ(auditz.status, 200);
   EXPECT_NE(auditz.body.find("\"session_id\": 7"), std::string::npos);
   EXPECT_NE(auditz.body.find("\"flagged\": true"), std::string::npos);
 
-  const HttpResult missing = get("/nope");
+  const net::HttpResult missing = get("/nope");
   EXPECT_EQ(missing.status, 404);
   EXPECT_FALSE(missing.body.empty());
 
@@ -264,7 +263,7 @@ TEST(ObsIntrospect, EndpointsWithoutSourcesAnswer404OrBareLiveness) {
   IntrospectionServer server(Sources{});
   ASSERT_TRUE(server.running()) << server.error();
   const auto get = [&](const std::string& target) {
-    return http_get("127.0.0.1", server.port(), target);
+    return net::http_get("127.0.0.1", server.port(), target);
   };
   EXPECT_EQ(get("/metrics").status, 404);
   EXPECT_EQ(get("/metrics.json").status, 404);
@@ -293,12 +292,12 @@ TEST(ObsIntrospect, ReadyzFlipsWithPublishAndDegradedMode) {
   IntrospectionServer server(sources);
   ASSERT_TRUE(server.running()) << server.error();
   const auto readyz = [&] {
-    return http_get("127.0.0.1", server.port(), "/readyz");
+    return net::http_get("127.0.0.1", server.port(), "/readyz");
   };
 
   // Nothing published: alive, not fit to serve.
-  EXPECT_EQ(http_get("127.0.0.1", server.port(), "/healthz").status, 200);
-  const HttpResult before = readyz();
+  EXPECT_EQ(net::http_get("127.0.0.1", server.port(), "/healthz").status, 200);
+  const net::HttpResult before = readyz();
   EXPECT_EQ(before.status, 503);
   EXPECT_NE(before.body.find("nothing published"), std::string::npos);
 
@@ -323,8 +322,8 @@ TEST(ObsIntrospect, AuditzBoundsToLastN) {
   IntrospectionServer server(sources);
   ASSERT_TRUE(server.running()) << server.error();
 
-  const HttpResult last3 =
-      http_get("127.0.0.1", server.port(), "/auditz?n=3");
+  const net::HttpResult last3 =
+      net::http_get("127.0.0.1", server.port(), "/auditz?n=3");
   ASSERT_EQ(last3.status, 200);
   std::size_t lines = 0;
   for (char c : last3.body) lines += c == '\n';
@@ -352,9 +351,7 @@ TEST(ObsIntrospect, BindFailureReportsInsteadOfRunning) {
 TEST(ObsIntrospect, ConcurrentScrapeUnderMutation) {
   MetricsRegistry metrics;
   Counter& scored = metrics.counter("bp_load_scored_total", "scored");
-  const std::array<std::uint64_t, 4> bounds{100, 1'000, 10'000, 100'000};
-  Histogram& latency =
-      metrics.histogram("bp_load_latency_us", bounds, "latency");
+  Histogram& latency = metrics.histogram("bp_load_latency_us", "latency");
   TraceSink trace;
 
   Sources sources;
@@ -390,8 +387,8 @@ TEST(ObsIntrospect, ConcurrentScrapeUnderMutation) {
   for (int s = 0; s < kScrapers; ++s) {
     scrapers.emplace_back([&] {
       for (int i = 0; i < kScrapesEach; ++i) {
-        const HttpResult metrics_result =
-            http_get("127.0.0.1", server.port(), "/metrics");
+        const net::HttpResult metrics_result =
+            net::http_get("127.0.0.1", server.port(), "/metrics");
         if (metrics_result.status != 200 ||
             metrics_result.body.find(
                 "# TYPE bp_load_scored_total counter") == std::string::npos ||
@@ -399,8 +396,8 @@ TEST(ObsIntrospect, ConcurrentScrapeUnderMutation) {
                 std::string::npos) {
           bad_responses.fetch_add(1);
         }
-        const HttpResult tracez =
-            http_get("127.0.0.1", server.port(), "/tracez");
+        const net::HttpResult tracez =
+            net::http_get("127.0.0.1", server.port(), "/tracez");
         if (tracez.status != 200) bad_responses.fetch_add(1);
       }
     });
@@ -416,8 +413,8 @@ TEST(ObsIntrospect, ConcurrentScrapeUnderMutation) {
 
   // With writers quiescent, one final scrape must agree with the
   // folded instrument values exactly.
-  const HttpResult final_scrape =
-      http_get("127.0.0.1", server.port(), "/metrics");
+  const net::HttpResult final_scrape =
+      net::http_get("127.0.0.1", server.port(), "/metrics");
   ASSERT_EQ(final_scrape.status, 200);
   EXPECT_NE(final_scrape.body.find("bp_load_scored_total " +
                                    std::to_string(scored.value())),

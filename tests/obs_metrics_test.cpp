@@ -13,6 +13,7 @@
 
 #include "core/drift.h"
 #include "obs/export.h"
+#include "obs/histogram_layout.h"
 #include "obs/metrics_registry.h"
 #include "serve/retrain_supervisor.h"
 #include "serve/serve_metrics.h"
@@ -61,25 +62,22 @@ TEST(ObsMetrics, GaugeSetAndAdd) {
 
 TEST(ObsMetrics, HistogramBucketEdgesAreInclusive) {
   MetricsRegistry registry;
-  const std::vector<std::uint64_t> bounds = {10, 100};
-  Histogram& h = registry.histogram("latency", bounds);
-  // lower_bound semantics: bucket b counts samples <= bounds[b].
-  EXPECT_EQ(h.bucket_index(0), 0u);
-  EXPECT_EQ(h.bucket_index(10), 0u);
-  EXPECT_EQ(h.bucket_index(11), 1u);
-  EXPECT_EQ(h.bucket_index(100), 1u);
-  EXPECT_EQ(h.bucket_index(101), 2u);  // open-ended last bucket
+  Histogram& h = registry.histogram("latency");
+  // A bucket's upper bound is inclusive: upper(b) lands in b and
+  // upper(b) + 1 in the next bucket; past 2^24 is the open bucket.
+  const std::size_t b = hist::bucket(10);
+  EXPECT_EQ(hist::bucket(hist::upper(b)), b);
+  EXPECT_EQ(hist::bucket(hist::upper(b) + 1), b + 1);
 
-  h.observe(10);
-  h.observe(11, /*stripe_hint=*/5);
-  h.observe(5'000);
-  const std::vector<std::uint64_t> counts = h.bucket_counts();
-  ASSERT_EQ(counts.size(), 3u);
-  EXPECT_EQ(counts[0], 1u);
-  EXPECT_EQ(counts[1], 1u);
-  EXPECT_EQ(counts[2], 1u);
+  h.observe(hist::upper(b));
+  h.observe(hist::upper(b) + 1, /*stripe_hint=*/5);
+  h.observe(std::uint64_t{1} << 30);
+  const Histogram::Counts counts = h.bucket_counts();
+  EXPECT_EQ(counts[b], 1u);
+  EXPECT_EQ(counts[b + 1], 1u);
+  EXPECT_EQ(counts[hist::kBuckets - 1], 1u);
   EXPECT_EQ(h.count(), 3u);
-  EXPECT_EQ(h.sum(), 10u + 11u + 5'000u);
+  EXPECT_EQ(h.sum(), 2 * hist::upper(b) + 1 + (std::uint64_t{1} << 30));
 }
 
 TEST(ObsMetrics, FindOrCreateReturnsTheSameInstrument) {
@@ -98,8 +96,7 @@ TEST(ObsMetrics, RenderPrometheusExposition) {
   MetricsRegistry registry;
   registry.counter("bp_events_total", "events seen").add(7);
   registry.gauge("bp_depth", "queue depth").set(4.0);
-  const std::vector<std::uint64_t> bounds = {50, 100};
-  Histogram& h = registry.histogram("bp_lat", bounds, "latency");
+  Histogram& h = registry.histogram("bp_lat", "latency");
   h.observe(40);
   h.observe(60);
   h.observe(600);
@@ -112,9 +109,17 @@ TEST(ObsMetrics, RenderPrometheusExposition) {
   EXPECT_NE(text.find("# TYPE bp_depth gauge\n"), std::string::npos);
   EXPECT_NE(text.find("bp_depth 4\n"), std::string::npos);
   EXPECT_NE(text.find("# TYPE bp_lat histogram\n"), std::string::npos);
-  // Cumulative buckets, as Prometheus requires.
-  EXPECT_NE(text.find("bp_lat_bucket{le=\"50\"} 1\n"), std::string::npos);
-  EXPECT_NE(text.find("bp_lat_bucket{le=\"100\"} 2\n"), std::string::npos);
+  // Cumulative buckets, as Prometheus requires: one line per layout
+  // bucket, labelled by its inclusive upper bound.
+  const auto le_line = [](std::uint64_t value, int cumulative) {
+    return "bp_lat_bucket{le=\"" +
+           std::to_string(hist::upper(hist::bucket(value))) + "\"} " +
+           std::to_string(cumulative) + "\n";
+  };
+  EXPECT_NE(text.find(le_line(40, 1)), std::string::npos) << text;
+  EXPECT_NE(text.find(le_line(60, 2)), std::string::npos) << text;
+  EXPECT_NE(text.find(le_line(100, 2)), std::string::npos) << text;
+  EXPECT_NE(text.find(le_line(600, 3)), std::string::npos) << text;
   EXPECT_NE(text.find("bp_lat_bucket{le=\"+Inf\"} 3\n"), std::string::npos);
   EXPECT_NE(text.find("bp_lat_sum 700\n"), std::string::npos);
   EXPECT_NE(text.find("bp_lat_count 3\n"), std::string::npos);
@@ -174,8 +179,7 @@ TEST(ObsMetrics, ReadValueCoversEveryInstrumentKind) {
   registry.counter("c_total").add(5);
   registry.gauge("g").set(2.5);
   registry.gauge_callback("cb", [] { return 9.0; });
-  const std::vector<std::uint64_t> bounds = {100, 1'000};
-  Histogram& h = registry.histogram("h_us", bounds);
+  Histogram& h = registry.histogram("h_us");
   h.observe(50);
   h.observe(100);   // on the bound: not over 100
   h.observe(500);
@@ -272,14 +276,18 @@ serve::MetricsSnapshot snapshot_with_bucket(std::size_t bucket,
 }
 
 TEST(ObsLatencyQuantile, InterpolatesInsideABucket) {
-  // Bucket 1 spans (50, 100]; rank q*total interpolates linearly.
-  const serve::MetricsSnapshot s = snapshot_with_bucket(1, 4);
-  EXPECT_DOUBLE_EQ(s.latency_quantile_micros(0.5), 75.0);
-  EXPECT_DOUBLE_EQ(s.latency_quantile_micros(1.0), 100.0);
+  // The bucket holding 80 spans (79, 95]; rank q*total interpolates
+  // linearly across it.
+  const std::size_t b = hist::bucket(80);
+  ASSERT_EQ(hist::upper(b - 1), 79u);
+  ASSERT_EQ(hist::upper(b), 95u);
+  const serve::MetricsSnapshot s = snapshot_with_bucket(b, 4);
+  EXPECT_DOUBLE_EQ(s.latency_quantile_micros(0.5), 87.0);
+  EXPECT_DOUBLE_EQ(s.latency_quantile_micros(1.0), 95.0);
 }
 
 TEST(ObsLatencyQuantile, ClampsOutOfRangeAndNaN) {
-  const serve::MetricsSnapshot s = snapshot_with_bucket(1, 4);
+  const serve::MetricsSnapshot s = snapshot_with_bucket(hist::bucket(80), 4);
   EXPECT_DOUBLE_EQ(s.latency_quantile_micros(-5.0),
                    s.latency_quantile_micros(0.0));
   EXPECT_DOUBLE_EQ(s.latency_quantile_micros(2.0),
@@ -297,22 +305,66 @@ TEST(ObsLatencyQuantile, ZeroSamplesYieldZero) {
 }
 
 TEST(ObsLatencyQuantile, BudgetIsInclusiveAtExactlyOneHundredMs) {
-  // 99 samples fill the (50ms, 100ms] bucket and 1 sample sits above it,
-  // so p99 lands exactly on the 100'000 us bucket edge.  "around 100
-  // milliseconds" is a target, not an open bound: exactly 100 ms must
-  // count as within budget (the old `<` comparison got this wrong).
+  // 100 ms falls inside the bucket (98'303, 114'687], 16'384 wide.  With
+  // 1'452'316 samples below it and 16'384 in it, p99's rank lies 1'697
+  // samples into the bucket, so the interpolated p99 is exactly
+  // 98'303 + 1'697 = 100'000 us.  "around 100 milliseconds" is a
+  // target, not an open bound: exactly 100 ms must count as within
+  // budget (the old `<` comparison got this wrong).
+  const std::size_t b = hist::bucket(serve::kLatencyBudgetMicros);
+  ASSERT_EQ(hist::upper(b - 1), 98'303u);
+  ASSERT_EQ(hist::upper(b) - hist::upper(b - 1), 16'384u);
   serve::MetricsSnapshot s;
-  s.latency_histogram[10] = 99;  // bound 100'000
-  s.latency_histogram[11] = 1;   // bound 250'000
+  s.latency_histogram[b - 1] = 1'452'316;
+  s.latency_histogram[b] = 16'384;
   ASSERT_DOUBLE_EQ(s.p99_micros(), 100'000.0);
   EXPECT_TRUE(s.within_budget());
 
-  // One sample deeper into the next bucket pushes p99 over.
-  serve::MetricsSnapshot over;
-  over.latency_histogram[10] = 98;
-  over.latency_histogram[11] = 2;
-  EXPECT_GT(over.p99_micros(), 100'000.0);
+  // One sample moved above the bucket pushes p99 over by one.
+  serve::MetricsSnapshot over = s;
+  over.latency_histogram[b - 1] -= 1;
+  over.latency_histogram[b + 1] = 1;
+  EXPECT_DOUBLE_EQ(over.p99_micros(), 100'001.0);
   EXPECT_FALSE(over.within_budget());
+}
+
+// ------------------------- the histogram layout -------------------------
+
+TEST(ObsHistogramLayout, ContiguousMonotoneAndAtMostQuarterWide) {
+  static_assert(hist::kBuckets <= 100);
+  static_assert(hist::upper(hist::kBuckets - 2) >= 10'000'000);
+  std::size_t previous = 0;
+  // Plain checks in the sweep: 2^25 gtest assertions would dominate the
+  // suite's run time, so the first failing value is reported instead.
+  const auto holds = [&](std::uint64_t v) {
+    const std::size_t b = hist::bucket(v);
+    const bool contiguous = b == previous || b == previous + 1;
+    previous = b;
+    const bool inside = b < hist::kBuckets && v <= hist::upper(b) &&
+                        (b == 0 || v > hist::upper(b - 1)) &&
+                        hist::lower(b) == (b == 0 ? 0 : hist::upper(b - 1) + 1);
+    // Above 8, no finite bucket is wider than 25% of its lowest value.
+    const bool narrow = v < 8 || b + 1 == hist::kBuckets ||
+                        4 * (hist::upper(b) - hist::lower(b) + 1) <=
+                            hist::lower(b);
+    return contiguous && inside && narrow;
+  };
+  std::uint64_t v = 0;
+  while (v <= (std::uint64_t{1} << 25) && holds(v)) ++v;
+  ASSERT_GT(v, std::uint64_t{1} << 25) << "first failing value " << v;
+  EXPECT_EQ(hist::bucket(std::uint64_t{1} << 24), hist::kBuckets - 1);
+  EXPECT_EQ(hist::bucket(UINT64_MAX), hist::kBuckets - 1);
+  EXPECT_EQ(hist::upper(hist::kBuckets - 1), UINT64_MAX);
+}
+
+TEST(ObsHistogramServe, SubMicrosecondAndSmallLatenciesResolve) {
+  serve::ServeMetrics zero(1);
+  for (int i = 0; i < 100; ++i) zero.record_cached(0, false, 0);
+  EXPECT_DOUBLE_EQ(zero.snapshot().p50_micros(), 0.0);
+
+  serve::ServeMetrics three(1);
+  for (int i = 0; i < 100; ++i) three.record_scored(0, false, 3);
+  EXPECT_NEAR(three.snapshot().p50_micros(), 3.0, 0.25 * 3.0);
 }
 
 // --------------------- retrain supervisor export -----------------------

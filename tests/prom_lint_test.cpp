@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/histogram_layout.h"
 #include "obs/metrics_registry.h"
 
 namespace {
@@ -162,15 +163,13 @@ TEST(ObsPromLint, RendererConformsToExpositionFormat) {
   registry.counter("lint_requests_total", "requests").add(7);
   registry.gauge("lint_temperature", "a gauge").set(-3.25);
   registry.gauge_callback("lint_live_value", [] { return 42.0; }, "cb");
-  const std::uint64_t bounds[] = {10, 100, 1000};
-  bp::obs::Histogram& h =
-      registry.histogram("lint_latency_micros", bounds, "latency");
+  bp::obs::Histogram& h = registry.histogram("lint_latency_micros", "latency");
   h.observe(5);
   h.observe(50);
   h.observe(50);
-  h.observe(5000);  // lands in +Inf only
+  h.observe(5000);
   // A histogram nobody observed still renders a complete series.
-  registry.histogram("lint_empty_histogram", bounds, "empty");
+  registry.histogram("lint_empty_histogram", "empty");
 
   std::map<std::string, LintedFamily> families;
   lint(registry.render_prometheus(), &families);
@@ -188,8 +187,9 @@ TEST(ObsPromLint, RendererConformsToExpositionFormat) {
     ASSERT_TRUE(families.count(name));
     const LintedFamily& f = families[name];
     EXPECT_EQ(f.type, "histogram");
-    // Complete series: every bound plus +Inf, then _sum and _count.
-    ASSERT_EQ(f.buckets.size(), 4u);
+    // Complete series: every layout bucket, the open one as +Inf, then
+    // _sum and _count.
+    ASSERT_EQ(f.buckets.size(), bp::obs::hist::kBuckets);
     EXPECT_EQ(f.buckets.back().first, "+Inf");
     // le ascending (numeric bounds before +Inf) and counts cumulative.
     double last_le = -1.0;
@@ -213,10 +213,14 @@ TEST(ObsPromLint, RendererConformsToExpositionFormat) {
 
   // The populated histogram distributes as observed.
   const LintedFamily& lat = families["lint_latency_micros"];
-  EXPECT_EQ(lat.buckets[0].second, 1u);  // le=10: the 5
-  EXPECT_EQ(lat.buckets[1].second, 3u);  // le=100: +two 50s
-  EXPECT_EQ(lat.buckets[2].second, 3u);  // le=1000
-  EXPECT_EQ(lat.buckets[3].second, 4u);  // +Inf: the 5000
+  const auto cumulative_at = [&](std::uint64_t value) {
+    return lat.buckets[bp::obs::hist::bucket(value)].second;
+  };
+  EXPECT_EQ(cumulative_at(5), 1u);      // the 5
+  EXPECT_EQ(cumulative_at(50), 3u);     // +two 50s
+  EXPECT_EQ(cumulative_at(1000), 3u);
+  EXPECT_EQ(cumulative_at(5000), 4u);   // +the 5000
+  EXPECT_EQ(lat.buckets.back().second, 4u);  // +Inf
 }
 
 // The full production surface: everything the example service exports
@@ -226,9 +230,7 @@ TEST(ObsPromLint, RendererConformsToExpositionFormat) {
 TEST(ObsPromLint, ServingExportSurfaceConforms) {
   bp::obs::MetricsRegistry registry;
   registry.counter("bp_sessions_total", "sessions").increment();
-  const std::uint64_t bounds[] = {100, 1000, 10000, 100000};
-  registry.histogram("bp_serve_latency_micros", bounds, "serve latency")
-      .observe(250);
+  registry.histogram("bp_serve_latency_micros", "serve latency").observe(250);
   registry.gauge_callback("bp_queue_depth", [] { return 0.0; }, "depth");
 
   std::map<std::string, LintedFamily> families;
