@@ -25,10 +25,7 @@
 // Output: a human-readable table on stdout plus machine-readable JSON
 // ("serving_throughput.json" in the working directory, or argv[2]).
 //
-// Usage: bench_serving_throughput [--smoke] [n_sessions] [json_path]
-//   --smoke: small stream, cache arm only, hit-rate gate only — a
-//   seconds-scale sanity check for CI (sanitizer builds included,
-//   where throughput numbers mean nothing).
+// Usage: bench_serving_throughput [n_sessions] [json_path]
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -178,43 +175,28 @@ std::pair<RunResult, RunResult> run_cache_arms(
 int main(int argc, char** argv) {
   using namespace bp;
 
-  bool smoke = false;
-  std::vector<const char*> positional;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") {
-      smoke = true;
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  // Positionals: [n_sessions] [json_path], but a lone non-numeric
-  // positional is a json_path ("bench --smoke out.json" works).
-  std::size_t n_sessions = smoke ? 4'000 : 30'000;
+  std::size_t n_sessions = 30'000;
   std::string json_path = "serving_throughput.json";
-  if (!positional.empty()) {
+  if (argc > 1) {
     char* end = nullptr;
-    const long parsed = std::strtol(positional[0], &end, 10);
-    const bool numeric = end != positional[0] && *end == '\0';
-    if (numeric && parsed > 0) {
-      n_sessions = static_cast<std::size_t>(parsed);
-      if (positional.size() > 1) json_path = positional[1];
-    } else if (!numeric && positional.size() == 1) {
-      json_path = positional[0];
-    } else {
+    const long parsed = std::strtol(argv[1], &end, 10);
+    if (end == argv[1] || *end != '\0' || parsed <= 0) {
       std::fprintf(stderr,
-                   "usage: %s [--smoke] [n_sessions > 0] [json_path]\n"
+                   "usage: %s [n_sessions > 0] [json_path]\n"
                    "  n_sessions: got '%s'\n",
-                   argv[0], positional[0]);
+                   argv[0], argv[1]);
       return 2;
     }
+    n_sessions = static_cast<std::size_t>(parsed);
   }
+  if (argc > 2) json_path = argv[2];
 
   constexpr double kCacheSpeedupGate = 5.0;   // cached vs uncached, same load
   constexpr double kCacheHitRateGate = 0.5;   // popularity stream floor
 
   std::printf("training the production model...\n");
   const auto trained = benchmark_support::train_production(
-      benchmark_support::make_training_dataset(smoke ? 6'000 : 40'000));
+      benchmark_support::make_training_dataset(40'000));
 
   serve::ModelRegistry registry;
   registry.publish(trained.model);
@@ -237,43 +219,6 @@ int main(int argc, char** argv) {
   }
 
   const unsigned hardware = std::thread::hardware_concurrency();
-
-  if (smoke) {
-    // CI sanity: the verdict cache must actually hit on a popularity
-    // stream and answer everything it admits.  Throughput is not gated
-    // here — smoke runs under sanitizers, where timing means nothing.
-    const std::size_t unique =
-        std::min(n_sessions, std::max<std::size_t>(64, n_sessions / 4));
-    std::vector<serve::ScoreRequest> head(
-        stream.begin(), stream.begin() + static_cast<std::ptrdiff_t>(unique));
-    const auto popular = make_popularity_stream(head, n_sessions);
-    const std::size_t capacity = std::bit_ceil(4 * unique);
-    auto [uncached, cached] = run_cache_arms(
-        registry, popular, /*workers=*/2, /*max_batch=*/64, capacity,
-        /*reps=*/1, /*attempts=*/1);
-    const double hit_rate = cached.cache.hit_rate();
-    std::printf("smoke: uncached %.0f/s cached %.0f/s hit_rate %.3f "
-                "(gate >= %.2f) scored %llu/%zu\n",
-                uncached.sessions_per_second, cached.sessions_per_second,
-                hit_rate, kCacheHitRateGate,
-                static_cast<unsigned long long>(cached.metrics.scored),
-                2 * popular.size());
-    if (hit_rate < kCacheHitRateGate) {
-      std::fprintf(stderr, "FAIL: cache hit rate %.3f below %.2f\n", hit_rate,
-                   kCacheHitRateGate);
-      return 1;
-    }
-    // Warm-up + timed pass both answered in full, cache on and off.
-    if (cached.metrics.scored != 2 * popular.size() ||
-        uncached.metrics.scored != popular.size()) {
-      std::fprintf(stderr, "FAIL: lost responses (cached %llu uncached %llu)\n",
-                   static_cast<unsigned long long>(cached.metrics.scored),
-                   static_cast<unsigned long long>(uncached.metrics.scored));
-      return 1;
-    }
-    std::printf("smoke ok\n");
-    return 0;
-  }
 
   std::vector<std::size_t> worker_counts{1, 2, 4};
   if (hardware > 4) worker_counts.push_back(hardware);

@@ -24,12 +24,6 @@ ctest --test-dir build --output-on-failure -j
 echo "== training-throughput bench smoke (determinism gate) =="
 ./build/bench/bench_training_throughput --smoke /tmp/bp_bench_training_smoke.json
 
-echo "== net-saturation bench smoke (zero-loss gate over real TCP) =="
-./build/bench/bench_net_saturation --smoke /tmp/bp_bench_net_smoke.json
-
-echo "== serving-throughput bench smoke (cache hit-rate + equivalence gate) =="
-./build/bench/bench_serving_throughput --smoke /tmp/bp_bench_serving_smoke.json
-
 echo "== live introspection + scoring smoke (HTTP over ephemeral ports) =="
 smoke_log=/tmp/bp_introspect_smoke.log
 rm -f "${smoke_log}"

@@ -176,7 +176,7 @@ void ChaosProxy::relay(std::shared_ptr<Pair> pair) {
          config_.fault_client_to_upstream);
   });
   pump(*pair, pair->upstream_fd, pair->client_fd, pair->index * 2 + 1,
-       config_.fault_upstream_to_client);
+       /*fault_side=*/true);
   request_pump.join();
   // Both pumps have exited; only now is it safe to release the
   // descriptors (a pair flagged for reset closes with SO_LINGER zero

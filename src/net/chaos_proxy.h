@@ -63,9 +63,9 @@ struct ChaosProxyConfig {
   double corrupt_probability = 0.0;
   double delay_probability = 0.0;
   std::chrono::milliseconds delay{40};
-  // Which directions faults apply to (forwarding is always both ways).
+  // Faults always apply to the upstream-to-client direction; this
+  // adds the client-to-upstream one (forwarding is always both ways).
   bool fault_client_to_upstream = true;
-  bool fault_upstream_to_client = true;
   // Kernel recv timeout per relay socket; an idle direction past this
   // is treated as end-of-stream, so the proxy can never wedge.
   std::chrono::milliseconds io_timeout{5'000};

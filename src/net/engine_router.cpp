@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <thread>
 
+#include "util/rng.h"
+
 namespace bp::net {
 
 namespace {
@@ -11,17 +13,6 @@ std::size_t resolve_shards(std::size_t requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return std::max<std::size_t>(2, hw / 4);
-}
-
-// splitmix64 finalizer: session ids are often sequential, and a plain
-// modulus would then stripe neighbours across shards while leaving any
-// stride pattern intact.  The finalizer's avalanche makes the shard
-// choice uniform regardless of how the caller mints ids.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
 }
 
 }  // namespace
@@ -43,8 +34,12 @@ EngineRouter::EngineRouter(const serve::ModelRegistry& registry,
 
 EngineRouter::~EngineRouter() { stop(); }
 
+// Session ids are often sequential, and a plain modulus would then
+// stripe neighbours across shards while leaving any stride pattern
+// intact.  The splitmix64 finalizer's avalanche makes the shard choice
+// uniform regardless of how the caller mints ids.
 std::size_t EngineRouter::shard_of(std::uint64_t session_id) const noexcept {
-  return static_cast<std::size_t>(mix64(session_id) % engines_.size());
+  return static_cast<std::size_t>(util::mix64(session_id) % engines_.size());
 }
 
 serve::SubmitResult EngineRouter::submit(std::uint64_t session_id,

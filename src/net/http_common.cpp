@@ -7,28 +7,19 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cstring>
 
 #include "net/socket_ops.h"
 #include "obs/prof/prof.h"
+#include "util/strings.h"
 
 namespace bp::net {
 
 namespace {
 
-bool iequals(std::string_view a, std::string_view b) noexcept {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
+// HTTP optional whitespace (SP, HTAB) and a trailing CR only, unlike
+// util::trim, which strips every isspace character.
 std::string_view trim(std::string_view s) noexcept {
   while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
     s.remove_prefix(1);
@@ -56,7 +47,7 @@ std::string_view find_header(std::string_view head, std::string_view name,
     const std::string_view line = head.substr(pos, eol - pos);
     const std::size_t colon = line.find(':');
     if (colon != std::string_view::npos &&
-        iequals(trim(line.substr(0, colon)), name)) {
+        util::iequals(trim(line.substr(0, colon)), name)) {
       if (found) {
         *repeated = true;
         return value;
@@ -123,8 +114,8 @@ bool parse_request_head(std::string_view head, HttpRequest* out) {
   if (line_end == std::string_view::npos) return true;
   const std::string_view headers = head.substr(line_end + 2);
   const std::string_view connection = find_header(headers, "Connection");
-  if (iequals(connection, "close")) out->keep_alive = false;
-  if (iequals(connection, "keep-alive")) out->keep_alive = true;
+  if (util::iequals(connection, "close")) out->keep_alive = false;
+  if (util::iequals(connection, "keep-alive")) out->keep_alive = true;
   // A second Content-Length is the request-smuggling shape: a proxy and
   // this parser could frame the body differently, so refuse it.
   bool repeated = false;
@@ -338,7 +329,7 @@ void HttpListener::serve_connection(int fd) {
       head_deadline = Clock::now() + config_.header_timeout;
     }
     while (head_end == std::string::npos) {
-      if (buffer.size() > config_.max_head_bytes) {
+      if (buffer.size() > kMaxHeadBytes) {
         HttpResponse too_large;
         too_large.status = 431;
         too_large.body = "request head too large\n";
@@ -625,7 +616,7 @@ HttpResult HttpClient::read_response() {
                                          : head.substr(line_end + 2);
   const std::string_view length_text = find_header(headers, "Content-Length");
   const bool server_closes =
-      iequals(find_header(headers, "Connection"), "close");
+      util::iequals(find_header(headers, "Connection"), "close");
 
   std::size_t content_length = 0;
   if (!length_text.empty() && !parse_size(length_text, &content_length)) {

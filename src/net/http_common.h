@@ -98,6 +98,10 @@ QueryParam query_uint_checked(std::string_view query, std::string_view key,
 
 // ---------------------------------------------------------------- listener
 
+// A request head (request line plus headers) longer than this is
+// answered 431.
+inline constexpr std::size_t kMaxHeadBytes = 8192;
+
 struct ListenerConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  // 0 = ephemeral; read the choice via port()
@@ -120,7 +124,6 @@ struct ListenerConfig {
   // connections gracefully.
   std::size_t max_requests_per_connection = 0;
   std::chrono::milliseconds max_connection_lifetime{0};
-  std::size_t max_head_bytes = 8192;
   std::size_t max_body_bytes = 1 << 20;
   // Serve multiple requests per connection (HTTP keep-alive, honoring
   // the client's Connection header), including requests the client

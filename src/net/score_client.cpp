@@ -14,6 +14,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+constexpr double kBackoffMultiplier = 2.0;
+constexpr std::size_t kPoolCapacity = 4;  // idle connections kept for reuse
+constexpr std::uint64_t kTraceSeed = 0x51ace;
+
 }  // namespace
 
 std::string_view score_client_outcome_name(ScoreClientOutcome o) noexcept {
@@ -169,7 +173,7 @@ void ScoreClient::release_connection(std::unique_ptr<HttpClient> connection,
   if (!connection) return;
   if (!healthy) connection->close();
   std::lock_guard<std::mutex> lock(pool_mutex_);
-  if (pool_.size() < config_.pool_capacity) {
+  if (pool_.size() < kPoolCapacity) {
     pool_.push_back(std::move(connection));
   }
   // else: dropped; its destructor closes the socket.
@@ -178,8 +182,7 @@ void ScoreClient::release_connection(std::unique_ptr<HttpClient> connection,
 std::chrono::milliseconds ScoreClient::next_backoff(std::uint64_t session_id,
                                                     int retry_index) const {
   double base = static_cast<double>(config_.initial_backoff.count()) *
-                std::pow(config_.backoff_multiplier,
-                         static_cast<double>(retry_index));
+                std::pow(kBackoffMultiplier, static_cast<double>(retry_index));
   base = std::min(base, static_cast<double>(config_.max_backoff.count()));
   // Pure pre-split streams (the PR-2/PR-3 determinism discipline): the
   // jitter of retry k of session s is the same on every run and every
@@ -439,13 +442,13 @@ ScoreCallResult ScoreClient::score(std::uint64_t session_id,
   std::string frame;
   render_score_request(session_id, claimed_ua, features, &frame);
 
-  // Mint the call's trace id: pure in (trace_seed, session_id), so a
-  // deterministic replay of the same session stream yields the same
-  // trace ids in the same order, whatever the thread interleaving.
+  // Mint the call's trace id: pure in session_id, so a deterministic
+  // replay of the same session stream yields the same trace ids in the
+  // same order, whatever the thread interleaving.
   obs::TraceSink* sink = config_.trace;
   std::int64_t call_start_us = 0;
   if (sink != nullptr) {
-    util::Rng stream = util::Rng(config_.trace_seed).split(session_id);
+    util::Rng stream = util::Rng(kTraceSeed).split(session_id);
     call.trace_id = stream.next();
     if (call.trace_id == 0) call.trace_id = 1;  // 0 means "no context"
     call.trace_sampled = sink->sampled(call.trace_id);

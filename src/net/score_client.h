@@ -71,11 +71,10 @@ struct ScoreClientConfig {
   // Total budget for one score() call: attempts + backoff + hedges.
   std::chrono::milliseconds deadline{5'000};
   int max_attempts = 3;
-  // Backoff before retry k (k=1..): initial * multiplier^(k-1), capped
-  // at max_backoff, scaled by a jitter factor in [0.5, 1.0) drawn
+  // Backoff before retry k (k=1..): initial * 2^(k-1), capped at
+  // max_backoff, scaled by a jitter factor in [0.5, 1.0) drawn
   // deterministically from jitter_seed.
   std::chrono::milliseconds initial_backoff{10};
-  double backoff_multiplier = 2.0;
   std::chrono::milliseconds max_backoff{500};
   std::uint64_t jitter_seed = 0x9d2c5680;
   // Hedge: if the primary request of an attempt has not answered
@@ -88,8 +87,6 @@ struct ScoreClientConfig {
   // probe is allowed through.
   int breaker_threshold = 5;
   int breaker_cooldown = 8;
-  // Idle keep-alive connections retained for reuse.
-  std::size_t pool_capacity = 4;
   // Counters additionally land here when set ("<metrics_prefix>_*").
   obs::MetricsRegistry* registry = nullptr;
   std::string metrics_prefix = "bp_client";
@@ -98,8 +95,8 @@ struct ScoreClientConfig {
 
   // ---- cross-hop tracing (null = no tracing, no wire segment) ----
   // With a sink set, every score() call mints a deterministic trace id
-  // — pure in (trace_seed, session_id) via Rng::split, so a chaos-soak
-  // trace replays bit-for-bit — and records:
+  // — pure in session_id via Rng::split of a fixed seed, so a
+  // chaos-soak trace replays bit-for-bit — and records:
   //   1      "client_call"  root span, whole call                (parent 0)
   //   8k+2   attempt k's primary request                          (parent 1)
   //   8k+3   attempt k's hedged twin, when launched               (parent 1)
@@ -111,7 +108,6 @@ struct ScoreClientConfig {
   // deterministic head-sampling decides whether the trace records;
   // the decision rides the wire, so both sides agree span-for-span.
   obs::TraceSink* trace = nullptr;
-  std::uint64_t trace_seed = 0x51ace;
 };
 
 enum class ScoreClientOutcome : std::uint8_t {

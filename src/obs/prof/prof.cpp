@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "util/rng.h"
+
 namespace bp::obs::prof {
 
 namespace {
@@ -19,13 +21,6 @@ namespace {
 std::atomic<Profiler*> g_signal_owner{nullptr};
 
 constexpr const char* kUnregisteredName = "(unregistered)";
-
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 void sigprof_handler(int /*signo*/, siginfo_t* /*info*/, void* ucontext) {
   // Async-signal-safe: save errno, touch only atomics and the ucontext.
@@ -207,13 +202,14 @@ void Profiler::record(SampleKind kind, const char* thread_name,
                       void* const* frames, std::uint32_t n_frames) noexcept {
   n_tags = std::min<std::uint32_t>(n_tags, kMaxTagDepth);
   n_frames = std::min<std::uint32_t>(n_frames, kMaxFrames);
-  std::uint64_t h = mix64(reinterpret_cast<std::uintptr_t>(thread_name) ^
-                          (static_cast<std::uint64_t>(kind) << 1));
+  std::uint64_t h =
+      util::mix64(reinterpret_cast<std::uintptr_t>(thread_name) ^
+                  (static_cast<std::uint64_t>(kind) << 1));
   for (std::uint32_t i = 0; i < n_tags; ++i) {
-    h = mix64(h ^ reinterpret_cast<std::uintptr_t>(tags[i]));
+    h = util::mix64(h ^ reinterpret_cast<std::uintptr_t>(tags[i]));
   }
   for (std::uint32_t i = 0; i < n_frames; ++i) {
-    h = mix64(h ^ reinterpret_cast<std::uintptr_t>(frames[i]));
+    h = util::mix64(h ^ reinterpret_cast<std::uintptr_t>(frames[i]));
   }
   if (h < 2) h = 2;  // 0 = empty, 1 = claim sentinel
 
@@ -307,7 +303,7 @@ void Profiler::wall_tick() {
     }
     record(SampleKind::kWall, name, tags, depth, nullptr, 0);
     wall_samples_.fetch_add(1, std::memory_order_relaxed);
-    if (owns_signals_ && config_.capture_stacks) {
+    if (owns_signals_) {
       // The registry mutex (held by for_each) is what makes this safe:
       // the target cannot unregister-and-exit mid-kill.
       pthread_kill(thread, SIGPROF);
@@ -336,24 +332,21 @@ void Profiler::start(ProfilerConfig config) {
     stop_requested_ = false;
   }
   Profiler* expected = nullptr;
-  owns_signals_ = (config_.capture_stacks || config_.cpu_interval.count() > 0)
-                  && g_signal_owner.compare_exchange_strong(
-                         expected, this, std::memory_order_acq_rel);
+  owns_signals_ = g_signal_owner.compare_exchange_strong(
+      expected, this, std::memory_order_acq_rel);
   if (owns_signals_) {
     struct sigaction action{};
     action.sa_sigaction = &sigprof_handler;
     action.sa_flags = SA_SIGINFO | SA_RESTART;
     sigemptyset(&action.sa_mask);
     sigaction(SIGPROF, &action, nullptr);
-    if (config_.cpu_interval.count() > 0) {
-      itimerval timer{};
-      timer.it_interval.tv_sec =
-          static_cast<time_t>(config_.cpu_interval.count() / 1'000'000);
-      timer.it_interval.tv_usec =
-          static_cast<suseconds_t>(config_.cpu_interval.count() % 1'000'000);
-      timer.it_value = timer.it_interval;
-      setitimer(ITIMER_PROF, &timer, nullptr);
-    }
+    itimerval timer{};
+    timer.it_interval.tv_sec =
+        static_cast<time_t>(kCpuInterval.count() / 1'000'000);
+    timer.it_interval.tv_usec =
+        static_cast<suseconds_t>(kCpuInterval.count() % 1'000'000);
+    timer.it_value = timer.it_interval;
+    setitimer(ITIMER_PROF, &timer, nullptr);
   }
   running_.store(true, std::memory_order_release);
   sampler_ = std::thread([this] { sampler_loop(); });

@@ -26,8 +26,8 @@
 //             thread's tag stack remotely (atomics only; TSan-clean) —
 //             the deterministic, blocked-time-inclusive view;
 //       cpu:  SIGPROF (per-thread kill from the sampler walk, plus an
-//             optional ITIMER_PROF whose delivery is proportional to
-//             CPU burn) makes the *interrupted thread* capture its own
+//             ITIMER_PROF whose delivery is proportional to CPU burn)
+//             makes the *interrupted thread* capture its own
 //             frame-pointer call stack (`__builtin_frame_address`-style
 //             walk, bounded depth, address-sanity guards, single-frame
 //             fallback when frame pointers are unavailable).
@@ -185,17 +185,17 @@ struct ProfileSnapshot {
   }
 };
 
+// The profiler that owns the signal plane arms ITIMER_PROF at this
+// interval: the kernel delivers SIGPROF proportional to process CPU
+// consumption, which is what attributes busy loops to their stage even
+// when they are a small slice of wall time.
+inline constexpr std::chrono::microseconds kCpuInterval{4'000};  // ~250 Hz
+
 struct ProfilerConfig {
   // Wall sampler cadence (remote tag reads over registered threads).
+  // Every wall tick also interrupts each registered thread
+  // (pthread_kill SIGPROF) so it self-captures a call stack.
   std::chrono::microseconds wall_period{10'000};  // 100 Hz
-  // Also interrupt each registered thread (pthread_kill SIGPROF) on
-  // every wall tick so it self-captures a call stack.
-  bool capture_stacks = true;
-  // Arm ITIMER_PROF at this interval: the kernel delivers SIGPROF
-  // proportional to process CPU consumption, which is what attributes
-  // busy loops to their stage even when they are a small slice of wall
-  // time.  Zero disables the itimer.
-  std::chrono::microseconds cpu_interval{4'000};  // ~250 Hz of CPU time
   // Injectable sleep between wall ticks (tests drive ticks manually via
   // wall_tick() instead, or inject a counting sleep).  The default
   // sleeps on a condition variable so stop() is immediate.
@@ -209,9 +209,9 @@ class Profiler {
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
-  // Start the sampler thread (and the SIGPROF machinery when
-  // configured).  Only one Profiler can own the signal plane at a time;
-  // a second start() keeps wall sampling but skips signals.
+  // Start the sampler thread and the SIGPROF machinery.  Only one
+  // Profiler can own the signal plane at a time; a second start() keeps
+  // wall sampling but skips signals.
   void start(ProfilerConfig config = {});
   void stop();
   bool running() const noexcept {
@@ -219,8 +219,8 @@ class Profiler {
   }
 
   // One wall pass over the registered threads: remote tag samples for
-  // all, plus a SIGPROF per thread when capture_stacks is on.  Public
-  // so tests can drive the sampler on a virtual clock.
+  // all, plus a SIGPROF per thread when this profiler owns the signal
+  // plane.  Public so tests can drive the sampler on a virtual clock.
   void wall_tick();
 
   // Record one explicit sample of the calling thread's current tag

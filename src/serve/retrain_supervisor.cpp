@@ -8,6 +8,12 @@
 
 namespace bp::serve {
 
+namespace {
+
+constexpr double kBackoffMultiplier = 2.0;
+
+}  // namespace
+
 std::string_view cycle_result_name(CycleResult r) noexcept {
   switch (r) {
     case CycleResult::kNoDrift: return "no_drift";
@@ -41,7 +47,7 @@ RetrainSupervisor::~RetrainSupervisor() { stop(); }
 std::chrono::milliseconds RetrainSupervisor::backoff_before_attempt(
     int attempt) {
   double backoff = static_cast<double>(config_.initial_backoff.count());
-  for (int i = 0; i < attempt; ++i) backoff *= config_.backoff_multiplier;
+  for (int i = 0; i < attempt; ++i) backoff *= kBackoffMultiplier;
   backoff = std::min(backoff, static_cast<double>(config_.max_backoff.count()));
   // Deterministic jitter in [0.5, 1.0): splitmix64 is a pure function
   // of the advancing state, so the same jitter_seed replays the same

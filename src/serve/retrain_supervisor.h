@@ -47,10 +47,9 @@ std::string_view cycle_result_name(CycleResult r) noexcept;
 struct RetrainConfig {
   // Attempts per cycle before the cycle counts as failed.
   int max_attempts = 3;
-  // Backoff between attempts: initial * multiplier^attempt, capped,
-  // then scaled by a jitter factor in [0.5, 1.0) drawn from jitter_seed.
+  // Backoff between attempts: initial * 2^attempt, capped, then
+  // scaled by a jitter factor in [0.5, 1.0) drawn from jitter_seed.
   std::chrono::milliseconds initial_backoff{100};
-  double backoff_multiplier = 2.0;
   std::chrono::milliseconds max_backoff{5'000};
   std::uint64_t jitter_seed = 0x9d2c5680;
   // Consecutive failed cycles before the breaker opens, and how many

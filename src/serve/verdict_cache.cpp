@@ -4,18 +4,10 @@
 #include <limits>
 
 #include "obs/prof/contention.h"
+#include "util/rng.h"
 
 namespace bp::serve {
 namespace {
-
-// splitmix64 finalizer — the same mix the EngineRouter uses for shard
-// affinity, applied here to whiten the FNV accumulators.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 std::size_t round_up_pow2(std::size_t n) noexcept {
   if (n < 2) return 2;
@@ -126,7 +118,7 @@ VerdictCache::Key VerdictCache::key_of(std::span<const std::int32_t> features,
   }
   update(claimed.key());
   update(static_cast<std::uint64_t>(features.size()));
-  Key key{mix64(h1), mix64(h2 ^ h1)};
+  Key key{util::mix64(h1), util::mix64(h2 ^ h1)};
   if (key.primary == 0) key.primary = 0x9e3779b97f4a7c15ULL;  // 0 marks empty
   return key;
 }

@@ -14,16 +14,20 @@
 //   replayable      with timing excluded, both sinks render
 //                   byte-identically across two runs of the same
 //                   deterministic workload.
+//   cheap           tracing costs under 3% of closed-loop run time,
+//                   judged by a paired statistic (see below).
 //
 // Run under TSan and ASan by the tier-1 sanitizer pass.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <map>
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/polygraph.h"
@@ -34,6 +38,8 @@
 #include "obs/trace.h"
 #include "serve/model_registry.h"
 #include "serve/scoring_engine.h"
+#include "util/rng.h"
+#include "wire_load.h"
 
 namespace bp::net {
 namespace {
@@ -249,7 +255,7 @@ TEST(DistTrace, HedgedChaosAssemblyHasOneWinnerAndNoOrphans) {
 
 // Determinism gate: the same workload against a fresh stack renders
 // the same traces, byte for byte, once timing is excluded — trace ids
-// are pure in (trace_seed, session), span ids are fixed by convention,
+// are pure in the session id, span ids are fixed by convention,
 // and render sorts by (trace_id, span_id).
 TEST(DistTrace, RenderWithoutTimingIsByteReplayable) {
   const auto run = [](std::string* client_render, std::string* server_render) {
@@ -316,6 +322,168 @@ TEST(DistTrace, UncontextedWireRequestTracesUnderItsSessionId) {
     trace_ids.insert(event.trace_id);
   }
   EXPECT_EQ(trace_ids, (std::set<std::uint64_t>{41, 42}));
+}
+
+// ------------------------------ tracing cost ------------------------------
+//
+// Tracing must stay cheap enough to leave on: under 3% of the plane's
+// closed-loop run time.  A single best-of-N comparison of short runs
+// reads their noise (mostly which arm ran first and when a delayed ACK
+// landed), so the gate is a paired statistic instead: interleaved
+// untraced/traced runs whose first arm alternates, one run-time ratio
+// per pair, and a verdict on the median of those ratios.  It trips
+// only when the median breaches the bound AND a bootstrap interval of
+// the median excludes no overhead at all.
+
+struct PairedGate {
+  double median = 0.0;  // median per-pair traced/untraced ratio
+  double lo = 0.0;      // 95% bootstrap interval of that median
+  double hi = 0.0;
+  bool trips = false;
+};
+
+double median_of(std::vector<double> v) {
+  const std::size_t mid = v.size() / 2;
+  std::nth_element(v.begin(), v.begin() + mid, v.end());
+  if (v.size() % 2 == 1) return v[mid];
+  return (v[mid] + *std::max_element(v.begin(), v.begin() + mid)) / 2.0;
+}
+
+PairedGate paired_ratio_gate(const std::vector<double>& ratios, double bound,
+                             std::uint64_t seed) {
+  constexpr std::size_t kResamples = 2'000;
+  PairedGate gate;
+  gate.median = median_of(ratios);
+  util::Rng rng(seed);
+  std::vector<double> medians(kResamples);
+  std::vector<double> resample(ratios.size());
+  for (double& median : medians) {
+    for (double& x : resample) x = ratios[rng.below(ratios.size())];
+    median = median_of(resample);
+  }
+  std::sort(medians.begin(), medians.end());
+  gate.lo = medians[kResamples / 40];
+  gate.hi = medians[kResamples - 1 - kResamples / 40];
+  gate.trips = gate.median - 1.0 >= bound && gate.lo > 1.0;
+  return gate;
+}
+
+// `n` seeded ratios around `mean` with standard deviation `spread`.
+std::vector<double> synthetic_ratios(double mean, double spread,
+                                     std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<double> ratios(n);
+  for (double& r : ratios) r = rng.normal(mean, spread);
+  return ratios;
+}
+
+TEST(DistTraceOverheadGate, FivePercentSlowdownTrips) {
+  const PairedGate gate =
+      paired_ratio_gate(synthetic_ratios(1.05, 0.07, 40, 1), 0.03, 7);
+  EXPECT_TRUE(gate.trips) << gate.median << " [" << gate.lo << ", "
+                          << gate.hi << "]";
+}
+
+TEST(DistTraceOverheadGate, NoSlowdownDoesNotTrip) {
+  const PairedGate gate =
+      paired_ratio_gate(synthetic_ratios(1.0, 0.07, 40, 1), 0.03, 7);
+  EXPECT_FALSE(gate.trips) << gate.median << " [" << gate.lo << ", "
+                           << gate.hi << "]";
+}
+
+TEST(DistTraceOverheadGate, MedianPastBoundInsideNoiseDoesNotTrip) {
+  const std::vector<double> ratios = {0.80, 0.86, 0.93, 1.04, 1.04,
+                                      1.04, 1.12, 1.19, 1.26};
+  const PairedGate gate = paired_ratio_gate(ratios, 0.03, 7);
+  EXPECT_GE(gate.median - 1.0, 0.03);
+  EXPECT_LE(gate.lo, 1.0);
+  EXPECT_FALSE(gate.trips);
+}
+
+TEST(DistTraceOverheadGate, VerdictIsDeterministicForAFixedSeed) {
+  const std::vector<double> ratios = synthetic_ratios(1.03, 0.07, 40, 3);
+  const PairedGate a = paired_ratio_gate(ratios, 0.03, 11);
+  const PairedGate b = paired_ratio_gate(ratios, 0.03, 11);
+  EXPECT_EQ(a.median, b.median);
+  EXPECT_EQ(a.lo, b.lo);
+  EXPECT_EQ(a.hi, b.hi);
+  EXPECT_EQ(a.trips, b.trips);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;  // timings mean nothing here
+#else
+constexpr bool kSanitized = false;
+#endif
+
+// Two identical servers over the production-shape popularity stream,
+// one with a sink at production sampling (1%) on its engines.  Every
+// traced frame carries a t: context, so every request pays the
+// extension parse and adoption, and the sampled 1% also pay span
+// recording.  60 pairs of 1000-call closed-loop runs over 2
+// connections; both arms lossless, spans recorded, and the paired gate
+// holds at 3%.  A run lasts ~47 ms on a 4-thread host, most of it one
+// delayed-ACK stall, so the ratio prices whole runs and a per-request
+// cost reaches it diluted.
+TEST(DistTrace, TracingCostsUnderThreePercentOverPairedRuns) {
+  core::Polygraph model = wire_load::train_production_model(8'000);
+  const auto pool = wire_load::session_pool(model, 500, 0x5EF7E2025);
+  const auto frames = wire_load::popularity_frames(pool, 1'000);
+  serve::ModelRegistry models;
+  const ScoreServerConfig off_config =
+      wire_load::server_config(model, pool.size());
+  ASSERT_TRUE(models.publish(std::move(model)));
+  obs::TraceSink sink({.capacity = 8192, .sample_rate = 0.01});
+  ScoreServerConfig on_config = off_config;
+  on_config.router.engine.trace = &sink;
+  ScoreServer off_server(models, off_config);
+  ScoreServer on_server(models, on_config);
+  ASSERT_TRUE(off_server.running()) << off_server.error();
+  ASSERT_TRUE(on_server.running()) << on_server.error();
+
+  // Contexts minted the way ScoreClient mints them: a deterministic id,
+  // parent = the first attempt's primary span, sampled = the sink's own
+  // head-sampling decision for that id.
+  std::vector<std::string> traced = frames;
+  for (std::size_t i = 0; i < traced.size(); ++i) {
+    const std::uint64_t trace_id = std::max<std::uint64_t>(1, util::mix64(i + 1));
+    append_trace_context({trace_id, 10, sink.sampled(trace_id)}, &traced[i]);
+  }
+
+  std::size_t lost = 0;
+  std::size_t corrupted = 0;
+  const auto run_seconds = [&](bool tracing) {
+    const wire_load::LoadResult load =
+        wire_load::drive(tracing ? on_server.port() : off_server.port(),
+                         tracing ? traced : frames, 0.0, 2, 1'000);
+    lost += load.lost;
+    corrupted += load.corrupted;
+    return load.seconds;
+  };
+  run_seconds(false);  // warm both verdict caches
+  run_seconds(true);
+  std::vector<double> ratios;
+  for (int pair = 0; pair < 60; ++pair) {
+    double off_s = 0.0;
+    double on_s = 0.0;
+    if (pair % 2 == 0) {
+      off_s = run_seconds(false);
+      on_s = run_seconds(true);
+    } else {
+      on_s = run_seconds(true);
+      off_s = run_seconds(false);
+    }
+    ratios.push_back(on_s / off_s);
+  }
+  EXPECT_EQ(lost, 0u);
+  EXPECT_EQ(corrupted, 0u);
+  EXPECT_GT(sink.recorded(), 0u) << "the traced frames were not adopted";
+  const PairedGate gate = paired_ratio_gate(ratios, 0.03, 0x7ACE);
+  if (!kSanitized) {
+    EXPECT_FALSE(gate.trips)
+        << "tracing overhead: median ratio " << gate.median
+        << ", 95% interval [" << gate.lo << ", " << gate.hi << "]";
+  }
 }
 
 }  // namespace

@@ -38,6 +38,12 @@ TEST(ObsGaugeRace, RemoveExcludesInFlightScrapes) {
     }
   });
 
+  // Let the scraper get going first: on a loaded host the loop below
+  // can otherwise finish before the scraper thread is ever scheduled.
+  while (scrapes.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
+
   // Register/remove a callback gauge whose referent is heap state that
   // is poisoned immediately after remove() returns.  A render invoking
   // the callback after remove would read the poison.

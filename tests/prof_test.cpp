@@ -22,11 +22,14 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "obs/prof/prof.h"
+#include "serve/model_registry.h"
 #include "util/parallel.h"
+#include "wire_load.h"
 
 namespace prof = bp::obs::prof;
 
@@ -290,6 +293,54 @@ TEST(ProfSamplerStartStop, RaceFreeWithLiveWorkers) {
       prof::Profiler::render_collapsed(profiler.snapshot());
   EXPECT_NE(collapsed.find("test.hot;"), std::string::npos) << collapsed;
   EXPECT_NE(collapsed.find("hot.spin"), std::string::npos) << collapsed;
+}
+
+// Attribution under live wire load: the profiler wall-samples a
+// ScoreServer answering 500 rps open loop for 2 s.  The plane stays
+// lossless while sampled, the sampler sees serve-side threads (every
+// thread registered under "serve."), and once the window holds 64 of
+// their samples at least half carry a PROF_SCOPE tag.
+//
+// What this population is: the wire scores frames inline on
+// "net.http_handler" threads, so the "serve." threads are the shards'
+// engine workers, which never receive work from the wire and sit tagged
+// serve.queue_wait: when this gate moved here from the net bench, all
+// 1545 of 1545 such samples carried that tag.  Deleting the idle shard
+// engines empties the population; the gate must then move to the
+// handler threads.
+TEST(ProfServeAttribution, ServeSamplesUnderWireLoadAreTagged) {
+  bp::core::Polygraph model = bp::wire_load::train_production_model(8'000);
+  const auto pool = bp::wire_load::session_pool(model, 500, 0x5EF7E2025);
+  const auto frames = bp::wire_load::popularity_frames(pool, 1'000);
+  bp::serve::ModelRegistry models;
+  const auto config = bp::wire_load::server_config(model, pool.size());
+  ASSERT_GT(models.publish(std::move(model)), 0u);
+  bp::net::ScoreServer server(models, config);
+  ASSERT_TRUE(server.running()) << server.error();
+
+  prof::Profiler profiler;
+  profiler.start({});
+  const prof::ProfileSnapshot before = profiler.snapshot();
+  const bp::wire_load::LoadResult load =
+      bp::wire_load::drive(server.port(), frames, 500.0, 2, frames.size());
+  const prof::ProfileSnapshot after = profiler.snapshot();
+  profiler.stop();
+  EXPECT_EQ(load.lost, 0u);
+  EXPECT_EQ(load.corrupted, 0u);
+
+  std::uint64_t serve_samples = 0;
+  std::uint64_t serve_tagged = 0;
+  for (const prof::Sample& sample :
+       prof::Profiler::diff(before, after).samples) {
+    if (std::string_view(sample.thread_name).substr(0, 6) != "serve.") continue;
+    serve_samples += sample.count;
+    if (sample.n_tags > 0) serve_tagged += sample.count;
+  }
+  ASSERT_GT(serve_samples, 0u) << "the sampler never saw a serve thread";
+  if (serve_samples >= 64) {
+    EXPECT_GE(2 * serve_tagged, serve_samples)
+        << serve_tagged << " of " << serve_samples << " samples tagged";
+  }
 }
 
 TEST(ProfAllocHook, CountsWhenLinkedAndEnabled) {

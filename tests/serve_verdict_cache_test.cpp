@@ -18,6 +18,7 @@
 #include "serve/model_registry.h"
 #include "serve/scoring_engine.h"
 #include "serve/verdict_cache.h"
+#include "wire_load.h"
 
 namespace bp::serve {
 namespace {
@@ -360,6 +361,46 @@ TEST(VerdictCacheEngine, DisabledByDefaultAndStatsAreZero) {
   for (const auto& response : collected.responses) {
     EXPECT_FALSE(response.cached);
   }
+}
+
+// Release-popularity traffic through the engine: 4000 requests drawn
+// u^3 from 1000 unique live sessions, 2 workers, batch 64, a cache of
+// bit_ceil(4 * 1000) slots.  The cached engine runs the stream twice
+// (warm-up, then again) and must answer all 2N with a hit rate of at
+// least 0.5; the same engine uncached answers all N of one pass.
+TEST(VerdictCacheEngine, PopularityStreamHitsAtLeastHalfAndAnswersAll) {
+  constexpr std::size_t kUnique = 1'000;
+  constexpr std::size_t kRequests = 4'000;
+  ModelRegistry registry;
+  const core::Polygraph model = wire_load::train_production_model(6'000);
+  const auto pool = wire_load::session_pool(model, kUnique, 0x5EF7E2024);
+  ASSERT_GT(registry.publish(model), 0u);
+  std::vector<ScoreRequest> stream;
+  for (const std::size_t idx : wire_load::popularity_draw(kUnique, kRequests)) {
+    ScoreRequest request;
+    request.id = stream.size();
+    request.features = pool[idx].features;
+    request.claimed = pool[idx].claimed;
+    stream.push_back(std::move(request));
+  }
+  const auto run = [&](std::size_t cache_capacity, int passes) {
+    EngineConfig config;
+    config.workers = 2;
+    config.max_batch = 64;
+    config.cache_capacity = cache_capacity;
+    ScoringEngine engine(registry, config, nullptr);
+    for (int pass = 0; pass < passes; ++pass) {
+      for (const ScoreRequest& request : stream) engine.submit(request);
+      engine.drain();
+    }
+    engine.stop();
+    return std::make_pair(engine.metrics().scored, engine.cache_stats());
+  };
+  EXPECT_EQ(run(0, 1).first, kRequests);
+  const auto [cached_scored, cache] = run(std::bit_ceil(4 * kUnique), 2);
+  EXPECT_EQ(cached_scored, 2 * kRequests);
+  EXPECT_GE(cache.hit_rate(), 0.5)
+      << cache.hits << " hits, " << cache.misses << " misses";
 }
 
 TEST(VerdictCacheEngine, HotSwapInvalidatesAtomically) {
