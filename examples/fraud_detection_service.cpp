@@ -260,8 +260,7 @@ int main(int argc, char** argv) {
                               serve::kLatencyBudgetMicros);
   window.track("answered", "bp_serve_latency_micros");  // histogram count
   window.track_sum("bad_responses",
-                   {"bp_serve_shed_total", "bp_serve_deadline_exceeded_total",
-                    "bp_serve_rejected_total"});
+                   {"bp_serve_shed_total", "bp_serve_rejected_total"});
   window.track_sum("responses",
                    {"bp_serve_scored_total", "bp_serve_degraded_total",
                     "bp_serve_shed_total", "bp_serve_rejected_total"});
@@ -300,8 +299,6 @@ int main(int argc, char** argv) {
         s.model_version = registry.version();
         s.degraded_active =
             engine_config.degrade_without_model && registry.version() == 0;
-        s.workers = engine_config.workers;
-        s.stalled_workers = m.stalled_workers;
         s.breaker_open = st.breaker_open;
         s.staleness_cycles = st.staleness_cycles;
         s.quarantined = registry.quarantined();

@@ -69,9 +69,7 @@ serve::MetricsSnapshot EngineRouter::metrics() const {
     total.rejected += shard.rejected;
     total.batches += shard.batches;
     total.cached += shard.cached;
-    total.deadline_exceeded += shard.deadline_exceeded;
     total.degraded += shard.degraded;
-    total.stalled_workers += shard.stalled_workers;
     total.queue_depth += shard.queue_depth;
     for (std::size_t b = 0; b < total.latency_histogram.size(); ++b) {
       total.latency_histogram[b] += shard.latency_histogram[b];

@@ -120,8 +120,7 @@ ScoreClientStats ScoreClient::stats() const {
 }
 
 bool ScoreClient::breaker_open() const {
-  std::lock_guard<std::mutex> lock(
-      const_cast<std::mutex&>(breaker_mutex_));
+  std::lock_guard<std::mutex> lock(breaker_mutex_);
   return breaker_open_;
 }
 

@@ -211,7 +211,7 @@ class ScoreClient {
   std::mutex pool_mutex_;
   std::vector<std::unique_ptr<HttpClient>> pool_;
 
-  std::mutex breaker_mutex_;
+  mutable std::mutex breaker_mutex_;
   bool breaker_open_ = false;
   int consecutive_failures_ = 0;
   int cooldown_remaining_ = 0;

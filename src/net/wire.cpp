@@ -238,7 +238,6 @@ std::string_view wire_status_token(serve::ResponseStatus status) noexcept {
   switch (status) {
     case serve::ResponseStatus::kScored: return "scored";
     case serve::ResponseStatus::kShed: return "shed";
-    case serve::ResponseStatus::kDeadlineExceeded: return "deadline";
     case serve::ResponseStatus::kDegraded: return "degraded";
   }
   return "unknown";
@@ -284,8 +283,6 @@ WireError parse_score_response(std::string_view frame,
     out->status = serve::ResponseStatus::kScored;
   } else if (field == "shed") {
     out->status = serve::ResponseStatus::kShed;
-  } else if (field == "deadline") {
-    out->status = serve::ResponseStatus::kDeadlineExceeded;
   } else if (field == "degraded") {
     out->status = serve::ResponseStatus::kDegraded;
   } else {

@@ -13,7 +13,7 @@
 //
 //   /metrics       Prometheus text exposition (MetricsRegistry)
 //   /metrics.json  the same registry as one JSON object
-//   /healthz       liveness verdict from the HealthModel (200/503)
+//   /healthz       liveness: 200 `ok` whenever the server answers
 //   /readyz        serving-fitness verdict (200/503) — flips to 503
 //                  while no model is published or degraded mode is
 //                  active, back after a publish; the check to run
@@ -62,8 +62,8 @@
 namespace bp::obs::introspect {
 
 // What the server exposes.  Any pointer may be null — the matching
-// endpoints then answer 404 (or, for /healthz, a bare liveness 200:
-// reaching the handler proves the process is alive).  All referents
+// endpoints then answer 404 (/readyz: 503).  /healthz needs none:
+// reaching the handler proves the process is alive.  All referents
 // must outlive the server.
 struct Sources {
   const MetricsRegistry* metrics = nullptr;

@@ -78,7 +78,7 @@ class Counter {
 };
 
 // A single instantaneous value; last set wins.  Writers need no stripe:
-// gauges are low-rate (watchdogs, supervisors, render-time callbacks).
+// gauges are low-rate (supervisors, render-time callbacks).
 class Gauge {
  public:
   void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <thread>
 
 #include "util/rng.h"
 
@@ -19,14 +20,22 @@ namespace {
 // The profiler that owns the SIGPROF plane (handler + itimer +
 // pthread_kill walks).  Signals are process-global, so at most one.
 std::atomic<Profiler*> g_signal_owner{nullptr};
+// SIGPROF handlers between their owner load and their last touch of
+// the owner's table.  stop() clears the owner and then waits for this
+// to reach zero, so no handler can still be recording into a profiler
+// that is being destroyed.  Both sides use seq_cst: a handler that
+// enters after stop() read zero is ordered after the owner was cleared.
+std::atomic<int> g_handlers_in_flight{0};
 
 constexpr const char* kUnregisteredName = "(unregistered)";
 
 void sigprof_handler(int /*signo*/, siginfo_t* /*info*/, void* ucontext) {
   // Async-signal-safe: save errno, touch only atomics and the ucontext.
   const int saved_errno = errno;
-  Profiler* profiler = g_signal_owner.load(std::memory_order_acquire);
+  g_handlers_in_flight.fetch_add(1);
+  Profiler* profiler = g_signal_owner.load();
   if (profiler != nullptr) profiler->record_signal_sample(ucontext);
+  g_handlers_in_flight.fetch_sub(1);
   errno = saved_errno;
 }
 
@@ -365,8 +374,10 @@ void Profiler::stop() {
     setitimer(ITIMER_PROF, &off, nullptr);
     // Keep the (idempotent, owner-checked) handler installed: a signal
     // already in flight must land on a handler, not SIG_DFL (which
-    // kills the process).  Clearing the owner makes it a no-op.
-    g_signal_owner.store(nullptr, std::memory_order_release);
+    // kills the process).  Clearing the owner makes it a no-op; a
+    // handler that loaded the owner before that finishes first.
+    g_signal_owner.store(nullptr);
+    while (g_handlers_in_flight.load() != 0) std::this_thread::yield();
     owns_signals_ = false;
   }
 }

@@ -10,32 +10,23 @@ HealthModel::HealthModel(SignalsFn signals, const SloEngine* slo)
 HealthReport HealthModel::fold(const HealthSignals& signals,
                                AlertState worst_gating, AlertState worst_any) {
   HealthReport report;
-  // Liveness: wedged only when the whole pool is stalled — one stuck
-  // worker degrades throughput, all of them means no request will ever
-  // be answered again and a restart is the only way out.
-  const bool pool_wedged =
-      signals.workers > 0 && signals.stalled_workers >= signals.workers;
-  report.live = !pool_wedged;
-  report.ready = report.live && signals.model_version != 0 &&
-                 !signals.degraded_active &&
+  report.ready = signals.model_version != 0 && !signals.degraded_active &&
                  worst_gating != AlertState::kPage;
   report.worst_alert = worst_any;
 
   char buf[640];
   std::snprintf(
       buf, sizeof(buf),
-      "live: %s\nready: %s\nworst_alert: %s\nmodel_version: %llu%s\n"
-      "degraded_active: %s\nstalled_workers: %llu/%llu\n"
+      "ready: %s\nworst_alert: %s\nmodel_version: %llu%s\n"
+      "degraded_active: %s\n"
       "retrain_breaker: %s\nstaleness_cycles: %llu\nquarantined_models: "
       "%llu\nqueue_depth: %llu/%llu\nshed_per_second: %.3f\narmed_faults: "
       "%llu\n",
-      report.live ? "true" : "false", report.ready ? "true" : "false",
+      report.ready ? "true" : "false",
       std::string(alert_state_name(worst_any)).c_str(),
       static_cast<unsigned long long>(signals.model_version),
       signals.model_version == 0 ? " (nothing published)" : "",
       signals.degraded_active ? "true" : "false",
-      static_cast<unsigned long long>(signals.stalled_workers),
-      static_cast<unsigned long long>(signals.workers),
       signals.breaker_open ? "OPEN" : "closed",
       static_cast<unsigned long long>(signals.staleness_cycles),
       static_cast<unsigned long long>(signals.quarantined),

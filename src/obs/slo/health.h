@@ -1,19 +1,17 @@
 // Health rollup: one place that folds SLO state and live subsystem
-// signals into the two verdicts a load balancer and an orchestrator
-// actually consume.
-//
-//   /healthz (liveness)       — "is this process worth keeping alive?"
-//     Fails only when the process is wedged beyond self-repair: every
-//     scoring worker stalled inside one batch.  A missing model, an
-//     open retrain breaker or a paging SLO are NOT liveness failures —
-//     restarting would not conjure a model.
+// signals into the readiness verdict a load balancer consumes.
 //
 //   /readyz (serving fitness) — "should traffic be routed here?"
-//     Requires liveness, a published model (ModelRegistry::version()
-//     != 0), degraded mode not active, and no readiness-gating SLO
-//     rule held at kPage.  This is the check an operator runs before
-//     and after a hot swap: readiness flips to false while nothing is
-//     published and back the moment a publish lands.
+//     Requires a published model (ModelRegistry::version() != 0),
+//     degraded mode not active, and no readiness-gating SLO rule held
+//     at kPage.  This is the check an operator runs before and after a
+//     hot swap: readiness flips to false while nothing is published
+//     and back the moment a publish lands.
+//
+// Liveness (/healthz) is not folded here: a process whose introspection
+// server answers is alive.  A missing model, an open retrain breaker or
+// a paging SLO are not liveness failures — restarting would not
+// conjure a model.
 //
 // The model pulls signals through one injectable callable so bp_obs
 // never depends on bp_serve (serve already depends on obs): the caller
@@ -37,8 +35,6 @@ namespace bp::obs::slo {
 struct HealthSignals {
   std::uint64_t model_version = 0;  // ModelRegistry::version(); 0 = none
   bool degraded_active = false;     // engine answering via the UA prior
-  std::uint64_t workers = 0;        // scoring pool size
-  std::uint64_t stalled_workers = 0;  // watchdog count
   bool breaker_open = false;          // RetrainSupervisor breaker
   std::uint64_t staleness_cycles = 0;  // cycles since last publish
   std::uint64_t quarantined = 0;       // ModelRegistry::quarantined()
@@ -49,7 +45,6 @@ struct HealthSignals {
 };
 
 struct HealthReport {
-  bool live = true;
   bool ready = false;
   AlertState worst_alert = AlertState::kOk;  // across ALL rules
   // Multi-line human-readable rollup (the /statusz core): one line per

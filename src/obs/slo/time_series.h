@@ -18,7 +18,7 @@
 //   * track()                — raw instrument value (counter fold,
 //     gauge level, callback evaluation, histogram count);
 //   * track_sum()            — sum of several instruments as one
-//     series (e.g. shed + deadline + rejected = "bad responses");
+//     series (e.g. shed + rejected = "bad responses");
 //   * track_histogram_over() — count of histogram samples above a
 //     threshold (e.g. requests over the 100 ms latency budget), so a
 //     latency SLO reduces to a plain bad/total counter pair.

@@ -5,17 +5,13 @@
 // unbounded queue converts overload into unbounded latency; a bounded
 // queue forces an explicit decision at the admission edge:
 //
-//   kBlock      — producers wait for space (lossless; backpressure is
-//                 pushed upstream to the caller's accept loop);
-//   kDropOldest — admit the new request by shedding the oldest queued
-//                 one (freshest-first under overload: a stale session
-//                 score is worth less than a fresh one);
-//   kReject     — refuse the new request immediately (caller falls back
-//                 to its UA-only risk path and retries later).
+//   kBlock  — producers wait for space (lossless; backpressure is
+//             pushed upstream to the caller's accept loop);
+//   kReject — refuse the new request immediately (caller falls back to
+//             its UA-only risk path and retries later).
 //
-// Shed/displaced items are *returned to the producer*, never silently
-// discarded, so the engine can complete every admitted request with
-// either a score or an explicit shed response.
+// Either way no item is silently discarded: push() enqueues it or
+// reports why it did not.
 #pragma once
 
 #include <chrono>
@@ -23,7 +19,6 @@
 #include <cstddef>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -33,15 +28,13 @@ namespace bp::serve {
 
 enum class OverflowPolicy {
   kBlock,
-  kDropOldest,
   kReject,
 };
 
 enum class PushResult {
-  kAccepted,        // item enqueued
-  kDisplacedOldest, // item enqueued; the previous head came back via `displaced`
-  kRejected,        // queue full under kReject; item not enqueued
-  kClosed,          // queue closed; item not enqueued
+  kAccepted,  // item enqueued
+  kRejected,  // queue full under kReject; item not enqueued
+  kClosed,    // queue closed; item not enqueued
 };
 
 template <typename T>
@@ -50,39 +43,26 @@ class BoundedQueue {
   BoundedQueue(std::size_t capacity, OverflowPolicy policy)
       : capacity_(capacity == 0 ? 1 : capacity), policy_(policy) {}
 
-  // Push under the configured policy.  On kDisplacedOldest the shed
-  // item is moved into `displaced` for the caller to dispose of.
-  PushResult push(T item, std::optional<T>& displaced) {
+  // Push under the configured policy.
+  PushResult push(T item) {
     std::unique_lock lock(mutex_);
     if (closed_) return PushResult::kClosed;
     if (items_.size() >= capacity_) {
-      switch (policy_) {
-        case OverflowPolicy::kBlock: {
-          ++waiting_producers_;
-          const auto wait_begin = push_block_site_ != nullptr
-                                      ? std::chrono::steady_clock::now()
-                                      : std::chrono::steady_clock::time_point{};
-          not_full_.wait(lock,
-                         [&] { return closed_ || items_.size() < capacity_; });
-          --waiting_producers_;
-          if (push_block_site_ != nullptr) {
-            push_block_site_->record_block(static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - wait_begin)
-                    .count()));
-          }
-          if (closed_) return PushResult::kClosed;
-          break;
-        }
-        case OverflowPolicy::kDropOldest:
-          displaced = std::move(items_.front());
-          items_.pop_front();
-          items_.push_back(std::move(item));
-          if (waiting_consumers_ > 0) not_empty_.notify_one();
-          return PushResult::kDisplacedOldest;
-        case OverflowPolicy::kReject:
-          return PushResult::kRejected;
+      if (policy_ == OverflowPolicy::kReject) return PushResult::kRejected;
+      ++waiting_producers_;
+      const auto wait_begin = push_block_site_ != nullptr
+                                  ? std::chrono::steady_clock::now()
+                                  : std::chrono::steady_clock::time_point{};
+      not_full_.wait(lock,
+                     [&] { return closed_ || items_.size() < capacity_; });
+      --waiting_producers_;
+      if (push_block_site_ != nullptr) {
+        push_block_site_->record_block(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - wait_begin)
+                .count()));
       }
+      if (closed_) return PushResult::kClosed;
     }
     items_.push_back(std::move(item));
     // Waiter-counted wakeups: under load the consumers are almost never
@@ -94,11 +74,6 @@ class BoundedQueue {
     // (will see the item before waiting).
     if (waiting_consumers_ > 0) not_empty_.notify_one();
     return PushResult::kAccepted;
-  }
-
-  PushResult push(T item) {
-    std::optional<T> displaced;
-    return push(std::move(item), displaced);
   }
 
   // Blocks until at least one item is available (or the queue closes),
@@ -130,9 +105,7 @@ class BoundedQueue {
       out.push_back(std::move(items_.front()));
       items_.pop_front();
     }
-    if (policy_ == OverflowPolicy::kBlock && waiting_producers_ > 0) {
-      not_full_.notify_all();
-    }
+    if (waiting_producers_ > 0) not_full_.notify_all();
     return true;
   }
 

@@ -50,8 +50,7 @@ ScoringEngine::ScoringEngine(const ModelRegistry& registry, EngineConfig config,
       }()),
       on_response_(std::move(on_response)),
       queue_(config_.queue_capacity, config_.overflow_policy),
-      metrics_(config_.workers, config_.registry, config_.metrics_prefix),
-      heartbeats_(config_.workers) {
+      metrics_(config_.workers, config_.registry, config_.metrics_prefix) {
   // Contention attribution for the admission queue: producers blocked
   // on a full queue, workers parked on an empty one (see /contentionz).
   auto& contention = obs::prof::ContentionRegistry::instance();
@@ -84,9 +83,6 @@ ScoringEngine::ScoringEngine(const ModelRegistry& registry, EngineConfig config,
   workers_.reserve(config_.workers);
   for (std::uint32_t w = 0; w < config_.workers; ++w) {
     workers_.emplace_back([this, w] { worker_loop(w); });
-  }
-  if (config_.watchdog_interval.count() > 0) {
-    watchdog_ = std::thread([this] { watchdog_loop(); });
   }
 }
 
@@ -146,14 +142,8 @@ SubmitResult ScoringEngine::submit_miss(ScoreRequest&& request) {
   // worker may complete it, and `completed_` must never overtake
   // `admitted_` or drain() would return early.
   admitted_.fetch_add(1, std::memory_order_acq_rel);
-  std::optional<ScoreRequest> displaced;
-  switch (queue_.push(std::move(request), displaced)) {
+  switch (queue_.push(std::move(request))) {
     case PushResult::kAccepted:
-      return SubmitResult::kAdmitted;
-    case PushResult::kDisplacedOldest:
-      // The new request is admitted; the oldest queued one is completed
-      // here and now as an explicit shed.
-      deliver_unscored(*displaced, ResponseStatus::kShed, 0);
       return SubmitResult::kAdmitted;
     case PushResult::kRejected:
       retract_admission();
@@ -347,7 +337,7 @@ void ScoringEngine::record_audit(const ScoreRequest& request,
   if (audit == nullptr) return;
   if (response.status != ResponseStatus::kScored &&
       response.status != ResponseStatus::kDegraded) {
-    return;  // sheds/deadline misses carry no verdict to audit
+    return;  // sheds carry no verdict to audit
   }
   const bool flagged = response.detection.flagged;
   if (!flagged && !audit->sample_unflagged(request.id)) return;
@@ -384,7 +374,6 @@ void ScoringEngine::worker_loop(std::uint32_t worker_index) {
   std::vector<ScoreResponse> responses;
   ScoreScratch scratch;
   scratch.lane = worker_index;
-  Heartbeat& heartbeat = heartbeats_[worker_index];
   for (;;) {
     {
       // Tagged so wall samples of an idle worker read as queue time,
@@ -392,11 +381,9 @@ void ScoringEngine::worker_loop(std::uint32_t worker_index) {
       PROF_SCOPE("serve.queue_wait");
       if (!queue_.pop_batch(batch, config_.max_batch)) break;
     }
-    heartbeat.busy_since_us.store(steady_now_us(), std::memory_order_relaxed);
     if (FAULT_POINT("engine.worker_stall")) {
-      // Chaos hook: freeze this worker long enough for the watchdog to
-      // notice (2x the stall threshold).
-      std::this_thread::sleep_for(config_.stall_threshold * 2);
+      // Chaos hook: freeze this worker for one fixed stall per batch.
+      std::this_thread::sleep_for(kInjectedWorkerStall);
     }
     // One snapshot per batch: the whole batch is attributed to a single
     // published model version, and a concurrent publish() never tears a
@@ -412,78 +399,31 @@ void ScoringEngine::worker_loop(std::uint32_t worker_index) {
       // Stopped before any model was ever published: complete the batch
       // as shed so no admitted request is left without a response.
       for (const ScoreRequest& request : batch) {
-        deliver_unscored(request, ResponseStatus::kShed, worker_index);
+        deliver_shed(request, worker_index);
       }
-      heartbeat.busy_since_us.store(0, std::memory_order_relaxed);
       continue;
     }
     if (snapshot) metrics_.record_batch(worker_index, batch.size());
-    // Deadline triage: misses are answered here and compacted out; the
-    // rest go through the span scorer in one pass.
-    const auto picked_up = std::chrono::steady_clock::now();
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (past_deadline(batch[i], picked_up)) {
-        // deliver_unscored note_completed()s itself — counting it in
-        // `kept` too would overshoot completed_ and release a concurrent
-        // drain() with requests still in flight.
-        deliver_unscored(batch[i], ResponseStatus::kDeadlineExceeded,
-                         worker_index);
-        continue;
-      }
-      if (kept != i) batch[kept] = std::move(batch[i]);
-      ++kept;
-    }
-    responses.resize(kept);
-    score_span(snapshot, std::span<const ScoreRequest>(batch.data(), kept),
-               responses, scratch, picked_up, /*deliver=*/true);
-    if (kept > 0) note_completed(kept);
-    heartbeat.busy_since_us.store(0, std::memory_order_relaxed);
+    responses.resize(batch.size());
+    score_span(snapshot, batch, responses, scratch,
+               std::chrono::steady_clock::now(), /*deliver=*/true);
+    note_completed(batch.size());
   }
 }
 
-void ScoringEngine::watchdog_loop() {
-  obs::prof::ThreadHandle prof_handle("serve.watchdog", 0);
-  std::unique_lock lock(watchdog_mutex_);
-  while (!stopping_.load(std::memory_order_acquire)) {
-    watchdog_cv_.wait_for(lock, config_.watchdog_interval, [&] {
-      return stopping_.load(std::memory_order_acquire);
-    });
-    if (stopping_.load(std::memory_order_acquire)) break;
-    const std::int64_t now_us = steady_now_us();
-    const std::int64_t threshold_us =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            config_.stall_threshold)
-            .count();
-    std::uint64_t stalled = 0;
-    for (const Heartbeat& heartbeat : heartbeats_) {
-      const std::int64_t busy_since =
-          heartbeat.busy_since_us.load(std::memory_order_relaxed);
-      if (busy_since != 0 && now_us - busy_since > threshold_us) ++stalled;
-    }
-    metrics_.set_stalled_workers(stalled);
-  }
-}
-
-void ScoringEngine::deliver_unscored(const ScoreRequest& request,
-                                     ResponseStatus status,
-                                     std::uint32_t worker_index) {
+void ScoringEngine::deliver_shed(const ScoreRequest& request,
+                                 std::uint32_t worker_index) {
   ScoreResponse response;
   response.id = request.id;
-  response.status = status;
+  response.status = ResponseStatus::kShed;
   response.worker = worker_index;
   const auto done = std::chrono::steady_clock::now();
   response.latency = std::chrono::duration_cast<std::chrono::microseconds>(
       done - request.admitted_at);
-  const bool shed = status == ResponseStatus::kShed;
-  if (shed) {
-    metrics_.record_shed(worker_index);
-  } else {
-    metrics_.record_deadline_exceeded(worker_index);
-  }
+  metrics_.record_shed(worker_index);
   if (on_response_) on_response_(response);
-  record_request_trace(request, shed ? "shed" : "deadline",
-                       to_us(request.admitted_at), to_us(done), to_us(done));
+  record_request_trace(request, "shed", to_us(request.admitted_at),
+                       to_us(done), to_us(done));
   note_completed(1);
 }
 
@@ -522,17 +462,10 @@ void ScoringEngine::drain() {
 
 void ScoringEngine::stop() {
   std::lock_guard lock(stop_mutex_);
-  if (!stopping_.exchange(true, std::memory_order_acq_rel)) {
-    queue_.close();
-    {
-      std::lock_guard watchdog_lock(watchdog_mutex_);
-      watchdog_cv_.notify_all();
-    }
-  }
+  if (!stopping_.exchange(true, std::memory_order_acq_rel)) queue_.close();
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
   }
-  if (watchdog_.joinable()) watchdog_.join();
   if (callback_gauges_registered_) {
     // The callback gauges close over `this`; remove them before the
     // engine can be destroyed under a longer-lived registry.

@@ -8,13 +8,14 @@
 //
 // Invariants the tests pin down:
 //   * every admitted request produces exactly one response — a score
-//     (kScored), an explicit shed (kShed), a deadline miss
-//     (kDeadlineExceeded) or a model-less fallback verdict (kDegraded);
-//     a rejected submission produces none and is reported synchronously;
+//     (kScored), an explicit shed (kShed: the engine stopped before any
+//     model was published) or a model-less fallback verdict
+//     (kDegraded); a rejected submission produces none and is reported
+//     synchronously;
 //   * a span is scored by exactly one published model version (the
 //     snapshot is taken once per batch or inline call), and every
 //     response names the version that produced it (0 for
-//     sheds/deadline/degraded);
+//     sheds/degraded);
 //   * the scoring path performs no per-session allocation: each span
 //     is scored in one fused pass through Polygraph::score_batch (a
 //     reused ScoreScratch holds the SoA panels) — bit-identical to
@@ -27,21 +28,16 @@
 //     produced the verdict, and a hot swap atomically invalidates every
 //     older entry (version-keyed lookups — see serve/verdict_cache.h).
 //
-// Failure posture (the robustness layer):
-//   * `deadline` bounds how stale an answer may be: a request that
-//     waited past its deadline is answered kDeadlineExceeded instead of
-//     being scored late (§3's ~100 ms budget made explicit);
-//   * `degrade_without_model` keeps the engine answering when nothing
-//     is published: the UA-prior fallback (serve/degraded.h) scores the
-//     claimed UA alone and the response is marked kDegraded, instead of
-//     requests queueing unboundedly behind a model that may never come;
-//   * a watchdog thread (armed via `watchdog_interval`) detects workers
-//     stuck inside one batch longer than `stall_threshold` and surfaces
-//     the count as MetricsSnapshot::stalled_workers.
+// Failure posture: `degrade_without_model` keeps the engine answering
+// when nothing is published — the UA-prior fallback (serve/degraded.h)
+// scores the claimed UA alone and the response is marked kDegraded,
+// instead of requests queueing unboundedly behind a model that may
+// never come.  Overload is bounded at admission by the queue's
+// OverflowPolicy (kBlock or kReject).
 //
-// The callback runs on worker threads (and, for displaced-by-overflow
-// sheds and submit-side cache hits, on the submitting thread); it must
-// be thread-safe and cheap.  score_now() never calls it.
+// The engine starts exactly `workers` threads.  The callback runs on
+// them (and, for submit-side cache hits, on the submitting thread); it
+// must be thread-safe and cheap.  score_now() never calls it.
 #pragma once
 
 #include <chrono>
@@ -99,8 +95,7 @@ inline constexpr std::uint32_t adopted_span_base(
 
 enum class ResponseStatus : std::uint8_t {
   kScored,
-  kShed,  // displaced under OverflowPolicy::kDropOldest; detection empty
-  kDeadlineExceeded,  // answered past EngineConfig::deadline; not scored
+  kShed,      // stopped before any model was published; detection empty
   kDegraded,  // no model published; UA-prior fallback verdict in detection
 };
 
@@ -136,6 +131,10 @@ struct ScoreScratch {
   std::vector<core::Detection> detections;
 };
 
+// How long an armed `engine.worker_stall` fault point (util/fault.h)
+// freezes a worker, once per batch it picks up.
+inline constexpr std::chrono::milliseconds kInjectedWorkerStall{10};
+
 struct EngineConfig {
   std::size_t workers = 0;  // 0 = std::thread::hardware_concurrency()
   std::size_t queue_capacity = 4096;
@@ -146,25 +145,16 @@ struct EngineConfig {
   // cache (rounded up to a power of two); 0 disables it.  With the
   // cache on, submit() answers repeat sessions synchronously on the
   // submitting thread (the response callback runs before submit
-  // returns, as it already can for displaced sheds), and the span
-  // scorer checks it again per request against the span's snapshot
-  // version before falling through to the SoA kernel.  Version-keyed
-  // entries make a registry hot swap an atomic whole-cache
-  // invalidation.  Counters appear under `<metrics_prefix>_cache_*`.
+  // returns), and the span scorer checks it again per request against
+  // the span's snapshot version before falling through to the SoA
+  // kernel.  Version-keyed entries make a registry hot swap an atomic
+  // whole-cache invalidation.  Counters appear under
+  // `<metrics_prefix>_cache_*`.
   std::size_t cache_capacity = 0;
-
-  // Per-request deadline, measured from admission.  Zero disables: a
-  // request is then scored no matter how long it queued.
-  std::chrono::milliseconds deadline{0};
 
   // Answer with the UA-prior fallback (kDegraded) when no model is
   // published, instead of parking requests until one appears.
   bool degrade_without_model = false;
-
-  // Watchdog cadence; zero disables the watchdog thread.
-  std::chrono::milliseconds watchdog_interval{0};
-  // A worker inside one batch for longer than this is counted stalled.
-  std::chrono::milliseconds stall_threshold{250};
 
   // ---- observability (all optional; null = that plane disabled) ----
   //
@@ -183,8 +173,8 @@ struct EngineConfig {
   // decided deterministically by the sink) the engine records spans:
   //   1 "request"    admission -> response          (root)
   //   2 "queue_wait" admission -> batch pickup      (parent 1)
-  //   3 terminal     "score" | "cache_hit" | "degrade" | "shed" |
-  //                  "deadline"                       (parent 1)
+  //   3 terminal     "score" | "cache_hit" | "degrade" | "shed"
+  //                                                   (parent 1)
   // An inline score_now() call records the same spans; its queue_wait
   // is zero-length.
   // A request carrying an adopted cross-hop context (trace_id != 0)
@@ -252,20 +242,12 @@ class ScoringEngine {
   std::size_t queue_depth() const { return queue_.size(); }
 
  private:
-  // Per-worker liveness beacon for the watchdog.  Microseconds since
-  // steady_clock epoch when the worker entered its current batch; 0
-  // while idle (waiting in pop_batch).
-  struct alignas(64) Heartbeat {
-    std::atomic<std::int64_t> busy_since_us{0};
-  };
-
   // When one answered request was admitted, picked up and answered.
   struct AnswerTimes {
     std::chrono::steady_clock::time_point admitted, picked_up, done;
   };
 
   void worker_loop(std::uint32_t worker_index);
-  void watchdog_loop();
   // The one scoring path: cache probe against the snapshot's version,
   // the SoA kernel for the misses, cache insert, answer() per request
   // (handed to the callback when `deliver`).  An empty snapshot answers
@@ -290,9 +272,8 @@ class ScoringEngine {
   // sampled, 0 otherwise — the latency histogram's exemplar.
   std::uint64_t exemplar_trace_id(const ScoreRequest& request) const noexcept;
   void record_audit(const ScoreRequest& request, const ScoreResponse& response);
-  // Completes a request without a verdict: kShed or kDeadlineExceeded.
-  void deliver_unscored(const ScoreRequest& request, ResponseStatus status,
-                        std::uint32_t worker_index);
+  // Completes a request without a verdict, as kShed.
+  void deliver_shed(const ScoreRequest& request, std::uint32_t worker_index);
   // Submit-side cache fast path; true = answered, request not admitted.
   bool try_cached_submit(const ScoreRequest& request);
   // The queue path both public submit overloads fall through to after
@@ -300,12 +281,6 @@ class ScoringEngine {
   SubmitResult submit_miss(ScoreRequest&& request);
   void note_completed(std::uint64_t n);
   void retract_admission();
-  bool past_deadline(
-      const ScoreRequest& request,
-      std::chrono::steady_clock::time_point now) const noexcept {
-    return config_.deadline.count() > 0 &&
-           now - request.admitted_at > config_.deadline;
-  }
 
   const ModelRegistry& registry_;
   EngineConfig config_;
@@ -331,11 +306,6 @@ class ScoringEngine {
   // read live engine state, so stop() must remove them before the
   // engine can be destroyed under a longer-lived registry.
   bool callback_gauges_registered_ = false;
-
-  std::vector<Heartbeat> heartbeats_;
-  std::mutex watchdog_mutex_;
-  std::condition_variable watchdog_cv_;
-  std::thread watchdog_;
 };
 
 }  // namespace bp::serve

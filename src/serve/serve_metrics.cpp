@@ -9,16 +9,14 @@ std::string MetricsSnapshot::summary() const {
   std::snprintf(
       buf, sizeof(buf),
       "scored=%llu cached=%llu flagged=%llu (%.2f%%) shed=%llu "
-      "rejected=%llu deadline=%llu degraded=%llu stalled=%llu depth=%llu "
+      "rejected=%llu degraded=%llu depth=%llu "
       "model=v%llu p50=%.0fus p95=%.0fus p99=%.0fus%s",
       static_cast<unsigned long long>(scored),
       static_cast<unsigned long long>(cached),
       static_cast<unsigned long long>(flagged), 100.0 * flag_rate(),
       static_cast<unsigned long long>(shed),
       static_cast<unsigned long long>(rejected),
-      static_cast<unsigned long long>(deadline_exceeded),
       static_cast<unsigned long long>(degraded),
-      static_cast<unsigned long long>(stalled_workers),
       static_cast<unsigned long long>(queue_depth),
       static_cast<unsigned long long>(model_version), p50_micros(),
       p95_micros(), p99_micros(),
@@ -48,8 +46,6 @@ ServeMetrics::ServeMetrics(std::size_t n_workers,
                                  "worker batch iterations");
   cached_ = &registry_->counter(
       p + "_cached_total", "scored responses answered by the verdict cache");
-  deadline_exceeded_ = &registry_->counter(
-      p + "_deadline_exceeded_total", "requests answered past their deadline");
   degraded_ = &registry_->counter(p + "_degraded_total",
                                   "responses from the UA-prior fallback");
   latency_ = &registry_->histogram(
@@ -57,8 +53,6 @@ ServeMetrics::ServeMetrics(std::size_t n_workers,
       "queue wait + scoring per answered session, microseconds");
   batch_size_ = &registry_->histogram(p + "_batch_size",
                                       "requests drained per worker batch");
-  stalled_workers_ = &registry_->gauge(
-      p + "_stalled_workers", "workers stuck inside one batch (watchdog)");
 }
 
 void ServeMetrics::record_scored(std::size_t worker, bool flagged,
@@ -80,10 +74,6 @@ void ServeMetrics::record_cached(std::size_t stripe, bool flagged,
 
 void ServeMetrics::record_shed(std::size_t worker) noexcept {
   shed_->increment(worker);
-}
-
-void ServeMetrics::record_deadline_exceeded(std::size_t worker) noexcept {
-  deadline_exceeded_->increment(worker);
 }
 
 void ServeMetrics::record_degraded(std::size_t worker, bool flagged,
@@ -110,10 +100,7 @@ MetricsSnapshot ServeMetrics::snapshot() const {
   out.rejected = rejected_->value();
   out.batches = batches_->value();
   out.cached = cached_->value();
-  out.deadline_exceeded = deadline_exceeded_->value();
   out.degraded = degraded_->value();
-  out.stalled_workers =
-      static_cast<std::uint64_t>(stalled_workers_->value());
   out.latency_histogram = latency_->bucket_counts();
   out.batch_size_histogram = batch_size_->bucket_counts();
   return out;

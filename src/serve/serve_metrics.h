@@ -20,13 +20,11 @@
 // non-atomic-gauge bug): the counter fields are striped-counter folds —
 // each exact once writers are quiescent, but not a point-in-time cut
 // across fields (a session may land in `scored` after `flagged` was
-// read).  `queue_depth`, `model_version` and `stalled_workers` are
-// *instantaneous gauge reads taken at snapshot time*, not atomic with
-// the counter fold: a snapshot may show queue_depth=0 alongside a
-// scored count that grew after the fold.  All three go through the
-// registry's gauge type (stalled_workers as a stored gauge written by
-// the watchdog; queue_depth and model_version as render-time callback
-// gauges registered by the engine), so exported values follow the same
+// read).  `queue_depth` and `model_version` are *instantaneous gauge
+// reads taken at snapshot time*, not atomic with the counter fold: a
+// snapshot may show queue_depth=0 alongside a scored count that grew
+// after the fold.  Both are exported as render-time callback gauges
+// registered by the engine, so exported values follow the same
 // semantics: fresh at read time, unsynchronized with counters.
 //
 // Latency is recorded as a histogram over microseconds, in the
@@ -52,14 +50,12 @@ inline constexpr std::uint64_t kLatencyBudgetMicros = 100'000;
 struct MetricsSnapshot {
   std::uint64_t scored = 0;    // responses delivered with a detection
   std::uint64_t flagged = 0;   // scored responses with detection.flagged
-  std::uint64_t shed = 0;      // responses delivered as shed (DropOldest)
+  std::uint64_t shed = 0;      // responses delivered as shed
   std::uint64_t rejected = 0;  // submissions refused at admission (Reject)
   std::uint64_t batches = 0;   // worker batch iterations
   std::uint64_t cached = 0;    // scored responses answered by the
                                // verdict cache (subset of `scored`)
-  std::uint64_t deadline_exceeded = 0;  // answered past their deadline
   std::uint64_t degraded = 0;  // answered by the UA-prior fallback scorer
-  std::uint64_t stalled_workers = 0;  // watchdog gauge, at snapshot time
   std::uint64_t queue_depth = 0;  // instantaneous, at snapshot time
   std::uint64_t model_version = 0;  // latest published at snapshot time
   // Both in the obs::hist layout.  Latency: queue wait + scoring per
@@ -118,18 +114,12 @@ class ServeMetrics {
   // One worker drain of `batch_size` requests (feeds the batch-size
   // histogram, so /statusz can show how full the SoA kernel runs).
   void record_batch(std::size_t worker, std::uint64_t batch_size) noexcept;
-  void record_deadline_exceeded(std::size_t worker) noexcept;
   void record_degraded(std::size_t worker, bool flagged,
                        std::uint64_t latency_micros,
                        std::uint64_t exemplar_trace_id = 0) noexcept;
 
   // Admission-side event (any thread).
   void record_rejected() noexcept;
-
-  // Watchdog gauge (single writer: the watchdog thread).
-  void set_stalled_workers(std::uint64_t n) noexcept {
-    stalled_workers_->set(static_cast<double>(n));
-  }
 
   std::size_t n_workers() const noexcept { return n_workers_; }
 
@@ -154,11 +144,9 @@ class ServeMetrics {
   obs::Counter* rejected_;
   obs::Counter* batches_;
   obs::Counter* cached_;
-  obs::Counter* deadline_exceeded_;
   obs::Counter* degraded_;
   obs::Histogram* latency_;
   obs::Histogram* batch_size_;
-  obs::Gauge* stalled_workers_;
 };
 
 }  // namespace bp::serve

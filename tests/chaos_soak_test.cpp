@@ -167,8 +167,6 @@ void run_soak(std::size_t cache_capacity, const std::string& path) {
   config.queue_capacity = 256;
   config.max_batch = 16;
   config.overflow_policy = OverflowPolicy::kBlock;
-  config.watchdog_interval = std::chrono::milliseconds(5);
-  config.stall_threshold = std::chrono::milliseconds(5);
   config.cache_capacity = cache_capacity;
   ScoringEngine engine(registry, config, [&](const ScoreResponse& r) {
     response_count[r.id].fetch_add(1, std::memory_order_relaxed);

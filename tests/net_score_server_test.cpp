@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/polygraph.h"
@@ -23,6 +24,7 @@
 #include "net/wire.h"
 #include "obs/metrics_registry.h"
 #include "serve/model_registry.h"
+#include "util/fault.h"
 #include "wire_load.h"
 
 namespace bp::net {
@@ -272,6 +274,89 @@ TEST_F(NetScoreServerTest, PipelinedBurstAnswersInOrder) {
     pos = eol;
   }
   EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+}
+
+// Pipelined requests split at every byte: the same 2- and 3-request
+// bursts are delivered once unsplit and once with every server read
+// clamped to 1 byte (net.sock.recv.short at probability 1), so each
+// byte boundary of every head and body is also a read boundary.  The
+// client side (raw_burst) uses plain ::recv/::send and is unaffected.
+// Both deliveries must yield the same verdicts, in request order.
+TEST_F(NetScoreServerTest, PipelinedBurstsSplitAtEveryByteAnswerAsUnsplit) {
+  StartServer();
+  using Verdict =
+      std::tuple<std::uint64_t, serve::ResponseStatus, bool, int,
+                 std::uint32_t, std::uint64_t>;
+  const struct {
+    std::uint64_t session;
+    std::string_view ua;
+    std::vector<std::int32_t> features;
+  } requests[] = {
+      {11, "Chrome 100", {0, 0}},    // expected cluster: clean
+      {12, "Chrome 100", {10, 10}},  // cluster mismatch: flagged
+      {13, "Firefox 100", {0, 0}},   // UA absent from the table
+      {14, "Chrome 100", {9, 11}},
+      {15, "Chrome 100", {1, 0}},
+  };
+  const auto burst = [&](std::size_t begin, std::size_t end) {
+    std::string payload;
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::string frame = request_frame(
+          requests[i].session, requests[i].ua, requests[i].features);
+      payload += "POST /score HTTP/1.1\r\nHost: t\r\nContent-Length: " +
+                 std::to_string(frame.size()) + "\r\n\r\n" + frame;
+    }
+    return payload;
+  };
+  // One delivery: a burst of 2, then a burst of 3, each on its own
+  // connection; every response must be a 200 carrying a verdict.
+  const auto deliver = [&] {
+    std::vector<Verdict> verdicts;
+    for (const auto& [begin, end] :
+         {std::pair<std::size_t, std::size_t>{0, 2}, {2, 5}}) {
+      const std::string raw =
+          raw_burst(server_->port(), burst(begin, end), end - begin);
+      std::size_t ok = 0;
+      for (std::size_t pos = 0;
+           (pos = raw.find("HTTP/1.1 200 ", pos)) != std::string::npos;
+           ++pos) {
+        ++ok;
+      }
+      EXPECT_EQ(ok, end - begin) << raw;
+      std::size_t pos = 0;
+      while ((pos = raw.find("bp1|", pos)) != std::string::npos) {
+        const std::size_t eol = raw.find('\n', pos);
+        if (eol == std::string::npos) break;
+        WireScoreResponse verdict;
+        EXPECT_EQ(
+            parse_score_response(raw.substr(pos, eol - pos + 1), &verdict),
+            WireError::kOk);
+        verdicts.emplace_back(verdict.session_id, verdict.status,
+                              verdict.flagged, verdict.risk_factor,
+                              verdict.predicted_cluster, verdict.model_version);
+        pos = eol;
+      }
+    }
+    return verdicts;
+  };
+
+  const std::vector<Verdict> unsplit = deliver();
+  std::vector<Verdict> split;
+  {
+    const util::ScopedFaults faults("net.sock.recv.short:1:17");
+    split = deliver();
+    // One clamped read per byte the server took in, at the least.
+    EXPECT_GE(util::FaultRegistry::instance().fires("net.sock.recv.short"),
+              burst(0, 2).size() + burst(2, 5).size());
+  }
+
+  ASSERT_EQ(unsplit.size(), 5u);
+  for (std::size_t i = 0; i < unsplit.size(); ++i) {
+    EXPECT_EQ(std::get<0>(unsplit[i]), requests[i].session);
+    EXPECT_EQ(std::get<1>(unsplit[i]), serve::ResponseStatus::kScored);
+  }
+  EXPECT_TRUE(std::get<2>(unsplit[1]));  // the mismatch really flagged
+  EXPECT_EQ(split, unsplit);
 }
 
 // ------------------------------ admission control ------------------------------

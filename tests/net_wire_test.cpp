@@ -88,7 +88,6 @@ TEST(NetWire, ResponseRoundTrip) {
 TEST(NetWire, ResponseRoundTripsEveryStatus) {
   for (const serve::ResponseStatus status :
        {serve::ResponseStatus::kScored, serve::ResponseStatus::kShed,
-        serve::ResponseStatus::kDeadlineExceeded,
         serve::ResponseStatus::kDegraded}) {
     WireScoreResponse response;
     response.session_id = 1;
@@ -194,6 +193,8 @@ TEST(NetWireErrors, BadStatus) {
   WireScoreResponse response;
   EXPECT_EQ(parse_score_response("bp1|1|banana|0|0|0|1|10", &response),
             WireError::kBadStatus);
+  EXPECT_EQ(parse_score_response("bp1|1|deadline|0|0|0|0|10", &response),
+            WireError::kBadStatus);  // no longer a status token
   EXPECT_EQ(parse_score_response("bp1|1|scored|2|0|0|1|10", &response),
             WireError::kBadStatus);  // flagged must be 0/1
   EXPECT_EQ(parse_score_response("bp1|1|scored|0|x|0|1|10", &response),

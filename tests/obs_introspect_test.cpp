@@ -158,7 +158,6 @@ TEST(ObsIntrospect, ServesAllEndpointsOverRealTcp) {
       [&] {
         slo::HealthSignals signals;
         signals.model_version = models.version();
-        signals.workers = 4;
         return signals;
       },
       &slo);
@@ -202,7 +201,6 @@ TEST(ObsIntrospect, ServesAllEndpointsOverRealTcp) {
 
   const net::HttpResult statusz = get("/statusz");
   ASSERT_EQ(statusz.status, 200);
-  EXPECT_NE(statusz.body.find("live: true"), std::string::npos);
   EXPECT_NE(statusz.body.find("ready: true"), std::string::npos);
   EXPECT_NE(statusz.body.find("model_version: 1"), std::string::npos);
   EXPECT_NE(statusz.body.find("example_line: 1"), std::string::npos);
@@ -283,7 +281,6 @@ TEST(ObsIntrospect, ReadyzFlipsWithPublishAndDegradedMode) {
     slo::HealthSignals signals;
     signals.model_version = models.version();
     signals.degraded_active = degraded.load();
-    signals.workers = 2;
     return signals;
   });
 

@@ -241,20 +241,17 @@ TEST(ObsServeMetrics, ExportsThroughSharedRegistry) {
   metrics.record_scored(0, /*flagged=*/true, /*latency_micros=*/120);
   metrics.record_scored(1, /*flagged=*/false, /*latency_micros=*/80);
   metrics.record_rejected();
-  metrics.set_stalled_workers(1);
 
   EXPECT_EQ(&metrics.registry(), &registry);
   const std::string text = registry.render_prometheus();
   EXPECT_NE(text.find("bp_serve_scored_total 2\n"), std::string::npos);
   EXPECT_NE(text.find("bp_serve_flagged_total 1\n"), std::string::npos);
   EXPECT_NE(text.find("bp_serve_rejected_total 1\n"), std::string::npos);
-  EXPECT_NE(text.find("bp_serve_stalled_workers 1\n"), std::string::npos);
   EXPECT_NE(text.find("bp_serve_latency_micros_count 2\n"), std::string::npos);
 
   const serve::MetricsSnapshot snapshot = metrics.snapshot();
   EXPECT_EQ(snapshot.scored, 2u);
   EXPECT_EQ(snapshot.flagged, 1u);
-  EXPECT_EQ(snapshot.stalled_workers, 1u);
 }
 
 TEST(ObsServeMetrics, PrivateRegistryIsolatesInstances) {

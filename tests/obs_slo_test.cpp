@@ -327,13 +327,11 @@ TEST(ObsSlo, TransitionLogByteIdenticalAcrossRunsAndThreadCounts) {
 
 TEST(ObsHealth, FoldVerdicts) {
   HealthSignals signals;
-  signals.workers = 4;
 
-  // No model published: live but not ready.
+  // No model published: not ready.
   {
     const HealthReport report =
         HealthModel::fold(signals, AlertState::kOk, AlertState::kOk);
-    EXPECT_TRUE(report.live);
     EXPECT_FALSE(report.ready);
     EXPECT_NE(report.detail.find("nothing published"), std::string::npos);
   }
@@ -342,7 +340,6 @@ TEST(ObsHealth, FoldVerdicts) {
   {
     const HealthReport report =
         HealthModel::fold(signals, AlertState::kOk, AlertState::kOk);
-    EXPECT_TRUE(report.live);
     EXPECT_TRUE(report.ready);
   }
   // Degraded mode active: not ready.
@@ -360,19 +357,6 @@ TEST(ObsHealth, FoldVerdicts) {
   EXPECT_EQ(HealthModel::fold(signals, AlertState::kOk, AlertState::kPage)
                 .worst_alert,
             AlertState::kPage);
-
-  // Whole pool stalled: not live (and therefore not ready).
-  signals.stalled_workers = 4;
-  {
-    const HealthReport report =
-        HealthModel::fold(signals, AlertState::kOk, AlertState::kOk);
-    EXPECT_FALSE(report.live);
-    EXPECT_FALSE(report.ready);
-  }
-  // One stalled worker of four: degraded throughput, still live.
-  signals.stalled_workers = 1;
-  EXPECT_TRUE(
-      HealthModel::fold(signals, AlertState::kOk, AlertState::kOk).live);
 }
 
 TEST(ObsHealth, EvaluatePullsSignalsAndSloState) {
@@ -392,7 +376,6 @@ TEST(ObsHealth, EvaluatePullsSignalsAndSloState) {
 
   HealthSignals signals;
   signals.model_version = 1;
-  signals.workers = 2;
   HealthModel model([&] { return signals; }, &slo);
 
   EXPECT_TRUE(model.evaluate().ready);
@@ -401,7 +384,6 @@ TEST(ObsHealth, EvaluatePullsSignalsAndSloState) {
   window.sample(1'000);
   slo.evaluate(window, 1'000);
   const HealthReport paged = model.evaluate();
-  EXPECT_TRUE(paged.live);
   EXPECT_FALSE(paged.ready);  // gating rule at kPage
   EXPECT_EQ(paged.worst_alert, AlertState::kPage);
 

@@ -239,45 +239,6 @@ TEST(ServeEngine, HotSwapUnderLoadLosesNothingAndVersionsEveryDetection) {
   EXPECT_GT(metrics.batches, 0u);
 }
 
-TEST(ServeEngine, DropOldestShedsExplicitlyAndAccountsEveryRequest) {
-  constexpr std::uint64_t kTotal = 1'000;
-  ModelRegistry registry;
-  registry.publish(make_model(false));
-
-  std::vector<std::atomic<int>> scored(kTotal);
-  std::vector<std::atomic<int>> shed(kTotal);
-
-  EngineConfig config;
-  config.workers = 1;
-  config.queue_capacity = 8;
-  config.max_batch = 4;
-  config.overflow_policy = OverflowPolicy::kDropOldest;
-  ScoringEngine engine(registry, config, [&](const ScoreResponse& r) {
-    (r.status == ResponseStatus::kScored ? scored : shed)[r.id].fetch_add(1);
-  });
-
-  for (std::uint64_t i = 0; i < kTotal; ++i) {
-    EXPECT_EQ(engine.submit(request_at_origin(i)), SubmitResult::kAdmitted);
-  }
-  engine.drain();
-  engine.stop();
-
-  std::uint64_t n_scored = 0;
-  std::uint64_t n_shed = 0;
-  for (std::uint64_t id = 0; id < kTotal; ++id) {
-    const int responses = scored[id].load() + shed[id].load();
-    ASSERT_EQ(responses, 1) << "request " << id;
-    n_scored += static_cast<std::uint64_t>(scored[id].load());
-    n_shed += static_cast<std::uint64_t>(shed[id].load());
-  }
-  EXPECT_EQ(n_scored + n_shed, kTotal);
-
-  const MetricsSnapshot metrics = engine.metrics();
-  EXPECT_EQ(metrics.scored, n_scored);
-  EXPECT_EQ(metrics.shed, n_shed);
-  EXPECT_EQ(metrics.rejected, 0u);
-}
-
 TEST(ServeEngine, RejectPolicyRefusesOverloadSynchronously) {
   constexpr std::uint64_t kOffered = 100;
   ModelRegistry registry;  // nothing published yet: workers must wait
