@@ -351,8 +351,10 @@ int main(int argc, char** argv) {
     std::thread scraper([&] {
       bool metrics_turn = true;
       while (!stop_scraper.load(std::memory_order_acquire)) {
-        const net::HttpResult got = net::http_get(
-            "127.0.0.1", server.port(), metrics_turn ? "/metrics" : "/tracez");
+        const net::HttpResult got =
+            net::HttpClient("127.0.0.1", server.port())
+                .get(metrics_turn ? "/metrics" : "/tracez",
+                     /*close_connection=*/true);
         if (got.status == 200) ++scrapes;
         metrics_turn = !metrics_turn;
         std::this_thread::sleep_for(std::chrono::milliseconds(100));

@@ -257,9 +257,10 @@ if [[ -n "${BP_SANITIZE:-}" ]]; then
   # resilient ScoreClient, chaos proxy, wire fuzz), and the continuous
   # profiling plane (sampler start/stop against live registered
   # workers, remote tag reads, contention sites, and the callback-gauge
-  # unregistration race), and the traffic generator's parallel lanes
-  # over the shared baseline-candidate memo.
+  # unregistration race), the traffic generator's parallel lanes
+  # over the shared baseline-candidate memo, and the shared circuit
+  # breaker and backoff the client and the retrain supervisor use.
   ctest --test-dir "${san_dir}" \
-    -R 'Serve|BoundedQueue|Parallel|TrainingDeterminism|Fault|RetrainSupervisor|ModelIntegrity|Chaos|Client|SockOps|HttpListener|WireFuzz|Obs|Audit|Introspect|Slo|Health|Net|Router|Batch|Cache|DistTrace|Prof|Contention|Generator' \
+    -R 'Serve|BoundedQueue|Parallel|TrainingDeterminism|Fault|RetrainSupervisor|ModelIntegrity|Chaos|Client|SockOps|HttpListener|WireFuzz|Obs|Audit|Introspect|Slo|Health|Net|Router|Batch|Cache|DistTrace|Prof|Contention|Generator|Breaker|Backoff' \
     --output-on-failure
 fi

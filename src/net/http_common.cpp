@@ -705,19 +705,4 @@ HttpResult HttpClient::post(const std::string& target, std::string_view body,
   return exchange("POST", target, body, content_type, close_connection);
 }
 
-HttpResult http_get(const std::string& host, std::uint16_t port,
-                    const std::string& target,
-                    std::chrono::milliseconds timeout) {
-  HttpClient client(host, port, timeout);
-  return client.get(target, /*close_connection=*/true);
-}
-
-HttpResult http_post(const std::string& host, std::uint16_t port,
-                     const std::string& target, std::string_view body,
-                     const std::string& content_type,
-                     std::chrono::milliseconds timeout) {
-  HttpClient client(host, port, timeout);
-  return client.post(target, body, content_type, /*close_connection=*/true);
-}
-
 }  // namespace bp::net

@@ -263,7 +263,8 @@ class HttpClient {
 
   // One request-response exchange, reusing the live connection when
   // there is one.  `close_connection` sends Connection: close and
-  // drops the socket afterwards (the one-shot wrappers use it).
+  // drops the socket afterwards: a one-shot exchange is
+  // HttpClient(host, port).get(target, true).
   HttpResult get(const std::string& target, bool close_connection = false);
   HttpResult post(const std::string& target, std::string_view body,
                   const std::string& content_type = "application/x-bpwire",
@@ -300,17 +301,5 @@ class HttpClient {
   std::string error_;
   std::uint64_t connects_ = 0;
 };
-
-// One request, one connection — the original test-client shape, kept
-// for the many existing call sites.
-HttpResult http_get(const std::string& host, std::uint16_t port,
-                    const std::string& target,
-                    std::chrono::milliseconds timeout =
-                        std::chrono::milliseconds(2000));
-HttpResult http_post(const std::string& host, std::uint16_t port,
-                     const std::string& target, std::string_view body,
-                     const std::string& content_type = "application/x-bpwire",
-                     std::chrono::milliseconds timeout =
-                         std::chrono::milliseconds(2000));
 
 }  // namespace bp::net

@@ -1,7 +1,6 @@
 #include "net/score_client.h"
 
 #include <algorithm>
-#include <cmath>
 #include <condition_variable>
 #include <thread>
 #include <utility>
@@ -14,7 +13,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr double kBackoffMultiplier = 2.0;
 constexpr std::size_t kPoolCapacity = 4;  // idle connections kept for reuse
 constexpr std::uint64_t kTraceSeed = 0x51ace;
 
@@ -65,7 +63,8 @@ struct ScoreClient::RaceState {
 };
 
 ScoreClient::ScoreClient(ScoreClientConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      breaker_(config_.breaker_threshold, config_.breaker_cooldown) {
   if (config_.registry != nullptr) {
     obs::MetricsRegistry& r = *config_.registry;
     const std::string& p = config_.metrics_prefix;
@@ -121,37 +120,12 @@ ScoreClientStats ScoreClient::stats() const {
 
 bool ScoreClient::breaker_open() const {
   std::lock_guard<std::mutex> lock(breaker_mutex_);
-  return breaker_open_;
+  return breaker_.open();
 }
 
 void ScoreClient::reset_breaker() {
   std::lock_guard<std::mutex> lock(breaker_mutex_);
-  breaker_open_ = false;
-  consecutive_failures_ = 0;
-  cooldown_remaining_ = 0;
-}
-
-void ScoreClient::breaker_on_success() {
-  std::lock_guard<std::mutex> lock(breaker_mutex_);
-  breaker_open_ = false;
-  consecutive_failures_ = 0;
-  cooldown_remaining_ = 0;
-}
-
-void ScoreClient::breaker_on_failure() {
-  bool opened = false;
-  {
-    std::lock_guard<std::mutex> lock(breaker_mutex_);
-    ++consecutive_failures_;
-    if (!breaker_open_ && consecutive_failures_ >= config_.breaker_threshold) {
-      breaker_open_ = true;
-      opened = true;
-    }
-    // A failure while open (the half-open probe failing) restarts the
-    // cooldown.
-    if (breaker_open_) cooldown_remaining_ = config_.breaker_cooldown;
-  }
-  if (opened) bump(&ScoreClientStats::breaker_opens, m_breaker_opens_);
+  breaker_.reset();
 }
 
 std::unique_ptr<HttpClient> ScoreClient::acquire_connection() {
@@ -176,23 +150,6 @@ void ScoreClient::release_connection(std::unique_ptr<HttpClient> connection,
     pool_.push_back(std::move(connection));
   }
   // else: dropped; its destructor closes the socket.
-}
-
-std::chrono::milliseconds ScoreClient::next_backoff(std::uint64_t session_id,
-                                                    int retry_index) const {
-  double base = static_cast<double>(config_.initial_backoff.count()) *
-                std::pow(kBackoffMultiplier, static_cast<double>(retry_index));
-  base = std::min(base, static_cast<double>(config_.max_backoff.count()));
-  // Pure pre-split streams (the PR-2/PR-3 determinism discipline): the
-  // jitter of retry k of session s is the same on every run and every
-  // thread interleaving, so a chaos soak's backoff schedule — and the
-  // trace it produces — replays bit-for-bit.
-  util::Rng stream = util::Rng(config_.jitter_seed)
-                         .split(session_id)
-                         .split(static_cast<std::uint64_t>(retry_index) + 1);
-  const double factor = 0.5 + 0.5 * stream.uniform();
-  const auto jittered = static_cast<std::int64_t>(base * factor);
-  return std::chrono::milliseconds(std::max<std::int64_t>(jittered, 0));
 }
 
 ScoreClient::AttemptResult ScoreClient::exchange_once(
@@ -419,21 +376,14 @@ ScoreCallResult ScoreClient::score(std::uint64_t session_id,
   ScoreCallResult call;
   bump(&ScoreClientStats::calls, m_calls_);
 
+  bool admitted;
   {
     std::lock_guard<std::mutex> lock(breaker_mutex_);
-    if (breaker_open_) {
-      if (cooldown_remaining_ > 0) {
-        --cooldown_remaining_;
-        call.outcome = ScoreClientOutcome::kBreakerOpen;
-        call.error = "circuit breaker open";
-        // bump() takes its own lock; do it outside this one.
-      } else {
-        // Cooldown spent: this call goes through as the half-open
-        // probe.  Its outcome closes or re-arms the breaker.
-      }
-    }
+    admitted = breaker_.admit();
   }
-  if (call.outcome == ScoreClientOutcome::kBreakerOpen) {
+  if (!admitted) {
+    call.outcome = ScoreClientOutcome::kBreakerOpen;
+    call.error = "circuit breaker open";
     bump(&ScoreClientStats::breaker_short_circuits, m_short_circuits_);
     return call;
   }
@@ -475,8 +425,16 @@ ScoreCallResult ScoreClient::score(std::uint64_t session_id,
       const auto remaining =
           std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
                                                                 now);
+      // Jitter from a pure pre-split stream: retry k of session s waits
+      // the same on every run and thread interleaving, so a chaos soak's
+      // backoff schedule — and its trace — replays bit-for-bit.
+      util::Rng jitter = util::Rng(config_.jitter_seed)
+                             .split(session_id)
+                             .split(static_cast<std::uint64_t>(a));
       const std::chrono::milliseconds backoff =
-          std::min(next_backoff(session_id, a - 1), remaining);
+          std::min(util::backoff(config_.initial_backoff, config_.max_backoff,
+                                 a - 1, jitter.uniform()),
+                   remaining);
       if (backoff.count() > 0) {
         if (config_.sleep_fn) {
           config_.sleep_fn(backoff);
@@ -494,23 +452,11 @@ ScoreCallResult ScoreClient::score(std::uint64_t session_id,
     bump(&ScoreClientStats::attempts, m_attempts_);
     last = attempt(frame, session_id, call.trace_id, call.trace_sampled, a + 1,
                    deadline, &call);
-    if (last.kind == AttemptResult::Kind::kOk) {
-      call.outcome = ScoreClientOutcome::kOk;
-      call.response = last.response;
-      breaker_on_success();
-      bump(&ScoreClientStats::ok, m_ok_);
-      finish_trace();
-      return call;
-    }
-    if (last.kind == AttemptResult::Kind::kRejected) {
-      // The plane is up and answering; a 4xx is this caller's bug, not
-      // a reason to retry or to open the breaker.
-      call.outcome = ScoreClientOutcome::kRejected;
-      call.error = last.error;
-      breaker_on_success();
-      bump(&ScoreClientStats::rejected, m_rejected_);
-      finish_trace();
-      return call;
+    // A 4xx means the plane is up and answering: this caller's bug, not
+    // a reason to retry or to open the breaker.
+    if (last.kind == AttemptResult::Kind::kOk ||
+        last.kind == AttemptResult::Kind::kRejected) {
+      break;
     }
     if (last.kind == AttemptResult::Kind::kTimedOut) {
       out_of_budget = true;
@@ -518,12 +464,32 @@ ScoreCallResult ScoreClient::score(std::uint64_t session_id,
     }
   }
 
-  breaker_on_failure();
+  // (Running out of budget always follows a failed attempt.)
+  const bool answered = last.kind == AttemptResult::Kind::kOk ||
+                        last.kind == AttemptResult::Kind::kRejected;
+  bool opened = false;
+  {
+    std::lock_guard<std::mutex> lock(breaker_mutex_);
+    if (answered) {
+      breaker_.on_success();
+    } else {
+      opened = breaker_.on_failure();
+    }
+  }
+  if (opened) bump(&ScoreClientStats::breaker_opens, m_breaker_opens_);
+
   call.error = last.error;
   if (out_of_budget) {
     call.outcome = ScoreClientOutcome::kDeadlineExhausted;
     if (call.error.empty()) call.error = "deadline exhausted";
     bump(&ScoreClientStats::deadline_exhausted, m_deadline_);
+  } else if (last.kind == AttemptResult::Kind::kOk) {
+    call.outcome = ScoreClientOutcome::kOk;
+    call.response = last.response;
+    bump(&ScoreClientStats::ok, m_ok_);
+  } else if (last.kind == AttemptResult::Kind::kRejected) {
+    call.outcome = ScoreClientOutcome::kRejected;
+    bump(&ScoreClientStats::rejected, m_rejected_);
   } else if (last.kind == AttemptResult::Kind::kShed) {
     call.outcome = ScoreClientOutcome::kShed;
     bump(&ScoreClientStats::shed, m_shed_);

@@ -27,11 +27,12 @@
 //                          tail-at-scale move: a 1% stall tax becomes
 //                          a ~0.01% one);
 //   4. circuit breaker   — consecutive call failures open a per-host
-//                          breaker (same shape as the retrain
-//                          supervisor's, DESIGN.md §10): while open,
-//                          calls short-circuit to kBreakerOpen for
-//                          breaker_cooldown calls, then one half-open
-//                          probe is let through; success closes it.
+//                          util::Breaker (shared with the retrain
+//                          supervisor, DESIGN.md §10): calls short-
+//                          circuit to kBreakerOpen for breaker_cooldown
+//                          calls, then exactly one half-open probe is
+//                          in flight at a time; only its outcome closes
+//                          or re-arms the breaker.
 //
 // Connections are keep-alive and pooled; any connection that saw a
 // transport error or an unparseable frame is closed before it returns
@@ -59,6 +60,7 @@
 #include "net/wire.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
+#include "util/breaker.h"
 
 namespace bp::net {
 
@@ -73,7 +75,7 @@ struct ScoreClientConfig {
   int max_attempts = 3;
   // Backoff before retry k (k=1..): initial * 2^(k-1), capped at
   // max_backoff, scaled by a jitter factor in [0.5, 1.0) drawn
-  // deterministically from jitter_seed.
+  // deterministically from jitter_seed (util::backoff).
   std::chrono::milliseconds initial_backoff{10};
   std::chrono::milliseconds max_backoff{500};
   std::uint64_t jitter_seed = 0x9d2c5680;
@@ -199,11 +201,6 @@ class ScoreClient {
                         int attempt_index,
                         std::chrono::steady_clock::time_point deadline,
                         ScoreCallResult* call);
-  // Pure in (jitter_seed, session_id, retry_index): no shared state.
-  std::chrono::milliseconds next_backoff(std::uint64_t session_id,
-                                         int retry_index) const;
-  void breaker_on_success();
-  void breaker_on_failure();
   void bump(std::uint64_t ScoreClientStats::* field, obs::Counter* counter);
 
   ScoreClientConfig config_;
@@ -212,9 +209,7 @@ class ScoreClient {
   std::vector<std::unique_ptr<HttpClient>> pool_;
 
   mutable std::mutex breaker_mutex_;
-  bool breaker_open_ = false;
-  int consecutive_failures_ = 0;
-  int cooldown_remaining_ = 0;
+  util::Breaker breaker_;
 
   mutable std::mutex stats_mutex_;
   ScoreClientStats stats_;

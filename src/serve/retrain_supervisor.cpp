@@ -8,12 +8,6 @@
 
 namespace bp::serve {
 
-namespace {
-
-constexpr double kBackoffMultiplier = 2.0;
-
-}  // namespace
-
 std::string_view cycle_result_name(CycleResult r) noexcept {
   switch (r) {
     case CycleResult::kNoDrift: return "no_drift";
@@ -34,6 +28,7 @@ RetrainSupervisor::RetrainSupervisor(ModelRegistry& registry,
       train_(std::move(train)),
       validate_(std::move(validate)),
       sleep_(std::move(sleep)),
+      breaker_(config.breaker_threshold, config.breaker_cooldown_cycles),
       jitter_state_(config.jitter_seed) {
   if (!sleep_) {
     sleep_ = [](std::chrono::milliseconds d) {
@@ -43,21 +38,6 @@ RetrainSupervisor::RetrainSupervisor(ModelRegistry& registry,
 }
 
 RetrainSupervisor::~RetrainSupervisor() { stop(); }
-
-std::chrono::milliseconds RetrainSupervisor::backoff_before_attempt(
-    int attempt) {
-  double backoff = static_cast<double>(config_.initial_backoff.count());
-  for (int i = 0; i < attempt; ++i) backoff *= kBackoffMultiplier;
-  backoff = std::min(backoff, static_cast<double>(config_.max_backoff.count()));
-  // Deterministic jitter in [0.5, 1.0): splitmix64 is a pure function
-  // of the advancing state, so the same jitter_seed replays the same
-  // backoff schedule — chaos runs stay reproducible.
-  const double u =
-      static_cast<double>(bp::util::splitmix64(jitter_state_) >> 11) *
-      0x1.0p-53;
-  backoff *= 0.5 + 0.5 * u;
-  return std::chrono::milliseconds(static_cast<std::int64_t>(backoff));
-}
 
 CycleResult RetrainSupervisor::run_cycle() {
   std::unique_lock lock(mutex_);
@@ -87,14 +67,9 @@ CycleResult RetrainSupervisor::run_cycle_locked(
     return result;
   };
 
-  if (status_.breaker_open) {
-    if (breaker_cooldown_remaining_ > 0) {
-      --breaker_cooldown_remaining_;
-      ++status_.staleness_cycles;
-      return finish(CycleResult::kBreakerOpen);
-    }
-    // Cooldown elapsed: half-open — let one probe cycle through.  A
-    // success below closes the breaker; a failure re-opens the cooldown.
+  if (!breaker_.admit()) {
+    ++status_.staleness_cycles;
+    return finish(CycleResult::kBreakerOpen);
   }
 
   const std::int64_t drift_begin_us = traced ? obs::steady_now_us() : 0;
@@ -104,8 +79,10 @@ CycleResult RetrainSupervisor::run_cycle_locked(
                    obs::steady_now_us()});
   }
   if (!drifted) {
-    // The frozen model still holds; a healthy pipeline also clears any
-    // half-open breaker (nothing to probe until drift returns).
+    // The frozen model still holds.  Nothing was trained, so a probe
+    // cycle proves nothing: the breaker stays half-open (open, cooldown
+    // spent) and the next cycle is the probe again.
+    breaker_.return_probe();
     ++status_.staleness_cycles;
     return finish(CycleResult::kNoDrift);
   }
@@ -123,7 +100,14 @@ CycleResult RetrainSupervisor::run_cycle_locked(
   for (int attempt = 0; attempt < std::max(1, config_.max_attempts);
        ++attempt) {
     if (attempt > 0) {
-      const auto backoff = backoff_before_attempt(attempt - 1);
+      // Deterministic jitter: splitmix64 is a pure function of the
+      // advancing state, so the same jitter_seed replays the same
+      // backoff schedule — chaos runs stay reproducible.
+      const double unit =
+          static_cast<double>(util::splitmix64(jitter_state_) >> 11) *
+          0x1.0p-53;
+      const auto backoff = util::backoff(
+          config_.initial_backoff, config_.max_backoff, attempt - 1, unit);
       status_.last_backoff = backoff;
       // Sleep outside the lock so status() stays readable mid-backoff.
       lock.unlock();
@@ -154,21 +138,15 @@ CycleResult RetrainSupervisor::run_cycle_locked(
 
     status_.last_published_version = version;
     ++status_.published;
-    status_.consecutive_failures = 0;
-    status_.breaker_open = false;
-    breaker_cooldown_remaining_ = 0;
+    breaker_.on_success();
     status_.staleness_cycles = 0;
     return finish(CycleResult::kPublished);
   }
   end_train_span();
 
   ++status_.failed_cycles;
-  ++status_.consecutive_failures;
   ++status_.staleness_cycles;
-  if (status_.consecutive_failures >= config_.breaker_threshold) {
-    status_.breaker_open = true;
-    breaker_cooldown_remaining_ = config_.breaker_cooldown_cycles;
-  }
+  breaker_.on_failure();
   return finish(CycleResult::kFailed);
 }
 
@@ -187,9 +165,9 @@ void RetrainSupervisor::export_status_locked(CycleResult result,
           "cycles since the last successful publish")
       .set(static_cast<double>(status_.staleness_cycles));
   r.gauge("bp_retrain_breaker_open", "1 while the circuit breaker is open")
-      .set(status_.breaker_open ? 1.0 : 0.0);
+      .set(breaker_.open() ? 1.0 : 0.0);
   r.gauge("bp_retrain_consecutive_failures", "current failed-cycle streak")
-      .set(static_cast<double>(status_.consecutive_failures));
+      .set(static_cast<double>(breaker_.consecutive_failures()));
   r.gauge("bp_retrain_last_published_version",
           "registry version of the last successful publish")
       .set(static_cast<double>(status_.last_published_version));
@@ -199,14 +177,15 @@ void RetrainSupervisor::export_status_locked(CycleResult result,
 
 void RetrainSupervisor::reset_breaker() {
   std::lock_guard lock(mutex_);
-  status_.breaker_open = false;
-  status_.consecutive_failures = 0;
-  breaker_cooldown_remaining_ = 0;
+  breaker_.reset();
 }
 
 SupervisorStatus RetrainSupervisor::status() const {
   std::lock_guard lock(mutex_);
-  return status_;
+  SupervisorStatus status = status_;
+  status.breaker_open = breaker_.open();
+  status.consecutive_failures = breaker_.consecutive_failures();
+  return status;
 }
 
 void RetrainSupervisor::start(std::chrono::milliseconds period) {

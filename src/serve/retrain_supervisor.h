@@ -7,10 +7,10 @@
 //   drift check  ->  retrain  ->  validate  ->  hot-swap (publish)
 //
 // with per-cycle retry: failed attempts back off exponentially with
-// deterministic jitter (seeded, so chaos runs replay exactly), and a
-// circuit breaker opens after N consecutive failed *cycles* so a
-// persistently broken training pipeline cannot hammer the data tier
-// forever — it cools down while serving continues on the last-good
+// deterministic jitter (util::backoff, seeded, so chaos runs replay
+// exactly), and a circuit breaker (util::Breaker) opens after N
+// consecutive failed *cycles* so a persistently broken training
+// pipeline cannot hammer the data tier forever — it cools down while serving continues on the last-good
 // model.  A model-staleness gauge (cycles since the last successful
 // publish) is what an operator alarms on: staleness rising while the
 // breaker is open is the "we are serving an old model" signal.
@@ -32,6 +32,7 @@
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "serve/model_registry.h"
+#include "util/breaker.h"
 
 namespace bp::serve {
 
@@ -53,7 +54,8 @@ struct RetrainConfig {
   std::chrono::milliseconds max_backoff{5'000};
   std::uint64_t jitter_seed = 0x9d2c5680;
   // Consecutive failed cycles before the breaker opens, and how many
-  // cycles it stays open before one probe cycle is allowed through.
+  // cycles it stays open before one probe cycle is allowed through (a
+  // probe cycle that finds no drift leaves it half-open).
   int breaker_threshold = 3;
   int breaker_cooldown_cycles = 2;
 
@@ -118,7 +120,6 @@ class RetrainSupervisor {
   void stop();
 
  private:
-  std::chrono::milliseconds backoff_before_attempt(int attempt);
   CycleResult run_cycle_locked(std::unique_lock<std::mutex>& lock);
   void export_status_locked(CycleResult result, std::uint64_t attempts_delta);
 
@@ -129,10 +130,10 @@ class RetrainSupervisor {
   ValidateFn validate_;
   SleepFn sleep_;
 
-  mutable std::mutex mutex_;  // guards status_, rng state, run_cycle
-  SupervisorStatus status_;
+  mutable std::mutex mutex_;  // guards status_, breaker_, jitter_state_
+  SupervisorStatus status_;  // breaker fields are read from breaker_
+  util::Breaker breaker_;
   std::uint64_t jitter_state_;
-  int breaker_cooldown_remaining_ = 0;
 
   std::mutex loop_mutex_;
   std::condition_variable loop_cv_;

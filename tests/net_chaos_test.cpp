@@ -19,7 +19,10 @@
 //                   deadline-bounded; no call may exceed its budget.
 //
 // Separately, hedging must buy back the tail that injected stalls
-// cost (hedged p99 below unhedged p99).
+// cost (hedged p99 below unhedged p99), and the chaos differential runs
+// the same relay on the production model across a hot swap: every
+// accepted verdict must equal offline scoring on the model version the
+// response names.
 //
 // Run under TSan and ASan by the tier-1 sanitizer pass.
 #include <gtest/gtest.h>
@@ -27,7 +30,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <atomic>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +44,8 @@
 #include "net/score_server.h"
 #include "net/wire.h"
 #include "serve/model_registry.h"
+#include "traffic/session_generator.h"
+#include "wire_load.h"
 
 namespace bp::net {
 namespace {
@@ -133,8 +140,10 @@ TEST(ChaosProxy, FaultFreeRelayIsTransparent) {
   ASSERT_TRUE(proxy.running()) << proxy.error();
 
   const std::string frame = request_frame(7, "Chrome 100", {0, 0});
-  const HttpResult result = http_post("127.0.0.1", proxy.port(), "/score",
-                                      frame);
+  const HttpResult result =
+      HttpClient("127.0.0.1", proxy.port())
+          .post("/score", frame, "application/x-bpwire",
+                /*close_connection=*/true);
   ASSERT_EQ(result.status, 200) << result.error;
   WireScoreResponse verdict;
   ASSERT_EQ(parse_score_response(result.body, &verdict), WireError::kOk);
@@ -170,8 +179,9 @@ TEST(ChaosProxy, ResetStormYieldsTypedErrorsNotHangs) {
   int ok = 0, failed = 0;
   for (int i = 0; i < 30; ++i) {
     const HttpResult result =
-        http_post("127.0.0.1", proxy.port(), "/score", frame,
-                  "application/x-bpwire", 2000ms);
+        HttpClient("127.0.0.1", proxy.port(), 2000ms)
+            .post("/score", frame, "application/x-bpwire",
+                  /*close_connection=*/true);
     if (result.status == 200) {
       WireScoreResponse verdict;
       ASSERT_EQ(parse_score_response(result.body, &verdict), WireError::kOk)
@@ -362,6 +372,140 @@ TEST(ChaosSoak, ZeroLostZeroCorruptedUnderMixedFaults) {
   // ... and the client actually had to work for it.
   EXPECT_GT(stats.attempts, stats.calls)
       << "no retries happened; the fault rates are too low to test anything";
+}
+
+
+// The chaos differential.  ChaosSoak's toy model answers every session
+// with one of two known verdicts; here a seeded session stream of
+// benign, privacy-browser and fraud-browser sessions is scored on the
+// production model (28 features) through the same response-side chaos
+// (delays, truncations, resets, corruption), with the breaker at its
+// defaults, while a second model is published mid-stream.  Every kOk
+// answer must equal offline Polygraph::score on
+// ModelRegistry::at_version(response.model_version), with the claimed
+// UA parsed exactly as the server parses it; both versions must answer,
+// and no call may end in anything but a verified verdict.
+TEST(ChaosDifferential, EveryVerdictMatchesOfflineScoringAcrossAPublish) {
+  core::Polygraph first = wire_load::train_production_model(6'000);
+  core::Polygraph second = wire_load::train_production_model(9'000);
+  const std::vector<std::size_t> indices = first.config().feature_indices;
+
+  // Privacy and fraud rates far above production's, so all three
+  // kinds show up in a stream short enough for the sanitizer pass.
+  traffic::TrafficConfig live;
+  live.seed = 0xD1FFu;
+  live.p_fraud = 0.15;
+  live.p_brave_standard = 0.08;
+  live.p_tor = 0.02;
+  traffic::SessionGenerator generator(live);
+  constexpr std::size_t kSessions = 240;
+  std::vector<traffic::SessionRecord> sessions;
+  std::set<traffic::SessionKind> kinds;
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    sessions.push_back(generator.next_session(indices));
+    kinds.insert(sessions.back().kind);
+  }
+  ASSERT_TRUE(kinds.contains(traffic::SessionKind::kBenign));
+  ASSERT_TRUE(kinds.contains(traffic::SessionKind::kPrivacyBrowser));
+  ASSERT_TRUE(kinds.contains(traffic::SessionKind::kFraudBrowser));
+
+  serve::ModelRegistry models;
+  ScoreServer server(models, wire_load::server_config(first, kSessions));
+  ASSERT_EQ(models.publish(std::move(first)), 1u);
+  ASSERT_TRUE(server.running()) << server.error();
+
+  ChaosProxyConfig proxy_config;
+  proxy_config.upstream_port = server.port();
+  proxy_config.seed = 0xD1FF;
+  proxy_config.fault_client_to_upstream = false;  // see ChaosSoak
+  proxy_config.reset_probability = 0.03;
+  proxy_config.truncate_probability = 0.03;
+  proxy_config.corrupt_probability = 0.03;
+  proxy_config.delay_probability = 0.05;
+  proxy_config.delay = 25ms;
+  ChaosProxy proxy(proxy_config);
+  ASSERT_TRUE(proxy.running()) << proxy.error();
+
+  ScoreClientConfig client_config;
+  client_config.port = proxy.port();
+  client_config.io_timeout = 500ms;
+  client_config.deadline = 4000ms;
+  client_config.max_attempts = 6;
+  client_config.initial_backoff = 5ms;
+  client_config.max_backoff = 50ms;
+  client_config.hedge_delay = 60ms;
+  ScoreClient client(client_config);
+
+  // Two callers split the stream; this thread publishes the second
+  // model once half of it is answered.
+  constexpr std::size_t kCallers = 2;
+  std::vector<ScoreCallResult> results(kSessions);
+  std::atomic<std::size_t> done{0};
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      for (std::size_t i = t; i < kSessions; i += kCallers) {
+        results[i] = client.score(i + 1, sessions[i].user_agent,
+                                  sessions[i].features);
+        done.fetch_add(1, std::memory_order_release);
+      }
+    });
+  }
+  while (done.load(std::memory_order_acquire) < kSessions / 2) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(models.publish(std::move(second)), 2u);
+  for (std::thread& caller : callers) caller.join();
+  proxy.stop();
+
+  std::set<std::uint64_t> versions;
+  std::size_t models_disagree = 0;
+  core::ScoringScratch scratch;
+  const auto offline = [&](std::uint64_t version,
+                           const traffic::SessionRecord& session,
+                           const ua::UserAgent& claimed) {
+    return models.at_version(version).model->score(
+        std::span<const std::int32_t>(session.features), claimed, scratch);
+  };
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    const ScoreCallResult& call = results[i];
+    ASSERT_EQ(call.outcome, ScoreClientOutcome::kOk)
+        << "session " << i + 1 << ": " << call.error;
+    const WireScoreResponse& v = call.response;
+    ASSERT_EQ(v.session_id, i + 1);
+    ASSERT_EQ(v.status, serve::ResponseStatus::kScored) << "session " << i + 1;
+    ASSERT_TRUE(models.at_version(v.model_version))
+        << "session " << i + 1 << " names unpublished version "
+        << v.model_version;
+    versions.insert(v.model_version);
+
+    std::string frame;
+    render_score_request(i + 1, sessions[i].user_agent, sessions[i].features,
+                         &frame);
+    WireScoreRequest parsed;
+    ASSERT_EQ(parse_score_request(frame, &parsed), WireError::kOk);
+    const core::Detection want =
+        offline(v.model_version, sessions[i], parsed.claimed);
+    EXPECT_EQ(v.flagged, want.flagged) << "session " << i + 1;
+    EXPECT_EQ(v.risk_factor, want.risk_factor) << "session " << i + 1;
+    EXPECT_EQ(v.predicted_cluster, want.predicted_cluster)
+        << "session " << i + 1;
+
+    const core::Detection other =
+        offline(v.model_version == 1 ? 2 : 1, sessions[i], parsed.claimed);
+    models_disagree += other.flagged != want.flagged ||
+                       other.risk_factor != want.risk_factor ||
+                       other.predicted_cluster != want.predicted_cluster;
+  }
+  EXPECT_EQ(versions, (std::set<std::uint64_t>{1, 2}));
+  // Attributing a verdict to the wrong version is only detectable where
+  // the two models disagree.
+  EXPECT_GT(models_disagree, 0u);
+
+  const ChaosProxyStats chaos = proxy.stats();
+  EXPECT_GT(chaos.resets + chaos.truncates + chaos.corrupts, 0u);
+  EXPECT_GT(client.stats().retries, 0u)
+      << "no backoff retry ran; the fault rates are too low";
 }
 
 }  // namespace

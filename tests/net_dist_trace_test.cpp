@@ -314,7 +314,9 @@ TEST(DistTrace, UncontextedWireRequestTracesUnderItsSessionId) {
     std::string frame;
     render_score_request(session, "Chrome 100", clean, &frame);
     const HttpResult result =
-        http_post("127.0.0.1", server.port(), "/score", frame);
+        HttpClient("127.0.0.1", server.port())
+            .post("/score", frame, "application/x-bpwire",
+                  /*close_connection=*/true);
     ASSERT_EQ(result.status, 200) << result.error;
   }
   std::set<std::uint64_t> trace_ids;

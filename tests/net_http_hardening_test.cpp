@@ -159,8 +159,8 @@ TEST(SockOps, HttpExchangeSurvivesShortReadsEintrAndPartialWrites) {
       "net.sock.recv.short:1,net.sock.send.partial:1,"
       "net.sock.recv.eintr:0.2:3,net.sock.send.eintr:0.2:5");
   const HttpResult result =
-      http_post("127.0.0.1", listener.port(), "/echo", "payload", "text/plain",
-                5000ms);
+      HttpClient("127.0.0.1", listener.port(), 5000ms)
+          .post("/echo", "payload", "text/plain", /*close_connection=*/true);
   ASSERT_EQ(result.status, 200) << result.error;
   EXPECT_EQ(result.body, "POST /echo payload\n");
 }
@@ -184,7 +184,9 @@ TEST(SockOps, InjectedResetSurfacesAsTransportError) {
   ASSERT_TRUE(listener.running()) << listener.error();
   util::ScopedFaults faults("net.sock.recv.reset:1");
   const Clock::time_point start = Clock::now();
-  const HttpResult result = http_get("127.0.0.1", listener.port(), "/x");
+  const HttpResult result =
+      HttpClient("127.0.0.1", listener.port())
+          .get("/x", /*close_connection=*/true);
   EXPECT_EQ(result.status, -1);
   EXPECT_FALSE(result.error.empty());
   EXPECT_LT(Clock::now() - start, 3s);  // typed failure, not a hang

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -312,6 +313,62 @@ TEST(ScoreClient, FailedProbeKeepsTheBreakerOpen) {
   EXPECT_TRUE(client.breaker_open());
   EXPECT_EQ(client.score(4, "Chrome 100", features).outcome,
             ScoreClientOutcome::kBreakerOpen);
+}
+
+// Half-open means one probe in flight, not one probe per concurrent
+// caller: a call arriving while the probe is out short-circuits without
+// touching the network, and only the probe's outcome moves the breaker.
+TEST(ScoreClient, HalfOpenAdmitsOneProbeAtATime) {
+  std::promise<void> probe_arrived;
+  std::promise<void> release_probe;
+  std::shared_future<void> released = release_probe.get_future().share();
+  std::atomic<int> served{0};
+  auto listener = scripted_listener([&](const HttpRequest& r) {
+    if (served.fetch_add(1) == 0) {
+      probe_arrived.set_value();
+      released.wait();  // hold the probe in flight
+    }
+    return healthy_verdict(r);
+  });
+  ScoreClientConfig config = client_config(listener->port());
+  config.max_attempts = 1;
+  config.breaker_threshold = 1;
+  config.breaker_cooldown = 1;
+  ScoreClient client(config);
+  const std::int32_t features[] = {1, 2};
+
+  {
+    util::ScopedFaults faults("net.sock.connect:1");
+    EXPECT_EQ(client.score(1, "Chrome 100", features).outcome,
+              ScoreClientOutcome::kTransportError);
+    EXPECT_EQ(client.score(2, "Chrome 100", features).outcome,
+              ScoreClientOutcome::kBreakerOpen);  // spends the cooldown
+  }
+  ASSERT_TRUE(client.breaker_open());
+
+  ScoreCallResult probe;
+  std::thread prober([&] { probe = client.score(3, "Chrome 100", features); });
+  probe_arrived.get_future().wait();
+
+  // This thread's call arrives while the probe is held upstream.
+  const ScoreCallResult second = client.score(4, "Chrome 100", features);
+  EXPECT_EQ(second.outcome, ScoreClientOutcome::kBreakerOpen);
+  EXPECT_EQ(second.attempts, 0);
+  EXPECT_TRUE(client.breaker_open());  // the short circuit moved nothing
+
+  release_probe.set_value();
+  prober.join();
+  EXPECT_EQ(probe.outcome, ScoreClientOutcome::kOk) << probe.error;
+  EXPECT_EQ(probe.attempts, 1);
+  EXPECT_FALSE(client.breaker_open());  // the probe's success closed it
+  EXPECT_EQ(served.load(), 1);
+  EXPECT_EQ(client.score(5, "Chrome 100", features).outcome,
+            ScoreClientOutcome::kOk);
+
+  const ScoreClientStats stats = client.stats();
+  EXPECT_EQ(stats.breaker_short_circuits, 2u);
+  EXPECT_EQ(stats.attempts, 3u);  // the failure, the probe, call 5
+  EXPECT_EQ(stats.breaker_opens, 1u);
 }
 
 // The tail-at-scale move: the first request stalls, the hedge answers,

@@ -32,7 +32,7 @@ namespace bp::obs::introspect {
 namespace {
 
 // Send a raw payload and return everything the server answers —
-// exercises the malformed-request paths http_get cannot produce.
+// exercises the malformed-request paths HttpClient cannot produce.
 std::string raw_request(std::uint16_t port, const std::string& payload) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return "";
@@ -175,7 +175,8 @@ TEST(ObsIntrospect, ServesAllEndpointsOverRealTcp) {
   ASSERT_NE(server.port(), 0);
 
   const auto get = [&](const std::string& target) {
-    return net::http_get("127.0.0.1", server.port(), target);
+    return net::HttpClient("127.0.0.1", server.port())
+        .get(target, /*close_connection=*/true);
   };
 
   const net::HttpResult metrics_result = get("/metrics");
@@ -261,7 +262,8 @@ TEST(ObsIntrospect, EndpointsWithoutSourcesAnswer404OrBareLiveness) {
   IntrospectionServer server(Sources{});
   ASSERT_TRUE(server.running()) << server.error();
   const auto get = [&](const std::string& target) {
-    return net::http_get("127.0.0.1", server.port(), target);
+    return net::HttpClient("127.0.0.1", server.port())
+        .get(target, /*close_connection=*/true);
   };
   EXPECT_EQ(get("/metrics").status, 404);
   EXPECT_EQ(get("/metrics.json").status, 404);
@@ -289,11 +291,14 @@ TEST(ObsIntrospect, ReadyzFlipsWithPublishAndDegradedMode) {
   IntrospectionServer server(sources);
   ASSERT_TRUE(server.running()) << server.error();
   const auto readyz = [&] {
-    return net::http_get("127.0.0.1", server.port(), "/readyz");
+    return net::HttpClient("127.0.0.1", server.port())
+        .get("/readyz", /*close_connection=*/true);
   };
 
   // Nothing published: alive, not fit to serve.
-  EXPECT_EQ(net::http_get("127.0.0.1", server.port(), "/healthz").status, 200);
+  EXPECT_EQ(
+      net::HttpClient("127.0.0.1", server.port())
+          .get("/healthz", /*close_connection=*/true).status, 200);
   const net::HttpResult before = readyz();
   EXPECT_EQ(before.status, 503);
   EXPECT_NE(before.body.find("nothing published"), std::string::npos);
@@ -320,7 +325,8 @@ TEST(ObsIntrospect, AuditzBoundsToLastN) {
   ASSERT_TRUE(server.running()) << server.error();
 
   const net::HttpResult last3 =
-      net::http_get("127.0.0.1", server.port(), "/auditz?n=3");
+      net::HttpClient("127.0.0.1", server.port())
+          .get("/auditz?n=3", /*close_connection=*/true);
   ASSERT_EQ(last3.status, 200);
   std::size_t lines = 0;
   for (char c : last3.body) lines += c == '\n';
@@ -385,7 +391,8 @@ TEST(ObsIntrospect, ConcurrentScrapeUnderMutation) {
     scrapers.emplace_back([&] {
       for (int i = 0; i < kScrapesEach; ++i) {
         const net::HttpResult metrics_result =
-            net::http_get("127.0.0.1", server.port(), "/metrics");
+            net::HttpClient("127.0.0.1", server.port())
+                .get("/metrics", /*close_connection=*/true);
         if (metrics_result.status != 200 ||
             metrics_result.body.find(
                 "# TYPE bp_load_scored_total counter") == std::string::npos ||
@@ -394,7 +401,8 @@ TEST(ObsIntrospect, ConcurrentScrapeUnderMutation) {
           bad_responses.fetch_add(1);
         }
         const net::HttpResult tracez =
-            net::http_get("127.0.0.1", server.port(), "/tracez");
+            net::HttpClient("127.0.0.1", server.port())
+                .get("/tracez", /*close_connection=*/true);
         if (tracez.status != 200) bad_responses.fetch_add(1);
       }
     });
@@ -411,7 +419,8 @@ TEST(ObsIntrospect, ConcurrentScrapeUnderMutation) {
   // With writers quiescent, one final scrape must agree with the
   // folded instrument values exactly.
   const net::HttpResult final_scrape =
-      net::http_get("127.0.0.1", server.port(), "/metrics");
+      net::HttpClient("127.0.0.1", server.port())
+          .get("/metrics", /*close_connection=*/true);
   ASSERT_EQ(final_scrape.status, 200);
   EXPECT_NE(final_scrape.body.find("bp_load_scored_total " +
                                    std::to_string(scored.value())),
