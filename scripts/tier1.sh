@@ -258,9 +258,11 @@ if [[ -n "${BP_SANITIZE:-}" ]]; then
   # profiling plane (sampler start/stop against live registered
   # workers, remote tag reads, contention sites, and the callback-gauge
   # unregistration race), the traffic generator's parallel lanes
-  # over the shared baseline-candidate memo, and the shared circuit
-  # breaker and backoff the client and the retrain supervisor use.
+  # over the shared baseline-candidate memo, the shared circuit
+  # breaker and backoff the client and the retrain supervisor use, and
+  # the isolation forest, whose fit and block scoring run on pool lanes,
+  # with the golden-hash suite that drives them at 1, 2 and 8 threads.
   ctest --test-dir "${san_dir}" \
-    -R 'Serve|BoundedQueue|Parallel|TrainingDeterminism|Fault|RetrainSupervisor|ModelIntegrity|Chaos|Client|SockOps|HttpListener|WireFuzz|Obs|Audit|Introspect|Slo|Health|Net|Router|Batch|Cache|DistTrace|Prof|Contention|Generator|Breaker|Backoff' \
+    -R 'Serve|BoundedQueue|Parallel|TrainingDeterminism|Fault|RetrainSupervisor|ModelIntegrity|Chaos|Client|SockOps|HttpListener|WireFuzz|Obs|Audit|Introspect|Slo|Health|Net|Router|Batch|Cache|DistTrace|Prof|Contention|Generator|Breaker|Backoff|IsolationForest|TrainingGolden' \
     --output-on-failure
 fi

@@ -158,10 +158,16 @@ const CandidateValues& baseline_candidates(Engine engine, int engine_version,
 }
 
 CandidateValues extract_candidates(const Environment& env) {
+  CandidateValues values;
+  extract_candidates(env, values);
+  return values;
+}
+
+void extract_candidates(const Environment& env, CandidateValues& values) {
   assert(env.release != nullptr);
-  CandidateValues values =
-      baseline_candidates(env.release->engine, env.release->engine_version,
-                          in_previous_era_cohort(env));
+  values = baseline_candidates(env.release->engine,
+                               env.release->engine_version,
+                               in_previous_era_cohort(env));
   apply_modifiers(env, values);
 
   // Residual measurement jitter: §6.3 found "minimal deviations in
@@ -176,7 +182,6 @@ CandidateValues extract_candidates(const Environment& env) {
     const int delta = ((h >> 16) & 1) != 0 ? 1 : -1;
     values[idx] = std::max(0, values[idx] + delta);
   }
-  return values;
 }
 
 FinalValues select_features(const CandidateValues& values,

@@ -38,6 +38,9 @@ const CandidateValues& baseline_candidates(Engine engine, int engine_version,
 
 // All 513 candidate values for a visit from `env`.
 CandidateValues extract_candidates(const Environment& env);
+// The same values written into `out`, reusing its capacity (the traffic
+// generator extracts every session into one buffer).
+void extract_candidates(const Environment& env, CandidateValues& out);
 
 // Restrict candidate values to a feature subset (by candidate index).
 FinalValues select_features(const CandidateValues& values,

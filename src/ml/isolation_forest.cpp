@@ -11,9 +11,10 @@ namespace bp::ml {
 
 namespace {
 
-// Row-blocking grain for batch scoring; fixed for thread-count-invariant
-// decomposition (per-row scores are independent, so this only bounds
-// dispatch overhead).
+// Row-blocking grain for batch scoring, and the length of a block's
+// path-length sums; fixed for thread-count-invariant decomposition
+// (per-row scores are independent, so this only bounds dispatch
+// overhead).
 constexpr std::size_t kScoreGrain = 1024;
 
 }  // namespace
@@ -39,43 +40,55 @@ IsolationForest::Tree IsolationForest::build_tree(
     std::size_t begin;
     std::size_t end;
     int depth;
-    std::int32_t node;
+    std::uint32_t node;
   };
 
+  tree.nodes.reserve(2 * indices.size());
   tree.nodes.emplace_back();
   std::vector<Frame> stack{{0, indices.size(), 0, 0}};
+
+  // A leaf's path length is its depth plus c(size) for the points that
+  // were not isolated further.
+  const auto make_leaf = [&](const Frame& frame, std::size_t count) {
+    Node& node = tree.nodes[frame.node];
+    node.child[0] = node.child[1] = frame.node;
+    node.terminal =
+        static_cast<double>(frame.depth) + average_path_length(count);
+    tree.height =
+        std::max(tree.height, static_cast<std::uint32_t>(frame.depth));
+  };
 
   while (!stack.empty()) {
     const Frame frame = stack.back();
     stack.pop_back();
-    Node& node = tree.nodes[static_cast<std::size_t>(frame.node)];
     const std::size_t count = frame.end - frame.begin;
 
     if (count <= 1 || frame.depth >= height_limit) {
-      node.size = count;
+      make_leaf(frame, count);
       continue;
     }
 
     // Pick a split feature with spread; try a few features before giving
     // up (constant subsets become leaves).
-    std::size_t feature = Node::npos;
+    bool split = false;
+    std::size_t feature = 0;
     double lo = 0.0;
     double hi = 0.0;
     for (std::size_t attempt = 0; attempt < d; ++attempt) {
-      const std::size_t f = static_cast<std::size_t>(rng.below(d));
-      lo = hi = data(indices[frame.begin], f);
+      feature = static_cast<std::size_t>(rng.below(d));
+      lo = hi = data(indices[frame.begin], feature);
       for (std::size_t i = frame.begin + 1; i < frame.end; ++i) {
-        const double v = data(indices[i], f);
+        const double v = data(indices[i], feature);
         lo = std::min(lo, v);
         hi = std::max(hi, v);
       }
       if (hi > lo) {
-        feature = f;
+        split = true;
         break;
       }
     }
-    if (feature == Node::npos) {
-      node.size = count;
+    if (!split) {
+      make_leaf(frame, count);
       continue;
     }
 
@@ -91,34 +104,56 @@ IsolationForest::Tree IsolationForest::build_tree(
     if (mid == frame.begin) ++mid;
     if (mid == frame.end) --mid;
 
-    node.feature = feature;
+    const auto left = static_cast<std::uint32_t>(tree.nodes.size());
+    Node& node = tree.nodes[frame.node];
+    node.feature = static_cast<std::uint32_t>(feature);
     node.threshold = threshold;
-    node.left = static_cast<std::int32_t>(tree.nodes.size());
-    node.right = node.left + 1;
-    const std::int32_t left = node.left;
-    const std::int32_t right = node.right;
+    node.child[0] = left;
+    node.child[1] = left + 1;
     tree.nodes.emplace_back();
     tree.nodes.emplace_back();
     stack.push_back({frame.begin, mid, frame.depth + 1, left});
-    stack.push_back({mid, frame.end, frame.depth + 1, right});
+    stack.push_back({mid, frame.end, frame.depth + 1, left + 1});
   }
   return tree;
 }
 
 double IsolationForest::Tree::path_length(
-    std::span<const double> point) const {
-  std::size_t node_idx = 0;
-  double depth = 0.0;
-  for (;;) {
-    const Node& node = nodes[node_idx];
-    if (node.feature == Node::npos) {
-      return depth + IsolationForest::average_path_length(node.size);
-    }
-    depth += 1.0;
-    node_idx = point[node.feature] < node.threshold
-                   ? static_cast<std::size_t>(node.left)
-                   : static_cast<std::size_t>(node.right);
+    const double* point) const noexcept {
+  const Node* n = nodes.data();
+  std::uint32_t at = 0;
+  for (std::uint32_t step = 0; step < height; ++step) {
+    const Node& node = n[at];
+    at = node.child[!(point[node.feature] < node.threshold)];
   }
+  return n[at].terminal;
+}
+
+void IsolationForest::accumulate(const Tree& tree, const Matrix& data,
+                                 std::size_t begin, std::size_t end,
+                                 double* sums) {
+  // Independent walks interleaved so their loads overlap; each is the
+  // same walk as Tree::path_length.  The lane loop is unrolled so the
+  // lanes' cursors stay in registers.
+  constexpr std::size_t kLanes = 8;
+  const Node* n = tree.nodes.data();
+  std::size_t i = begin;
+  for (; i + kLanes <= end; i += kLanes) {
+    const double* x[kLanes];
+    std::uint32_t at[kLanes] = {};
+    for (std::size_t l = 0; l < kLanes; ++l) x[l] = data.row(i + l).data();
+    for (std::uint32_t step = 0; step < tree.height; ++step) {
+#pragma GCC unroll 8
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        const Node& node = n[at[l]];
+        at[l] = node.child[!(x[l][node.feature] < node.threshold)];
+      }
+    }
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      sums[i - begin + l] += n[at[l]].terminal;
+    }
+  }
+  for (; i < end; ++i) sums[i - begin] += tree.path_length(data.row(i).data());
 }
 
 void IsolationForest::fit(const Matrix& data) {
@@ -147,18 +182,28 @@ void IsolationForest::fit(const Matrix& data) {
 double IsolationForest::score_one(std::span<const double> point) const {
   assert(fitted());
   double total = 0.0;
-  for (const Tree& tree : trees_) total += tree.path_length(point);
+  for (const Tree& tree : trees_) total += tree.path_length(point.data());
   const double mean_depth = total / static_cast<double>(trees_.size());
   return std::pow(2.0, -mean_depth / c_norm_);
 }
 
 std::vector<double> IsolationForest::score(const Matrix& data) const {
+  assert(fitted());
   std::vector<double> out(data.rows());
+  // Tree-major within each block: one tree's nodes stay in cache while
+  // the block's rows walk it.  Every row still sums trees 0..n-1 in
+  // order from 0.0, so each score equals score_one bit for bit.
   bp::util::parallel_for(
       std::size_t{0}, data.rows(), kScoreGrain,
       [&](std::size_t begin, std::size_t end) {
+        double sums[kScoreGrain] = {};
+        for (const Tree& tree : trees_) {
+          accumulate(tree, data, begin, end, sums);
+        }
         for (std::size_t i = begin; i < end; ++i) {
-          out[i] = score_one(data.row(i));
+          const double mean_depth =
+              sums[i - begin] / static_cast<double>(trees_.size());
+          out[i] = std::pow(2.0, -mean_depth / c_norm_);
         }
       });
   return out;

@@ -49,24 +49,31 @@ class IsolationForest {
   static double average_path_length(std::size_t n) noexcept;
 
  private:
+  // One node of a tree's flat array.  An internal node sends a row to
+  // child[!(x[feature] < threshold)], so NaN goes right.  A leaf is its
+  // own child on both sides and carries `terminal` = depth + c(size),
+  // the path length of every row that reaches it; a walk of exactly the
+  // tree's height therefore ends on the row's leaf without testing for
+  // one.
   struct Node {
-    // Leaf when feature == npos; `size` then holds the number of training
-    // points that reached the leaf.
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-    std::size_t feature = npos;
     double threshold = 0.0;
-    std::int32_t left = -1;
-    std::int32_t right = -1;
-    std::size_t size = 0;
+    double terminal = 0.0;
+    std::uint32_t feature = 0;
+    std::uint32_t child[2] = {0, 0};
   };
 
   struct Tree {
-    std::vector<Node> nodes;
-    double path_length(std::span<const double> point) const;
+    std::vector<Node> nodes;  // root first
+    std::uint32_t height = 0;  // deepest leaf's depth
+    double path_length(const double* point) const noexcept;
   };
 
   Tree build_tree(const Matrix& data, std::vector<std::size_t>& indices,
                   bp::util::Rng& rng) const;
+  // Adds each row's path length through `tree` to sums[i - begin],
+  // several rows in flight at once.
+  static void accumulate(const Tree& tree, const Matrix& data,
+                         std::size_t begin, std::size_t end, double* sums);
 
   IsolationForestConfig config_;
   std::vector<Tree> trees_;

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 
 #include "net/socket_ops.h"
@@ -128,15 +129,28 @@ bool parse_request_head(std::string_view head, HttpRequest* out) {
   return true;
 }
 
-std::string serialize_response(const HttpResponse& response) {
-  std::string out = "HTTP/1.1 " + std::to_string(response.status) + " " +
-                    std::string(status_reason(response.status)) + "\r\n";
-  out += "Content-Type: " + response.content_type + "\r\n";
-  out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
-  out += response.keep_alive ? "Connection: keep-alive\r\n\r\n"
-                             : "Connection: close\r\n\r\n";
+namespace {
+
+void append_decimal(std::string& out, std::size_t value) {
+  char digits[24];
+  const auto end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+  out.append(digits, end);
+}
+
+}  // namespace
+
+void serialize_response(const HttpResponse& response, std::string& out) {
+  out += "HTTP/1.1 ";
+  append_decimal(out, static_cast<std::size_t>(response.status));
+  out += ' ';
+  out += status_reason(response.status);
+  out += "\r\nContent-Type: ";
+  out += response.content_type;
+  out += "\r\nContent-Length: ";
+  append_decimal(out, response.body.size());
+  out += response.keep_alive ? "\r\nConnection: keep-alive\r\n\r\n"
+                             : "\r\nConnection: close\r\n\r\n";
   out += response.body;
-  return out;
 }
 
 std::uint64_t query_uint(std::string_view query, std::string_view key,
@@ -237,6 +251,7 @@ HttpListener::HttpListener(ListenerConfig config, Handler handler)
   const std::size_t n_handlers =
       std::max<std::size_t>(config_.handler_threads, 1);
   handlers_.reserve(n_handlers);
+  serving_fds_.assign(n_handlers, -1);
   for (std::size_t i = 0; i < n_handlers; ++i) {
     handlers_.emplace_back([this, i] { handler_loop(i); });
   }
@@ -289,8 +304,13 @@ void HttpListener::handler_loop(std::size_t lane) {
       if (pending_.empty()) return;  // stopping and drained
       fd = pending_.front();
       pending_.pop_front();
+      serving_fds_[lane] = fd;
     }
     serve_connection(fd);
+    {
+      std::lock_guard lock(queue_mutex_);
+      serving_fds_[lane] = -1;
+    }
     ::close(fd);
   }
 }
@@ -298,8 +318,15 @@ void HttpListener::handler_loop(std::size_t lane) {
 void HttpListener::serve_connection(int fd) {
   using Clock = std::chrono::steady_clock;
   std::string buffer;
+  std::string reply;  // every response on this connection
   char chunk[4096];
   const Clock::time_point opened = Clock::now();
+  // Renders one response into `reply` and sends it.
+  const auto send_response = [&](const HttpResponse& response) {
+    reply.clear();
+    serialize_response(response, reply);
+    return sockops::send_all(fd, reply);
+  };
   std::size_t served = 0;
   const auto lifetime_expired = [&] {
     return config_.max_connection_lifetime.count() > 0 &&
@@ -334,7 +361,7 @@ void HttpListener::serve_connection(int fd) {
         too_large.status = 431;
         too_large.body = "request head too large\n";
         requests_.fetch_add(1, std::memory_order_relaxed);
-        sockops::send_all(fd, serialize_response(too_large));
+        send_response(too_large);
         return;
       }
       // Between requests on an idle keep-alive connection, notice a
@@ -348,7 +375,7 @@ void HttpListener::serve_connection(int fd) {
           timed_out.status = 408;
           timed_out.body = "request head timeout\n";
           requests_.fetch_add(1, std::memory_order_relaxed);
-          sockops::send_all(fd, serialize_response(timed_out));
+          send_response(timed_out);
           return;
         }
         sockops::set_recv_timeout(
@@ -396,7 +423,7 @@ void HttpListener::serve_connection(int fd) {
       malformed.status = 400;
       malformed.body = "malformed request\n";
       requests_.fetch_add(1, std::memory_order_relaxed);
-      sockops::send_all(fd, serialize_response(malformed));
+      send_response(malformed);
       return;  // framing is lost; nothing downstream can be trusted
     }
     if (request.content_length > config_.max_body_bytes) {
@@ -404,7 +431,7 @@ void HttpListener::serve_connection(int fd) {
       too_large.status = 413;
       too_large.body = "request body too large\n";
       requests_.fetch_add(1, std::memory_order_relaxed);
-      sockops::send_all(fd, serialize_response(too_large));
+      send_response(too_large);
       return;
     }
 
@@ -443,7 +470,7 @@ void HttpListener::serve_connection(int fd) {
     bool sent;
     {
       PROF_SCOPE("net.serialize");
-      sent = sockops::send_all(fd, serialize_response(response));
+      sent = send_response(response);
     }
     if (!sent || !response.keep_alive) {
       return;
@@ -455,9 +482,19 @@ void HttpListener::serve_connection(int fd) {
 void HttpListener::begin_stop() {
   if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
   // Unblock accept() by shutting the listening socket down before
-  // closing it; handlers notice via the flag between requests.
+  // closing it.  Handlers notice the flag between requests; one already
+  // blocked in recv on an idle keep-alive peer gets EOF from the read
+  // shutdown instead of waiting out io_timeout.  Bytes already received
+  // stay readable and the write side stays open, so a request in hand
+  // is still answered.
   if (listen_fd_ >= 0) {
     ::shutdown(listen_fd_, SHUT_RDWR);
+  }
+  {
+    std::lock_guard lock(queue_mutex_);
+    for (int fd : serving_fds_) {
+      if (fd >= 0) ::shutdown(fd, SHUT_RD);
+    }
   }
   queue_cv_.notify_all();
 }

@@ -79,9 +79,10 @@ std::string_view status_reason(int status) noexcept;
 // everything else is ignored.
 bool parse_request_head(std::string_view head, HttpRequest* out);
 
-// Serialize status line + minimal headers + body.  The Connection
-// header follows `response.keep_alive`.
-std::string serialize_response(const HttpResponse& response);
+// Append status line + minimal headers + body to `out`.  The
+// Connection header follows `response.keep_alive`.  Appending lets a
+// connection reuse one buffer for every response it sends.
+void serialize_response(const HttpResponse& response, std::string& out);
 
 // Value of `key` in a query string ("n=50&x=1"), or `fallback` when
 // absent/unparseable.  Only non-negative integers are supported.
@@ -183,7 +184,9 @@ class HttpListener {
   // unblocks handler threads waiting on scoring responses — and only
   // then joins the pool):
   //   begin_stop()  stop accepting; in-flight connections finish their
-  //                 current request and close instead of keeping alive;
+  //                 current request and close instead of keeping alive,
+  //                 and a connection idle between requests is shut for
+  //                 reading, so its handler leaves recv at once;
   //   stop()        begin_stop + join all threads + close what was
   //                 accepted but never picked up.
   // Both are idempotent; the destructor calls stop().
@@ -213,6 +216,10 @@ class HttpListener {
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::deque<int> pending_;  // accepted fds awaiting a handler
+  // The connection each handler lane is serving, -1 when none.  Set and
+  // cleared (before close) under queue_mutex_, which begin_stop() holds
+  // while it shuts them down, so it never reaches a reused fd.
+  std::vector<int> serving_fds_;
 
   std::mutex stop_mutex_;  // serializes stop() callers
   std::thread acceptor_;

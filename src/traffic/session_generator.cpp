@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <iterator>
+#include <span>
 
 #include "browser/engine_timelines.h"
 #include "util/parallel.h"
@@ -15,6 +17,20 @@ namespace {
 using browser::Environment;
 using browser::Modifier;
 using bp::util::Date;
+
+// sample_vendor's vendors are the first four enumerators; the release
+// tables cover exactly those, for each of the two Decay values.
+constexpr std::size_t kTableVendors = 4;
+constexpr std::size_t kDecays = 2;
+static_assert(static_cast<std::size_t>(ua::Vendor::kChrome) < kTableVendors &&
+              static_cast<std::size_t>(ua::Vendor::kFirefox) < kTableVendors &&
+              static_cast<std::size_t>(ua::Vendor::kEdge) < kTableVendors &&
+              static_cast<std::size_t>(ua::Vendor::kEdgeLegacy) <
+                  kTableVendors);
+
+// The OSes a generated session runs on; user_agents_ holds one string
+// per release for each.
+constexpr ua::Os kSessionOses[] = {ua::Os::kWindows10, ua::Os::kMacSonoma};
 
 std::vector<std::int32_t> store_features(
     const browser::CandidateValues& all,
@@ -41,7 +57,63 @@ std::vector<std::size_t> experiment_feature_indices() {
 }
 
 SessionGenerator::SessionGenerator(TrafficConfig config)
-    : config_(config), rng_(config.seed) {}
+    : config_(config), rng_(config.seed) {
+  const auto releases = browser::ReleaseDatabase::instance().releases();
+  for (const browser::BrowserRelease& r : releases) {
+    for (ua::Os os : kSessionOses) {
+      user_agents_.push_back(ua::format_user_agent(r.user_agent(os)));
+    }
+    labels_.push_back(r.label());
+  }
+
+  // One ReleaseChoice per (decay, vendor, day): the vendor's releases
+  // out by that day in database order, their popularity weights, and the
+  // weights' total summed in the order Rng::weighted sums.
+  const int days = std::max(config_.end_date - config_.start_date, 0) + 1;
+  const double taus[kDecays] = {
+      config_.release_age_tau_days,
+      config_.release_age_tau_days * config_.victim_staleness_multiplier};
+  release_choices_.reserve(kDecays * kTableVendors *
+                           static_cast<std::size_t>(days));
+  for (const double tau_days : taus) {
+    for (std::size_t v = 0; v < kTableVendors; ++v) {
+      for (int day = 0; day < days; ++day) {
+        const Date date = config_.start_date + day;
+        ReleaseChoice choice;
+        choice.begin = static_cast<std::uint32_t>(release_pool_.size());
+        for (const browser::BrowserRelease& r : releases) {
+          if (static_cast<std::size_t>(r.vendor) != v ||
+              r.release_date > date) {
+            continue;
+          }
+          const double age_days = static_cast<double>(date - r.release_date);
+          const double weight = std::exp(-age_days / tau_days);
+          release_pool_.push_back(&r);
+          weight_pool_.push_back(weight);
+          choice.total += weight > 0.0 ? weight : 0.0;
+        }
+        choice.count =
+            static_cast<std::uint32_t>(release_pool_.size()) - choice.begin;
+        release_choices_.push_back(choice);
+      }
+    }
+  }
+}
+
+const std::string& SessionGenerator::user_agent_of(
+    const browser::BrowserRelease& release, ua::Os os) const {
+  assert(os == kSessionOses[0] || os == kSessionOses[1]);
+  const auto index = static_cast<std::size_t>(
+      &release - browser::ReleaseDatabase::instance().releases().data());
+  return user_agents_[std::size(kSessionOses) * index +
+                      (os == kSessionOses[1] ? 1 : 0)];
+}
+
+const std::string& SessionGenerator::label_of(
+    const browser::BrowserRelease& release) const {
+  return labels_[static_cast<std::size_t>(
+      &release - browser::ReleaseDatabase::instance().releases().data())];
+}
 
 std::string SessionGenerator::session_id_for(
     std::uint64_t session_index) const {
@@ -69,31 +141,31 @@ ua::Vendor SessionGenerator::sample_vendor(bp::util::Rng& rng) {
 }
 
 const browser::BrowserRelease* SessionGenerator::sample_release(
-    ua::Vendor vendor, Date date, double tau_days, double straggler_tail,
-    bp::util::Rng& rng) {
-  const auto& db = browser::ReleaseDatabase::instance();
-  std::vector<const browser::BrowserRelease*> candidates;
-  for (const auto& r : db.releases()) {
-    if (r.vendor == vendor && r.release_date <= date) {
-      candidates.push_back(&r);
-    }
-  }
-  if (candidates.empty()) return nullptr;
+    ua::Vendor vendor, Date date, Decay decay, double straggler_tail,
+    bp::util::Rng& rng) const {
+  const auto day = static_cast<std::size_t>(date - config_.start_date);
+  const std::size_t days = release_choices_.size() / (kDecays * kTableVendors);
+  assert(static_cast<std::size_t>(vendor) < kTableVendors && day < days);
+  const ReleaseChoice& choice =
+      release_choices_[(static_cast<std::size_t>(decay) * kTableVendors +
+                        static_cast<std::size_t>(vendor)) *
+                           days +
+                       day];
+  if (choice.count == 0) return nullptr;
+  const browser::BrowserRelease* const* candidates =
+      release_pool_.data() + choice.begin;
 
   if (rng.chance(straggler_tail)) {
     // Straggler: any historical release, uniformly — this is what keeps
     // Chrome 81-era UAs alive at double-digit row counts.
-    return candidates[rng.below(candidates.size())];
+    return candidates[rng.below(choice.count)];
   }
 
-  std::vector<double> weights;
-  weights.reserve(candidates.size());
-  for (const auto* r : candidates) {
-    const double age_days = static_cast<double>(date - r->release_date);
-    weights.push_back(std::exp(-age_days / tau_days));
-  }
-  const std::size_t pick = rng.weighted(weights);
-  return candidates[pick < candidates.size() ? pick : candidates.size() - 1];
+  const std::size_t pick = rng.weighted(
+      std::span<const double>(weight_pool_.data() + choice.begin,
+                              choice.count),
+      choice.total);
+  return candidates[pick < choice.count ? pick : choice.count - 1];
 }
 
 void SessionGenerator::assign_tags(SessionRecord& record, bp::util::Rng& rng) {
@@ -117,14 +189,14 @@ void SessionGenerator::assign_tags(SessionRecord& record, bp::util::Rng& rng) {
 
 SessionRecord SessionGenerator::make_benign(
     const std::vector<std::size_t>& stored_indices, Date date,
-    bp::util::Rng& rng, std::uint64_t session_index) {
+    bp::util::Rng& rng, std::uint64_t session_index,
+    browser::CandidateValues& candidates) {
   SessionRecord record;
   record.date = date;
   record.session_id = session_id_for(session_index);
 
   const ua::Vendor vendor = sample_vendor(rng);
-  const auto* release = sample_release(vendor, date,
-                                       config_.release_age_tau_days,
+  const auto* release = sample_release(vendor, date, Decay::kLive,
                                        config_.straggler_tail, rng);
   assert(release != nullptr);
 
@@ -159,21 +231,23 @@ SessionRecord SessionGenerator::make_benign(
   // Update inconsistency: the UA header reports the next major while the
   // engine still runs this build (staged rollout windows).  Only applies
   // when the next major exists.
-  bool mid_update = false;
+  const browser::BrowserRelease* presented = release;
   if (rng.chance(config_.p_update_inconsistency)) {
     const auto* next = browser::ReleaseDatabase::instance().find(
         claimed.vendor, claimed.major_version + 1);
     if (next != nullptr && next->release_date <= date) {
       ++claimed.major_version;
-      mid_update = true;
+      presented = next;
     }
   }
+  const bool mid_update = presented != release;
 
+  assert(claimed == presented->user_agent(env.os));
   record.claimed = claimed;
-  record.user_agent = ua::format_user_agent(claimed);
-  record.features =
-      store_features(browser::extract_candidates(env), stored_indices);
-  record.origin = release->label();
+  record.user_agent = user_agent_of(*presented, env.os);
+  browser::extract_candidates(env, candidates);
+  record.features = store_features(candidates, stored_indices);
+  record.origin = label_of(*release);
   if (mid_update) {
     record.origin += " (mid-update)";
     record.untrusted_ip =
@@ -190,7 +264,7 @@ SessionRecord SessionGenerator::make_benign(
 SessionRecord SessionGenerator::make_privacy(
     const std::vector<std::size_t>& stored_indices, Date date,
     bool aggressive_brave, bool tor, bp::util::Rng& rng,
-    std::uint64_t session_index) {
+    std::uint64_t session_index, browser::CandidateValues& candidates) {
   SessionRecord record;
   record.date = date;
   record.session_id = session_id_for(session_index);
@@ -220,10 +294,11 @@ SessionRecord SessionGenerator::make_privacy(
   assert(env.release != nullptr);
 
   const ua::UserAgent claimed = env.presented_user_agent();
+  assert(claimed == env.release->user_agent(env.os));
   record.claimed = claimed;
-  record.user_agent = ua::format_user_agent(claimed);
-  record.features =
-      store_features(browser::extract_candidates(env), stored_indices);
+  record.user_agent = user_agent_of(*env.release, env.os);
+  browser::extract_candidates(env, candidates);
+  record.features = store_features(candidates, stored_indices);
   assign_tags(record, rng);
   return record;
 }
@@ -260,9 +335,7 @@ SessionRecord SessionGenerator::make_fraud(
   // months before the fraudster loads them.
   const ua::Vendor vendor = sample_vendor(rng);
   const auto* victim_release = sample_release(
-      vendor, date,
-      config_.release_age_tau_days * config_.victim_staleness_multiplier,
-      config_.victim_straggler_tail, rng);
+      vendor, date, Decay::kVictim, config_.victim_straggler_tail, rng);
   assert(victim_release != nullptr);
   const ua::UserAgent victim_ua = victim_release->user_agent(
       rng.chance(0.78) ? ua::Os::kWindows10 : ua::Os::kMacSonoma);
@@ -283,7 +356,7 @@ SessionRecord SessionGenerator::make_fraud(
 
 SessionRecord SessionGenerator::synthesize(
     const std::vector<std::size_t>& stored_indices, bp::util::Rng& rng,
-    std::uint64_t session_index) {
+    std::uint64_t session_index, browser::CandidateValues& candidates) {
   const int span_days =
       std::max(config_.end_date - config_.start_date, 0);
   const Date date =
@@ -300,18 +373,18 @@ SessionRecord SessionGenerator::synthesize(
     const double r = rng.uniform() * p_privacy;
     if (r < config_.p_tor) {
       return make_privacy(stored_indices, date, false, true, rng,
-                          session_index);
+                          session_index, candidates);
     }
     return make_privacy(stored_indices, date,
                         r < config_.p_tor + config_.p_brave_aggressive, false,
-                        rng, session_index);
+                        rng, session_index, candidates);
   }
-  return make_benign(stored_indices, date, rng, session_index);
+  return make_benign(stored_indices, date, rng, session_index, candidates);
 }
 
 SessionRecord SessionGenerator::next_session(
     const std::vector<std::size_t>& stored_indices) {
-  return synthesize(stored_indices, rng_, session_counter_++);
+  return synthesize(stored_indices, rng_, session_counter_++, candidates_);
 }
 
 Dataset SessionGenerator::generate(std::vector<std::size_t> stored_indices) {
@@ -329,9 +402,10 @@ Dataset SessionGenerator::generate(std::vector<std::size_t> stored_indices) {
       [&](std::size_t begin, std::size_t end) {
         const std::size_t shard = begin / kGenerateShard;
         bp::util::Rng shard_rng = root.split(shard);
+        browser::CandidateValues candidates;
         for (std::size_t i = begin; i < end; ++i) {
           records[i] =
-              synthesize(dataset.stored_indices(), shard_rng, i);
+              synthesize(dataset.stored_indices(), shard_rng, i, candidates);
         }
       });
   return dataset;

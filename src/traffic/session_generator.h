@@ -116,31 +116,62 @@ class SessionGenerator {
   static constexpr std::size_t kGenerateShard = 1024;
 
  private:
+  // Popularity decay of a sampled release: live traffic's, or the
+  // slower one of a stolen victim profile.
+  enum class Decay : std::uint8_t { kLive, kVictim };
+
+  // The releases one (decay, vendor, day of the window) can draw: the
+  // database's candidates in database order, their exp(-age / tau)
+  // weights and the weights' total.  Built once per generator from the
+  // immutable ReleaseDatabase.
+  struct ReleaseChoice {
+    std::uint32_t begin = 0;  // into release_pool_ and weight_pool_
+    std::uint32_t count = 0;
+    double total = 0.0;
+  };
+
   SessionRecord synthesize(const std::vector<std::size_t>& stored_indices,
-                           bp::util::Rng& rng, std::uint64_t session_index);
+                           bp::util::Rng& rng, std::uint64_t session_index,
+                           browser::CandidateValues& candidates);
+  // `candidates` is the caller's reused extraction buffer.
   SessionRecord make_benign(const std::vector<std::size_t>& stored_indices,
                             bp::util::Date date, bp::util::Rng& rng,
-                            std::uint64_t session_index);
+                            std::uint64_t session_index,
+                            browser::CandidateValues& candidates);
   SessionRecord make_privacy(const std::vector<std::size_t>& stored_indices,
                              bp::util::Date date, bool aggressive_brave,
                              bool tor, bp::util::Rng& rng,
-                             std::uint64_t session_index);
+                             std::uint64_t session_index,
+                             browser::CandidateValues& candidates);
   SessionRecord make_fraud(const std::vector<std::size_t>& stored_indices,
                            bp::util::Date date, bp::util::Rng& rng,
                            std::uint64_t session_index);
 
   const browser::BrowserRelease* sample_release(ua::Vendor vendor,
                                                 bp::util::Date date,
-                                                double tau_days,
+                                                Decay decay,
                                                 double straggler_tail,
-                                                bp::util::Rng& rng);
+                                                bp::util::Rng& rng) const;
   ua::Vendor sample_vendor(bp::util::Rng& rng);
   void assign_tags(SessionRecord& record, bp::util::Rng& rng);
   std::string session_id_for(std::uint64_t session_index) const;
+  // Pre-rendered strings of a database release: its UA header on one of
+  // the two OSes sessions draw (Windows 10, macOS Sonoma) and its label.
+  const std::string& user_agent_of(const browser::BrowserRelease& release,
+                                   ua::Os os) const;
+  const std::string& label_of(const browser::BrowserRelease& release) const;
 
   TrafficConfig config_;
   bp::util::Rng rng_;
   std::uint64_t session_counter_ = 0;
+  // next_session's extraction buffer; generate() keeps one per shard.
+  browser::CandidateValues candidates_;
+
+  std::vector<ReleaseChoice> release_choices_;  // [decay][vendor][day]
+  std::vector<const browser::BrowserRelease*> release_pool_;
+  std::vector<double> weight_pool_;
+  std::vector<std::string> user_agents_;  // [release][os slot]
+  std::vector<std::string> labels_;       // [release]
 };
 
 // Convenience: the candidate indices worth persisting for the paper's

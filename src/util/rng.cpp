@@ -1,6 +1,7 @@
 #include "util/rng.h"
 
 #include <cmath>
+#include <utility>
 
 namespace bp::util {
 
@@ -59,6 +60,11 @@ int Rng::integer_noise(double p, double decay) noexcept {
 std::size_t Rng::weighted(std::span<const double> weights) noexcept {
   double total = 0.0;
   for (double w : weights) total += (w > 0.0 ? w : 0.0);
+  return weighted(weights, total);
+}
+
+std::size_t Rng::weighted(std::span<const double> weights,
+                          double total) noexcept {
   if (total <= 0.0) return weights.size();
   double target = uniform() * total;
   for (std::size_t i = 0; i < weights.size(); ++i) {
@@ -72,16 +78,37 @@ std::size_t Rng::weighted(std::span<const double> weights) noexcept {
 std::vector<std::size_t> Rng::sample_indices(std::size_t n,
                                              std::size_t k) noexcept {
   if (k > n) k = n;
-  // Partial Fisher-Yates over an index vector.
-  std::vector<std::size_t> idx(n);
-  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+  // Partial Fisher-Yates over the virtual array idx[p] = p: step i swaps
+  // idx[i] with idx[j], j drawn from [i, n).  Only positions a swap has
+  // touched differ from identity, and at most k of them, so they live in
+  // an open-addressed table of (position, value) pairs instead of an
+  // n-entry vector.  Draws and output equal the dense shuffle's.
+  std::vector<std::size_t> out(k);
+  if (k == 0) return out;
+  constexpr std::size_t kEmpty = static_cast<std::size_t>(-1);
+  std::size_t capacity = 4;
+  while (capacity < 2 * k) capacity *= 2;
+  const std::size_t mask = capacity - 1;
+  std::vector<std::pair<std::size_t, std::size_t>> moved(
+      capacity, {kEmpty, 0});
+  const auto slot = [&](std::size_t position) -> auto& {
+    std::size_t h = static_cast<std::size_t>(mix64(position)) & mask;
+    while (moved[h].first != kEmpty && moved[h].first != position) {
+      h = (h + 1) & mask;
+    }
+    return moved[h];
+  };
   for (std::size_t i = 0; i < k; ++i) {
     const std::size_t j = i + static_cast<std::size_t>(below(n - i));
-    using std::swap;
-    swap(idx[i], idx[j]);
+    // Position i is never read again after this step, so only j's new
+    // value is written back.
+    auto& at_i = slot(i);
+    const std::size_t value_i = at_i.first == kEmpty ? i : at_i.second;
+    auto& at_j = slot(j);
+    out[i] = at_j.first == kEmpty ? j : at_j.second;
+    at_j = {j, value_i};
   }
-  idx.resize(k);
-  return idx;
+  return out;
 }
 
 }  // namespace bp::util

@@ -114,6 +114,10 @@ class Rng {
   // weights (need not be normalized).  Returns weights.size() only when
   // all weights are zero or the span is empty.
   std::size_t weighted(std::span<const double> weights) noexcept;
+  // The same draw with the weights' total (the sum of the positive
+  // weights, in order) already known, for callers that sample one fixed
+  // table many times.
+  std::size_t weighted(std::span<const double> weights, double total) noexcept;
 
   // Fisher-Yates shuffle.
   template <typename T>

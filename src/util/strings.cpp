@@ -88,10 +88,12 @@ std::string to_lower(std::string_view s) {
 }
 
 std::string to_hex(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
+  // Sixteen lowercase digits, zero-padded (printf's "%016llx").
+  std::string out(16, '0');
+  for (std::size_t i = 16; i-- > 0; v >>= 4) {
+    out[i] = "0123456789abcdef"[v & 0xf];
+  }
+  return out;
 }
 
 }  // namespace bp::util

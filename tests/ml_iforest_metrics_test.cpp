@@ -1,7 +1,10 @@
 // Tests for the Isolation Forest and the clustering-accuracy metrics.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "ml/isolation_forest.h"
 #include "ml/metrics.h"
@@ -106,6 +109,63 @@ TEST(IsolationForest, HandlesConstantData) {
   for (std::size_t i = 1; i < scores.size(); ++i) {
     EXPECT_DOUBLE_EQ(scores[i], scores[0]);
   }
+}
+
+// Batch scoring walks the trees tree-major over row blocks, several
+// rows at a time; every score must still equal score_one's bit for bit.
+void expect_batch_equals_scalar(const IsolationForest& forest,
+                                const Matrix& data) {
+  const std::vector<double> batch = forest.score(data);
+  ASSERT_EQ(batch.size(), data.rows());
+  for (std::size_t i = 0; i < data.rows(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(batch[i]),
+              std::bit_cast<std::uint64_t>(forest.score_one(data.row(i))))
+        << "row " << i;
+  }
+}
+
+TEST(IsolationForest, BatchScoresEqualScalarScoresBitForBit) {
+  // 2'500 rows: two full 1024-row blocks, a partial one, and a tail
+  // that is not a whole number of interleaved rows.
+  bp::util::Rng rng(21);
+  Matrix data(2'500, 6);
+  for (std::size_t i = 0; i < data.rows(); ++i) {
+    for (std::size_t j = 0; j < data.cols(); ++j) {
+      data(i, j) = rng.normal(0.0, 1.0 + static_cast<double>(j));
+    }
+    data(i, 4) = 2.5;                                    // constant column
+    if (i % 7 == 3) data(i, 5) = data(i - 1, 5);         // repeated values
+  }
+  for (std::size_t i = 100; i < 200; ++i) {              // duplicate rows
+    for (std::size_t j = 0; j < data.cols(); ++j) data(i, j) = data(99, j);
+  }
+  data(10, 0) = std::numeric_limits<double>::infinity();
+  data(11, 1) = -std::numeric_limits<double>::infinity();
+  data(12, 2) = std::numeric_limits<double>::infinity();
+  data(12, 3) = -std::numeric_limits<double>::infinity();
+
+  IsolationForest forest;
+  forest.fit(data);
+  expect_batch_equals_scalar(forest, data);
+
+  // Rows the forest never saw, NaN included (NaN goes right in both).
+  Matrix probes(37, 6);
+  for (std::size_t i = 0; i < probes.rows(); ++i) {
+    for (std::size_t j = 0; j < probes.cols(); ++j) {
+      probes(i, j) = rng.normal(0.0, 4.0);
+    }
+  }
+  probes(0, 0) = std::numeric_limits<double>::quiet_NaN();
+  probes(1, 3) = std::numeric_limits<double>::quiet_NaN();
+  probes(2, 5) = std::numeric_limits<double>::infinity();
+  probes(3, 1) = -std::numeric_limits<double>::infinity();
+  expect_batch_equals_scalar(forest, probes);
+
+  // Data with no spread at all: every tree is a single leaf.
+  const Matrix constant(40, 3, -1.0);
+  IsolationForest flat;
+  flat.fit(constant);
+  expect_batch_equals_scalar(flat, constant);
 }
 
 // ------------------------- metrics -------------------------

@@ -250,6 +250,27 @@ TEST(HttpListenerHardening, IdleKeepAliveConnectionIsReaped) {
   EXPECT_EQ(client.connects(), 2u);
 }
 
+// stop() must not wait out io_timeout (2 s here) on a handler blocked
+// in recv on a client that keeps its connection open and sends nothing.
+TEST(HttpListenerHardening, StopIsPromptWithAnIdleKeepAlivePeer) {
+  ListenerConfig config;
+  config.keep_alive = true;
+  HttpListener listener(config, echo_handler());
+  ASSERT_TRUE(listener.running()) << listener.error();
+
+  HttpClient client("127.0.0.1", listener.port());
+  ASSERT_EQ(client.get("/a").status, 200);
+  // Give the handler time to go back into recv on the idle connection.
+  std::this_thread::sleep_for(20ms);
+  const Clock::time_point start = Clock::now();
+  listener.stop();
+  const auto took = Clock::now() - start;
+  EXPECT_LT(took, 50ms)
+      << std::chrono::duration_cast<std::chrono::milliseconds>(took).count()
+      << " ms";
+  EXPECT_EQ(listener.reaped(), 0u);
+}
+
 TEST(HttpListenerHardening, MaxRequestsPerConnectionCapsReuse) {
   ListenerConfig config;
   config.keep_alive = true;

@@ -223,6 +223,42 @@ TEST(Rng, SampleIndicesClampsToPopulation) {
   EXPECT_EQ(rng.sample_indices(5, 50).size(), 5u);
 }
 
+// The sparse partial Fisher-Yates must make the same draws and return
+// the same indices as the dense one it replaced: shuffle the first k
+// slots of an n-entry identity vector.
+std::vector<std::size_t> dense_sample(Rng& rng, std::size_t n, std::size_t k) {
+  if (k > n) k = n;
+  std::vector<std::size_t> idx(n);
+  std::iota(idx.begin(), idx.end(), std::size_t{0});
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t j = i + static_cast<std::size_t>(rng.below(n - i));
+    std::swap(idx[i], idx[j]);
+  }
+  idx.resize(k);
+  return idx;
+}
+
+TEST(Rng, SampleIndicesMatchesTheDenseShuffle) {
+  const std::size_t ns[] = {0, 1, 2, 3, 7, 64, 255, 256, 257, 1000, 30'000};
+  const std::size_t ks[] = {0, 1, 2, 5, 100, 256, 999, 1000, 1001, 40'000};
+  std::uint64_t seed = 1;
+  for (std::size_t n : ns) {
+    for (std::size_t k : ks) {
+      Rng sparse(seed);
+      Rng dense(seed);
+      ++seed;
+      EXPECT_EQ(sparse.sample_indices(n, k), dense_sample(dense, n, k))
+          << "n " << n << " k " << k;
+      // Both consumed the same draws.
+      EXPECT_EQ(sparse.next(), dense.next()) << "n " << n << " k " << k;
+    }
+    Rng sparse(seed);
+    Rng dense(seed);
+    EXPECT_EQ(sparse.sample_indices(n, n), dense_sample(dense, n, n))
+        << "k = n = " << n;
+  }
+}
+
 TEST(Rng, ForkedStreamsDiffer) {
   Rng parent(18);
   Rng child_a = parent.fork(1);
