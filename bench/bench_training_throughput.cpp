@@ -11,7 +11,7 @@
 // Determinism is part of the contract: the serialized model bytes must
 // be identical at every thread count, and the bench FAILS otherwise on
 // any machine.  The >= 3x end-to-end speedup gate only fires on 8+ core
-// hardware (mirroring bench_serving_throughput's policy).
+// hardware: below that the threads time-share cores.
 //
 // Output: a human-readable table on stdout plus machine-readable JSON
 // ("BENCH_training.json" in the working directory, or the last

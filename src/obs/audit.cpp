@@ -2,20 +2,12 @@
 
 #include <cstdio>
 
-#include "util/rng.h"
-
 namespace bp::obs {
 
-AuditTrail::AuditTrail(AuditConfig config) : config_(config) {
+AuditTrail::AuditTrail(AuditConfig config)
+    : config_(config), sampler_(config.seed, config.unflagged_sample_rate) {
   if (config_.capacity == 0) config_.capacity = 1;
   ring_.resize(config_.capacity);
-}
-
-bool AuditTrail::sample_unflagged(std::uint64_t session_id) const noexcept {
-  if (config_.unflagged_sample_rate >= 1.0) return true;
-  if (config_.unflagged_sample_rate <= 0.0) return false;
-  return bp::util::Rng(config_.seed).split(session_id).uniform() <
-         config_.unflagged_sample_rate;
 }
 
 void AuditTrail::record(const AuditRecord& record) {
@@ -26,7 +18,7 @@ void AuditTrail::record(const AuditRecord& record) {
     ++size_;
   }
   ring_[next_] = record;
-  next_ = (next_ + 1) % ring_.size();
+  if (++next_ == ring_.size()) next_ = 0;
   recorded_.fetch_add(1, std::memory_order_relaxed);
   if (record.flagged()) flagged_.fetch_add(1, std::memory_order_relaxed);
 }

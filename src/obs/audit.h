@@ -20,7 +20,7 @@
 // path, not the scoring hot loop: flagged sessions are rare and the
 // unflagged sample rate is small, so the common case is one pure
 // sampling decision (no lock).  Like trace sampling, the unflagged
-// sample is deterministic in (seed, session id) via Rng::split.
+// sample is deterministic in (seed, session id) via util::IdSampler.
 #pragma once
 
 #include <atomic>
@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "ua/user_agent.h"
+#include "util/rng.h"
 
 namespace bp::obs {
 
@@ -71,7 +72,9 @@ class AuditTrail {
 
   // Deterministic decision: should this *unflagged* session be recorded?
   // Pure in (seed, session_id); flagged sessions are always recorded.
-  bool sample_unflagged(std::uint64_t session_id) const noexcept;
+  bool sample_unflagged(std::uint64_t session_id) const noexcept {
+    return sampler_.keep(session_id);
+  }
 
   void record(const AuditRecord& record);
 
@@ -102,6 +105,7 @@ class AuditTrail {
 
  private:
   AuditConfig config_;
+  util::IdSampler sampler_;
   mutable std::mutex mutex_;
   std::vector<AuditRecord> ring_;
   std::size_t next_ = 0;

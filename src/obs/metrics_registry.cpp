@@ -182,41 +182,68 @@ std::size_t MetricsRegistry::size() const {
   return instruments_.size();
 }
 
-std::string MetricsRegistry::render_prometheus() const {
+// One instrument's values, read under the lock so renders can format
+// after releasing it.  Names are copied: remove() may erase an entry as
+// soon as the lock is released.
+struct MetricsRegistry::Row {
+  std::string name, help;
+  Kind kind;
+  std::uint64_t total = 0;  // a counter's value, or a histogram's sum
+  double value = 0.0;       // a gauge's value, or its callback's
+  Histogram::Counts buckets{}, exemplars{};
+};
+
+// Callbacks run here, under the lock, so once remove() returns no
+// in-flight render can still call the removed callback.
+std::vector<MetricsRegistry::Row> MetricsRegistry::snapshot() const {
   std::lock_guard lock(mutex_);
-  std::string out;
-  out.reserve(instruments_.size() * 96);
+  std::vector<Row> rows;
+  rows.reserve(instruments_.size());
   for (const auto& [name, instrument] : instruments_) {
-    if (!instrument.help.empty()) {
-      out += "# HELP " + name + " " + escape_help(instrument.help) + "\n";
+    Row& row = rows.emplace_back(Row{name, instrument.help, instrument.kind});
+    if (instrument.counter) row.total = instrument.counter->value();
+    if (instrument.gauge) row.value = instrument.gauge->value();
+    if (instrument.callback) row.value = instrument.callback();
+    if (instrument.histogram) {
+      row.buckets = instrument.histogram->bucket_counts();
+      row.exemplars = instrument.histogram->exemplar_trace_ids();
+      row.total = instrument.histogram->sum();
     }
-    switch (instrument.kind) {
+  }
+  return rows;
+}
+
+std::string MetricsRegistry::render_prometheus() const {
+  const std::vector<Row> rows = snapshot();
+  std::string out;
+  out.reserve(rows.size() * 96);
+  for (const Row& row : rows) {
+    const std::string& name = row.name;
+    if (!row.help.empty()) {
+      out += "# HELP " + name + " " + escape_help(row.help) + "\n";
+    }
+    switch (row.kind) {
       case Kind::kCounter:
         out += "# TYPE " + name + " counter\n";
-        out += name + " " + std::to_string(instrument.counter->value()) + "\n";
+        out += name + " " + std::to_string(row.total) + "\n";
         break;
       case Kind::kGauge:
-        out += "# TYPE " + name + " gauge\n";
-        out += name + " " + format_value(instrument.gauge->value()) + "\n";
-        break;
       case Kind::kCallback:
         out += "# TYPE " + name + " gauge\n";
-        out += name + " " + format_value(instrument.callback()) + "\n";
+        out += name + " " + format_value(row.value) + "\n";
         break;
       case Kind::kHistogram: {
-        const Histogram& h = *instrument.histogram;
         out += "# TYPE " + name + " histogram\n";
-        const Histogram::Counts counts = h.bucket_counts();
         std::uint64_t cumulative = 0;
         for (std::size_t b = 0; b < hist::kBuckets; ++b) {
-          cumulative += counts[b];
+          cumulative += row.buckets[b];
           const std::string le = b + 1 < hist::kBuckets
                                      ? std::to_string(hist::upper(b))
                                      : "+Inf";
           out += name + "_bucket{le=\"" + le + "\"} " +
                  std::to_string(cumulative) + "\n";
         }
-        out += name + "_sum " + std::to_string(h.sum()) + "\n";
+        out += name + "_sum " + std::to_string(row.total) + "\n";
         out += name + "_count " + std::to_string(cumulative) + "\n";
         break;
       }
@@ -226,47 +253,44 @@ std::string MetricsRegistry::render_prometheus() const {
 }
 
 std::string MetricsRegistry::render_json() const {
-  std::lock_guard lock(mutex_);
+  const std::vector<Row> rows = snapshot();
   std::string counters, gauges, histograms;
-  for (const auto& [name, instrument] : instruments_) {
-    switch (instrument.kind) {
+  for (const Row& row : rows) {
+    const std::string& name = row.name;
+    switch (row.kind) {
       case Kind::kCounter:
         if (!counters.empty()) counters += ", ";
-        counters +=
-            "\"" + name + "\": " + std::to_string(instrument.counter->value());
+        counters += "\"" + name + "\": " + std::to_string(row.total);
         break;
       case Kind::kGauge:
-        if (!gauges.empty()) gauges += ", ";
-        gauges += "\"" + name + "\": " + format_value(instrument.gauge->value());
-        break;
       case Kind::kCallback:
         if (!gauges.empty()) gauges += ", ";
-        gauges += "\"" + name + "\": " + format_value(instrument.callback());
+        gauges += "\"" + name + "\": " + format_value(row.value);
         break;
       case Kind::kHistogram: {
-        const Histogram& h = *instrument.histogram;
         if (!histograms.empty()) histograms += ", ";
         std::string bounds, counts;
+        std::uint64_t count = 0;
         for (std::size_t b = 0; b + 1 < hist::kBuckets; ++b) {
           if (!bounds.empty()) bounds += ", ";
           bounds += std::to_string(hist::upper(b));
         }
-        for (std::uint64_t c : h.bucket_counts()) {
+        for (std::uint64_t c : row.buckets) {
           if (!counts.empty()) counts += ", ";
           counts += std::to_string(c);
+          count += c;
         }
         histograms += "\"" + name + "\": {\"bounds\": [" + bounds +
                       "], \"counts\": [" + counts +
-                      "], \"sum\": " + std::to_string(h.sum()) +
-                      ", \"count\": " + std::to_string(h.count());
+                      "], \"sum\": " + std::to_string(row.total) +
+                      ", \"count\": " + std::to_string(count);
         // Exemplars are emitted only when at least one bucket has one,
         // so histograms without tracing keep their exact prior shape.
-        const Histogram::Counts exemplar_ids = h.exemplar_trace_ids();
         bool any_exemplar = false;
-        for (std::uint64_t id : exemplar_ids) any_exemplar |= id != 0;
+        for (std::uint64_t id : row.exemplars) any_exemplar |= id != 0;
         if (any_exemplar) {
           std::string exemplars;
-          for (std::uint64_t id : exemplar_ids) {
+          for (std::uint64_t id : row.exemplars) {
             if (!exemplars.empty()) exemplars += ", ";
             exemplars += std::to_string(id);
           }

@@ -42,6 +42,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "obs/histogram_layout.h"
 
@@ -217,6 +218,8 @@ class MetricsRegistry {
     std::unique_ptr<Histogram> histogram;
     std::function<double()> callback;
   };
+  struct Row;
+  std::vector<Row> snapshot() const;
 
   mutable std::mutex mutex_;
   std::map<std::string, Instrument, std::less<>> instruments_;

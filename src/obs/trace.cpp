@@ -1,25 +1,15 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cstdio>
-
-#include "util/rng.h"
+#include <charconv>
+#include <string_view>
 
 namespace bp::obs {
 
-TraceSink::TraceSink(TraceSinkConfig config) : config_(config) {
+TraceSink::TraceSink(TraceSinkConfig config)
+    : config_(config), sampler_(config.seed, config.sample_rate) {
   if (config_.capacity == 0) config_.capacity = 1;
   ring_.resize(config_.capacity);
-}
-
-bool TraceSink::sampled(std::uint64_t trace_id) const noexcept {
-  if (config_.sample_rate >= 1.0) return true;
-  if (config_.sample_rate <= 0.0) return false;
-  // Rng::split is pure in (state, stream id): seeding a generator with
-  // the sink seed and splitting on the trace id yields the same
-  // decision on every thread and every run.
-  return bp::util::Rng(config_.seed).split(trace_id).uniform() <
-         config_.sample_rate;
 }
 
 void TraceSink::record(const TraceEvent& event) {
@@ -35,32 +25,12 @@ void TraceSink::record_forced(const TraceEvent& event) {
     ++size_;
   }
   ring_[next_] = event;
-  next_ = (next_ + 1) % ring_.size();
+  if (++next_ == ring_.size()) next_ = 0;
   recorded_.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::vector<TraceEvent> TraceSink::events() const {
-  std::vector<TraceEvent> out;
-  {
-    std::lock_guard lock(mutex_);
-    out.reserve(size_);
-    // Oldest-first ring walk; sorted below, so start position only
-    // matters for stability.
-    const std::size_t begin = size_ == ring_.size() ? next_ : 0;
-    for (std::size_t i = 0; i < size_; ++i) {
-      out.push_back(ring_[(begin + i) % ring_.size()]);
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              if (a.trace_id != b.trace_id) return a.trace_id < b.trace_id;
-              return a.span_id < b.span_id;
-            });
-  return out;
-}
-
-std::string TraceSink::render(bool include_timing, std::uint64_t trace_filter,
-                              std::size_t limit) const {
+std::vector<TraceEvent> TraceSink::events(std::uint64_t trace_filter,
+                                          std::size_t limit) const {
   std::vector<TraceEvent> kept;
   {
     std::lock_guard lock(mutex_);
@@ -70,36 +40,44 @@ std::string TraceSink::render(bool include_timing, std::uint64_t trace_filter,
     const std::size_t begin = size_ == ring_.size() ? next_ : 0;
     for (std::size_t i = 0; i < size_; ++i) {
       const TraceEvent& e = ring_[(begin + i) % ring_.size()];
-      if (trace_filter != 0 && e.trace_id != trace_filter) continue;
-      kept.push_back(e);
+      if (trace_filter == 0 || e.trace_id == trace_filter) kept.push_back(e);
     }
   }
   if (limit != 0 && kept.size() > limit) {
-    kept.erase(kept.begin(),
-               kept.begin() + static_cast<std::ptrdiff_t>(kept.size() - limit));
+    kept.erase(kept.begin(), kept.end() - static_cast<std::ptrdiff_t>(limit));
   }
   std::sort(kept.begin(), kept.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
               if (a.trace_id != b.trace_id) return a.trace_id < b.trace_id;
               return a.span_id < b.span_id;
             });
+  return kept;
+}
+
+std::string TraceSink::render(bool include_timing, std::uint64_t trace_filter,
+                              std::size_t limit) const {
+  const std::vector<TraceEvent> kept = events(trace_filter, limit);
+  // to_chars, not snprintf: a full ring is 8192 lines per scrape, and
+  // the render's CPU lands on whatever core the scraped process serves.
   std::string out;
+  out.reserve(kept.size() * 96);
+  char digits[24];
+  const auto field = [&](std::string_view key, auto value) {
+    out += key;
+    out.append(digits, std::to_chars(digits, digits + 24, value).ptr);
+  };
   for (const TraceEvent& e : kept) {
-    char line[256];
+    field("trace=", e.trace_id);
+    field(" span=", e.span_id);
+    field(" parent=", e.parent_id);
+    out += " name=";
+    out += e.name;
     if (include_timing) {
-      std::snprintf(line, sizeof(line),
-                    "trace=%llu span=%u parent=%u name=%s start=%lld "
-                    "end=%lld dur_us=%lld\n",
-                    static_cast<unsigned long long>(e.trace_id), e.span_id,
-                    e.parent_id, e.name, static_cast<long long>(e.start_us),
-                    static_cast<long long>(e.end_us),
-                    static_cast<long long>(e.end_us - e.start_us));
-    } else {
-      std::snprintf(line, sizeof(line), "trace=%llu span=%u parent=%u name=%s\n",
-                    static_cast<unsigned long long>(e.trace_id), e.span_id,
-                    e.parent_id, e.name);
+      field(" start=", e.start_us);
+      field(" end=", e.end_us);
+      field(" dur_us=", e.end_us - e.start_us);
     }
-    out += line;
+    out += '\n';
   }
   return out;
 }

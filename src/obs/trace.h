@@ -3,8 +3,8 @@
 // and no allocation on the hot path.
 //
 // Sampling is deterministic and replayable: whether a trace id is kept
-// is a pure function of (sink seed, trace id) via Rng::split, the same
-// pre-split-stream construction the parallel training paths use.  The
+// is a pure function of (sink seed, trace id) via util::IdSampler, the
+// same pre-split-stream construction the parallel training paths use.  The
 // same seed therefore samples the same trace ids no matter how many
 // threads record, in what order, or how often the workload is re-run —
 // a sampled-away trace can always be recovered by re-running with the
@@ -31,6 +31,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace bp::obs {
 
@@ -62,7 +64,9 @@ class TraceSink {
 
   // Deterministic head-sampling decision for a trace id: pure in
   // (seed, trace_id), identical on every thread and every run.
-  bool sampled(std::uint64_t trace_id) const noexcept;
+  bool sampled(std::uint64_t trace_id) const noexcept {
+    return sampler_.keep(trace_id);
+  }
 
   // Record one finished span.  Drops (cheaply, before the lock) events
   // of unsampled traces; overwrites the oldest event when full.
@@ -75,18 +79,18 @@ class TraceSink {
   // would have decided for the id.
   void record_forced(const TraceEvent& event);
 
-  // Snapshot of the ring in (trace_id, span_id) order.
-  std::vector<TraceEvent> events() const;
+  // Snapshot of the ring in (trace_id, span_id) order.  trace_filter
+  // != 0 keeps only that trace id's events; limit != 0 keeps only the
+  // most recent `limit` matching events (recording order, before the
+  // sort) — the /tracez?trace=<id>&n=K surface.
+  std::vector<TraceEvent> events(std::uint64_t trace_filter = 0,
+                                 std::size_t limit = 0) const;
 
-  // One line per event, sorted by (trace_id, span_id):
+  // One line per events(trace_filter, limit) event:
   //   trace=<id> span=<id> parent=<id> name=<name> [start=<us> end=<us>]
   // With include_timing=false the output is a pure function of the
   // recorded (trace, span, parent, name) tuples — the determinism
   // surface the tests byte-compare.
-  //
-  // trace_filter != 0 keeps only that trace id's events; limit != 0
-  // keeps only the most recent `limit` matching events (recording
-  // order, before the sort) — the /tracez?trace=<id>&n=K surface.
   std::string render(bool include_timing = true,
                      std::uint64_t trace_filter = 0,
                      std::size_t limit = 0) const;
@@ -106,44 +110,13 @@ class TraceSink {
 
  private:
   TraceSinkConfig config_;
+  util::IdSampler sampler_;
   mutable std::mutex mutex_;
   std::vector<TraceEvent> ring_;
   std::size_t next_ = 0;  // ring write cursor
   std::size_t size_ = 0;  // live events (<= capacity)
   std::atomic<std::uint64_t> recorded_{0};
   std::atomic<std::uint64_t> overwritten_{0};
-};
-
-// RAII span: captures the start timestamp at construction (when the
-// sink samples the trace) and records the event on finish()/destruction.
-class Span {
- public:
-  Span(TraceSink* sink, std::uint64_t trace_id, std::uint32_t span_id,
-       std::uint32_t parent_id, const char* name) noexcept
-      : sink_(sink != nullptr && sink->sampled(trace_id) ? sink : nullptr) {
-    if (sink_ == nullptr) return;
-    event_.trace_id = trace_id;
-    event_.span_id = span_id;
-    event_.parent_id = parent_id;
-    event_.name = name;
-    event_.start_us = steady_now_us();
-  }
-
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-
-  ~Span() { finish(); }
-
-  void finish() noexcept {
-    if (sink_ == nullptr) return;
-    event_.end_us = steady_now_us();
-    sink_->record(event_);
-    sink_ = nullptr;
-  }
-
- private:
-  TraceSink* sink_;
-  TraceEvent event_;
 };
 
 // Shared context threaded through layers that optionally report into

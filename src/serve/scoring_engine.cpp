@@ -20,12 +20,6 @@ std::size_t resolve_workers(std::size_t requested) {
   return hw == 0 ? 1 : hw;
 }
 
-std::int64_t steady_now_us() noexcept {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 std::int64_t to_us(std::chrono::steady_clock::time_point tp) noexcept {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              tp.time_since_epoch())
@@ -50,7 +44,7 @@ ScoringEngine::ScoringEngine(const ModelRegistry& registry, EngineConfig config,
       }()),
       on_response_(std::move(on_response)),
       queue_(config_.queue_capacity, config_.overflow_policy),
-      metrics_(config_.workers, config_.registry, config_.metrics_prefix) {
+      metrics_(config_.registry, config_.metrics_prefix) {
   // Contention attribution for the admission queue: producers blocked
   // on a full queue, workers parked on an empty one (see /contentionz).
   auto& contention = obs::prof::ContentionRegistry::instance();
@@ -273,7 +267,11 @@ ScoreResponse ScoringEngine::answer(const ScoreRequest& request,
   response.latency = std::chrono::duration_cast<std::chrono::microseconds>(
       times.done - times.admitted);
   const auto latency_us = static_cast<std::uint64_t>(response.latency.count());
-  const std::uint64_t exemplar = exemplar_trace_id(request);
+  // One sampling decision per verdict: it picks both the latency
+  // exemplar and whether the spans are recorded.
+  const bool traced = trace_sampled(request);
+  const std::uint64_t exemplar =
+      !traced ? 0 : request.trace_id != 0 ? request.trace_id : request.id;
   const char* terminal = "score";
   if (version == 0) {
     metrics_.record_degraded(lane, detection.flagged, latency_us, exemplar);
@@ -285,9 +283,19 @@ ScoreResponse ScoringEngine::answer(const ScoreRequest& request,
     metrics_.record_scored(lane, detection.flagged, latency_us, exemplar);
   }
   record_audit(request, response);
-  record_request_trace(request, terminal, to_us(times.admitted),
-                       to_us(times.picked_up), to_us(times.done));
+  if (traced) {
+    record_request_trace(request, terminal, to_us(times.admitted),
+                         to_us(times.picked_up), to_us(times.done));
+  }
   return response;
+}
+
+bool ScoringEngine::trace_sampled(const ScoreRequest& request) const noexcept {
+  if (config_.trace == nullptr) return false;
+  // An adopted context carries the client's decision for the whole
+  // trace; overriding it either way would tear the assembled trace.
+  if (request.trace_id != 0) return request.trace_sampled;
+  return config_.trace->sampled(request.id);
 }
 
 void ScoringEngine::record_request_trace(const ScoreRequest& request,
@@ -295,40 +303,21 @@ void ScoringEngine::record_request_trace(const ScoreRequest& request,
                                          std::int64_t admitted_us,
                                          std::int64_t picked_up_us,
                                          std::int64_t done_us) const {
-  obs::TraceSink* sink = config_.trace;
-  if (sink == nullptr) return;
-  if (request.trace_id != 0) {
-    // Adopted cross-hop context: the client already decided sampling
-    // for the whole trace — honor it in both directions (record_forced
-    // bypasses the local head-sampling that would otherwise tear the
-    // assembled trace apart; an unsampled trace records nothing here).
-    if (!request.trace_sampled) return;
-    const std::uint32_t base = adopted_span_base(request.trace_parent);
-    sink->record_forced({request.trace_id, base + 1, request.trace_parent,
-                         "server_request", admitted_us, done_us});
-    sink->record_forced({request.trace_id, base + 2, base + 1, "queue_wait",
-                         admitted_us, picked_up_us});
-    sink->record_forced(
-        {request.trace_id, base + 3, base + 1, terminal, picked_up_us, done_us});
-    return;
-  }
-  if (!sink->sampled(request.id)) return;
   // Span ids are fixed by convention (see EngineConfig::trace) so the
   // rendered trace is deterministic given a request id, regardless of
   // which worker picked the request up.
-  sink->record({request.id, 1, 0, "request", admitted_us, done_us});
-  sink->record({request.id, 2, 1, "queue_wait", admitted_us, picked_up_us});
-  sink->record({request.id, 3, 1, terminal, picked_up_us, done_us});
-}
-
-std::uint64_t ScoringEngine::exemplar_trace_id(
-    const ScoreRequest& request) const noexcept {
-  const obs::TraceSink* sink = config_.trace;
-  if (sink == nullptr) return 0;
-  if (request.trace_id != 0) {
-    return request.trace_sampled ? request.trace_id : 0;
-  }
-  return sink->sampled(request.id) ? request.id : 0;
+  const bool adopted = request.trace_id != 0;
+  const std::uint64_t trace_id = adopted ? request.trace_id : request.id;
+  const std::uint32_t root =
+      adopted ? adopted_span_base(request.trace_parent) + 1 : 1;
+  obs::TraceSink* sink = config_.trace;
+  sink->record_forced({trace_id, root, adopted ? request.trace_parent : 0,
+                       adopted ? "server_request" : "request", admitted_us,
+                       done_us});
+  sink->record_forced(
+      {trace_id, root + 1, root, "queue_wait", admitted_us, picked_up_us});
+  sink->record_forced(
+      {trace_id, root + 2, root, terminal, picked_up_us, done_us});
 }
 
 void ScoringEngine::record_audit(const ScoreRequest& request,
@@ -364,7 +353,7 @@ void ScoringEngine::record_audit(const ScoreRequest& request,
     // stays exact — the tag only records that no fresh scoring ran.
     record.tags |= obs::AuditRecord::kCached;
   }
-  record.recorded_at_us = steady_now_us();
+  record.recorded_at_us = obs::steady_now_us();
   audit->record(record);
 }
 
@@ -422,18 +411,19 @@ void ScoringEngine::deliver_shed(const ScoreRequest& request,
       done - request.admitted_at);
   metrics_.record_shed(worker_index);
   if (on_response_) on_response_(response);
-  record_request_trace(request, "shed", to_us(request.admitted_at),
-                       to_us(done), to_us(done));
+  if (trace_sampled(request)) {
+    record_request_trace(request, "shed", to_us(request.admitted_at),
+                         to_us(done), to_us(done));
+  }
   note_completed(1);
 }
 
 void ScoringEngine::note_completed(std::uint64_t n) {
   const std::uint64_t done =
       completed_.fetch_add(n, std::memory_order_acq_rel) + n;
-  // Notify only when a drain() could actually be releasable.  The old
-  // unconditional lock+notify per completion put every worker through
-  // one mutex per batch item — measurable as the workers=4 throughput
-  // collapse in BENCH_serving.json.  The lock is still taken before
+  // Notify only when a drain() could actually be releasable: a
+  // lock+notify per completion would put every worker through one
+  // mutex per batch item.  The lock is still taken before
   // notifying: drain() re-checks its predicate under this mutex, so a
   // notify outside it could slip between a waiter's check and its wait.
   if (done >= admitted_.load(std::memory_order_acquire)) {

@@ -264,13 +264,14 @@ class ScoringEngine {
                        const core::Detection& detection,
                        std::uint64_t version, bool cached, std::uint32_t lane,
                        const AnswerTimes& times);
+  // Whether this request's spans are recorded: the adopted context's
+  // decision, else the local sink's for the request id.
+  bool trace_sampled(const ScoreRequest& request) const noexcept;
+  // Records the request's spans; only for a request trace_sampled keeps.
   void record_request_trace(const ScoreRequest& request, const char* terminal,
                             std::int64_t admitted_us,
                             std::int64_t picked_up_us,
                             std::int64_t done_us) const;
-  // The trace id this request's spans land under when its trace is
-  // sampled, 0 otherwise — the latency histogram's exemplar.
-  std::uint64_t exemplar_trace_id(const ScoreRequest& request) const noexcept;
   void record_audit(const ScoreRequest& request, const ScoreResponse& response);
   // Completes a request without a verdict, as kShed.
   void deliver_shed(const ScoreRequest& request, std::uint32_t worker_index);

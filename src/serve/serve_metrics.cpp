@@ -24,10 +24,8 @@ std::string MetricsSnapshot::summary() const {
   return buf;
 }
 
-ServeMetrics::ServeMetrics(std::size_t n_workers,
-                           obs::MetricsRegistry* registry,
-                           std::string_view prefix)
-    : n_workers_(n_workers == 0 ? 1 : n_workers) {
+ServeMetrics::ServeMetrics(obs::MetricsRegistry* registry,
+                           std::string_view prefix) {
   if (registry == nullptr) {
     owned_ = std::make_unique<obs::MetricsRegistry>();
     registry = owned_.get();

@@ -93,8 +93,7 @@ class ServeMetrics {
   // When `registry` is null the instruments live in a private registry
   // owned by this object; otherwise they are registered into the given
   // registry under `prefix` and shared with its other exporters.
-  explicit ServeMetrics(std::size_t n_workers,
-                        obs::MetricsRegistry* registry = nullptr,
+  explicit ServeMetrics(obs::MetricsRegistry* registry = nullptr,
                         std::string_view prefix = "bp_serve");
 
   // Hot-path recording; `worker` is the stripe hint (a worker index or
@@ -121,8 +120,6 @@ class ServeMetrics {
   // Admission-side event (any thread).
   void record_rejected() noexcept;
 
-  std::size_t n_workers() const noexcept { return n_workers_; }
-
   // The registry the instruments live in (the private one when none
   // was supplied) — what an exporter renders.
   obs::MetricsRegistry& registry() noexcept { return *registry_; }
@@ -134,7 +131,6 @@ class ServeMetrics {
   MetricsSnapshot snapshot() const;
 
  private:
-  std::size_t n_workers_;
   std::unique_ptr<obs::MetricsRegistry> owned_;  // set iff none supplied
   obs::MetricsRegistry* registry_;
 

@@ -6,6 +6,8 @@
 // bit-for-bit from a single seed.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -147,21 +149,52 @@ class Rng {
   // restart, per isolation-forest tree, and per traffic-synthesis
   // shard, making results independent of the thread count.
   Rng split(std::uint64_t stream_id) const noexcept {
-    const std::uint64_t state_digest =
-        state_[0] ^ rotl(state_[1], 17) ^ rotl(state_[2], 29) ^
-        rotl(state_[3], 43);
-    return Rng{mix64(mix64(state_digest) ^
-                     mix64(stream_id + 0x9e3779b97f4a7c15ULL))};
+    return Rng{split_seed(mix64(state_digest()), stream_id)};
   }
 
  private:
+  friend class IdSampler;
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
+  }
+
+  std::uint64_t state_digest() const noexcept {
+    return state_[0] ^ rotl(state_[1], 17) ^ rotl(state_[2], 29) ^
+           rotl(state_[3], 43);
+  }
+
+  static constexpr std::uint64_t split_seed(std::uint64_t mixed_digest,
+                                            std::uint64_t stream_id) noexcept {
+    return mix64(mixed_digest ^ mix64(stream_id + 0x9e3779b97f4a7c15ULL));
   }
 
   std::uint64_t state_[4] = {};
   bool have_cached_normal_ = false;
   double cached_normal_ = 0.0;
+};
+
+// Deterministic per-id Bernoulli(rate) decision, pure in (seed, id):
+// keep(id) is `Rng(seed).split(id).uniform() < rate` bit for bit, with
+// the seed's digest folded once and the child's first draw (its second
+// SplitMix64 word, scrambled) in closed form: three mixes per decision.
+// For an integer k, k * 2^-53 < rate exactly when k < ceil(rate * 2^53).
+class IdSampler {
+ public:
+  IdSampler(std::uint64_t seed, double rate) noexcept
+      : mixed_digest_(mix64(Rng(seed).state_digest())),
+        threshold_(rate > 0.0 ? static_cast<std::uint64_t>(
+                                    std::ceil(std::min(rate, 1.0) * 0x1.0p53))
+                              : 0) {}
+
+  bool keep(std::uint64_t id) const noexcept {
+    const std::uint64_t word1 =
+        mix64(Rng::split_seed(mixed_digest_, id) + 0x9e3779b97f4a7c15ULL);
+    return ((Rng::rotl(word1 * 5, 7) * 9) >> 11) < threshold_;
+  }
+
+ private:
+  std::uint64_t mixed_digest_;
+  std::uint64_t threshold_;
 };
 
 }  // namespace bp::util

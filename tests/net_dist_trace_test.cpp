@@ -36,6 +36,7 @@
 #include "net/score_server.h"
 #include "net/wire.h"
 #include "obs/trace.h"
+#include "paired_gate.h"
 #include "serve/model_registry.h"
 #include "serve/scoring_engine.h"
 #include "util/rng.h"
@@ -329,55 +330,9 @@ TEST(DistTrace, UncontextedWireRequestTracesUnderItsSessionId) {
 // ------------------------------ tracing cost ------------------------------
 //
 // Tracing must stay cheap enough to leave on: under 3% of the plane's
-// closed-loop run time.  A single best-of-N comparison of short runs
-// reads their noise (mostly which arm ran first and when a delayed ACK
-// landed), so the gate is a paired statistic instead: interleaved
-// untraced/traced runs whose first arm alternates, one run-time ratio
-// per pair, and a verdict on the median of those ratios.  It trips
-// only when the median breaches the bound AND a bootstrap interval of
-// the median excludes no overhead at all.
-
-struct PairedGate {
-  double median = 0.0;  // median per-pair traced/untraced ratio
-  double lo = 0.0;      // 95% bootstrap interval of that median
-  double hi = 0.0;
-  bool trips = false;
-};
-
-double median_of(std::vector<double> v) {
-  const std::size_t mid = v.size() / 2;
-  std::nth_element(v.begin(), v.begin() + mid, v.end());
-  if (v.size() % 2 == 1) return v[mid];
-  return (v[mid] + *std::max_element(v.begin(), v.begin() + mid)) / 2.0;
-}
-
-PairedGate paired_ratio_gate(const std::vector<double>& ratios, double bound,
-                             std::uint64_t seed) {
-  constexpr std::size_t kResamples = 2'000;
-  PairedGate gate;
-  gate.median = median_of(ratios);
-  util::Rng rng(seed);
-  std::vector<double> medians(kResamples);
-  std::vector<double> resample(ratios.size());
-  for (double& median : medians) {
-    for (double& x : resample) x = ratios[rng.below(ratios.size())];
-    median = median_of(resample);
-  }
-  std::sort(medians.begin(), medians.end());
-  gate.lo = medians[kResamples / 40];
-  gate.hi = medians[kResamples - 1 - kResamples / 40];
-  gate.trips = gate.median - 1.0 >= bound && gate.lo > 1.0;
-  return gate;
-}
-
-// `n` seeded ratios around `mean` with standard deviation `spread`.
-std::vector<double> synthetic_ratios(double mean, double spread,
-                                     std::size_t n, std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<double> ratios(n);
-  for (double& r : ratios) r = rng.normal(mean, spread);
-  return ratios;
-}
+// closed-loop run time, judged by the paired statistic of
+// paired_gate.h over untraced/traced runs.  The synthetic cases below
+// pin that statistic's verdicts for every gate that uses it.
 
 TEST(DistTraceOverheadGate, FivePercentSlowdownTrips) {
   const PairedGate gate =
@@ -411,12 +366,6 @@ TEST(DistTraceOverheadGate, VerdictIsDeterministicForAFixedSeed) {
   EXPECT_EQ(a.hi, b.hi);
   EXPECT_EQ(a.trips, b.trips);
 }
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;  // timings mean nothing here
-#else
-constexpr bool kSanitized = false;
-#endif
 
 // Two identical servers over the production-shape popularity stream,
 // one with a sink at production sampling (1%) on its engines.  Every

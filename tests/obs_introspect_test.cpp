@@ -143,9 +143,9 @@ TEST(ObsIntrospect, ServesAllEndpointsOverRealTcp) {
   metrics.gauge("bp_test_queue_depth", "queued requests").set(3);
 
   TraceSink trace;
-  Span(&trace, 1, 1, 0, "request").finish();
-  Span(&trace, 2, 1, 0, "request").finish();
-  Span(&trace, 2, 2, 1, "queue_wait").finish();
+  trace.record({1, 1, 0, "request", 0, 1});
+  trace.record({2, 1, 0, "request", 0, 1});
+  trace.record({2, 2, 1, "queue_wait", 0, 1});
 
   AuditTrail audit;
   audit.record(audit_record(7, true));

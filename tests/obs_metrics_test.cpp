@@ -237,7 +237,7 @@ TEST(ObsMetrics, FaultMetricsBridge) {
 
 TEST(ObsServeMetrics, ExportsThroughSharedRegistry) {
   MetricsRegistry registry;
-  serve::ServeMetrics metrics(2, &registry, "bp_serve");
+  serve::ServeMetrics metrics(&registry, "bp_serve");
   metrics.record_scored(0, /*flagged=*/true, /*latency_micros=*/120);
   metrics.record_scored(1, /*flagged=*/false, /*latency_micros=*/80);
   metrics.record_rejected();
@@ -255,8 +255,8 @@ TEST(ObsServeMetrics, ExportsThroughSharedRegistry) {
 }
 
 TEST(ObsServeMetrics, PrivateRegistryIsolatesInstances) {
-  serve::ServeMetrics a(1);
-  serve::ServeMetrics b(1);
+  serve::ServeMetrics a;
+  serve::ServeMetrics b;
   a.record_scored(0, false, 10);
   EXPECT_EQ(a.snapshot().scored, 1u);
   EXPECT_EQ(b.snapshot().scored, 0u);
@@ -355,11 +355,11 @@ TEST(ObsHistogramLayout, ContiguousMonotoneAndAtMostQuarterWide) {
 }
 
 TEST(ObsHistogramServe, SubMicrosecondAndSmallLatenciesResolve) {
-  serve::ServeMetrics zero(1);
+  serve::ServeMetrics zero;
   for (int i = 0; i < 100; ++i) zero.record_cached(0, false, 0);
   EXPECT_DOUBLE_EQ(zero.snapshot().p50_micros(), 0.0);
 
-  serve::ServeMetrics three(1);
+  serve::ServeMetrics three;
   for (int i = 0; i < 100; ++i) three.record_scored(0, false, 3);
   EXPECT_NEAR(three.snapshot().p50_micros(), 3.0, 0.25 * 3.0);
 }

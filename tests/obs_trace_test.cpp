@@ -11,11 +11,13 @@
 #include <vector>
 
 #include "core/polygraph.h"
+#include "obs/audit.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "serve/model_registry.h"
 #include "serve/retrain_supervisor.h"
 #include "serve/scoring_engine.h"
+#include "util/rng.h"
 
 namespace bp::obs {
 namespace {
@@ -64,6 +66,34 @@ TEST(ObsTrace, RateZeroDropsEverythingRateOneKeepsEverything) {
   EXPECT_EQ(keep.recorded(), 1u);
 }
 
+// The one id sampler trace and audit share must decide exactly what the
+// split-stream formula it replaced decided, so no recorded trace or
+// audit set moves.  The reference stays spelled out here.
+TEST(ObsSampling, SharedSamplerMatchesRngSplitReference) {
+  const double rates[] = {0.0, 0.001, 0.01, 0.5, 0.999, 1.0};
+  for (const std::uint64_t seed :
+       {std::uint64_t{0x9d2c5680}, std::uint64_t{0}, std::uint64_t{7},
+        ~std::uint64_t{0}}) {
+    std::vector<util::IdSampler> samplers;
+    for (const double rate : rates) samplers.emplace_back(seed, rate);
+    const util::Rng parent(seed);
+    std::size_t mismatches = 0;
+    for (std::uint64_t id = 0; id <= 1'000'000; ++id) {
+      const double u = parent.split(id).uniform();
+      for (std::size_t r = 0; r < samplers.size(); ++r) {
+        mismatches += samplers[r].keep(id) != (u < rates[r]);
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+  }
+  // Trace and audit hold the same sampler for the same (seed, rate).
+  const TraceSink sink({.sample_rate = 0.01, .seed = 7});
+  const AuditTrail audit({.unflagged_sample_rate = 0.01, .seed = 7});
+  for (std::uint64_t id = 0; id < 10'000; ++id) {
+    EXPECT_EQ(sink.sampled(id), audit.sample_unflagged(id)) << "id " << id;
+  }
+}
+
 // -------------------------------- ring ---------------------------------
 
 TEST(ObsTrace, RingOverwritesOldestAndCountsIt) {
@@ -82,20 +112,6 @@ TEST(ObsTrace, RingOverwritesOldestAndCountsIt) {
   EXPECT_EQ(events.back().trace_id, 10u);
   sink.clear();
   EXPECT_TRUE(sink.events().empty());
-}
-
-TEST(ObsTrace, SpanRaiiRecordsOnDestruction) {
-  TraceSink sink;
-  {
-    Span span(&sink, /*trace_id=*/7, /*span_id=*/1, /*parent_id=*/0, "work");
-  }
-  Span unsampled(nullptr, 7, 1, 0, "ignored");  // null sink: no-op
-  unsampled.finish();
-  const std::vector<TraceEvent> events = sink.events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].trace_id, 7u);
-  EXPECT_STREQ(events[0].name, "work");
-  EXPECT_GE(events[0].end_us, events[0].start_us);
 }
 
 // ---------------------------- determinism ------------------------------
