@@ -14,6 +14,15 @@
 
 namespace bp::core {
 
+namespace {
+
+// dense_expected_'s entry for a UA the table does not hold.
+constexpr std::uint32_t kNotInTable = std::numeric_limits<std::uint32_t>::max();
+// table_row's answer for a UA the dense tables do not cover.
+constexpr std::size_t kNoRow = std::numeric_limits<std::size_t>::max();
+
+}  // namespace
+
 PolygraphConfig PolygraphConfig::production() {
   PolygraphConfig config;
   config.feature_indices =
@@ -175,6 +184,8 @@ TrainingSummary Polygraph::train(const ml::Matrix& features,
   summary.clustering_accuracy = accuracy.row_accuracy;
 
   table_ = ClusterTable();
+  dense_expected_.clear();  // rebuilt once the table below is final
+  dense_risk_.clear();
   std::map<std::uint32_t, std::size_t> label_rows;
   for (std::uint32_t key : keys) ++label_rows[key];
   std::map<std::uint32_t, ua::UserAgent> key_to_ua;
@@ -202,6 +213,7 @@ TrainingSummary Polygraph::train(const ml::Matrix& features,
       }
     }
   }
+  build_verdict_tables();
   summary.timings.table = lap();
   emit_span("table", 6);
   stage_scope.reset();
@@ -245,47 +257,63 @@ TrainingSummary Polygraph::train(const ml::Matrix& features,
 }
 
 std::size_t Polygraph::predict_cluster(std::span<const double> features) const {
-  ScoringScratch scratch;
+  BatchScratch scratch;
   return predict_cluster(features, scratch);
 }
 
 std::size_t Polygraph::predict_cluster(std::span<const double> features,
-                                       ScoringScratch& scratch) const {
+                                       BatchScratch& scratch) const {
   return predict_cluster(features, scratch, nullptr);
 }
 
 std::size_t Polygraph::predict_cluster(std::span<const double> features,
-                                       ScoringScratch& scratch,
+                                       BatchScratch& scratch,
                                        double* distance2) const {
-  assert(trained());
   assert(features.size() == config_.feature_indices.size());
-  scratch.scaled_.resize(features.size());
-  scratch.projected_.resize(pca_.n_components());
-  scaler_.transform_row(features, scratch.scaled_);
-  pca_.transform_row(scratch.scaled_, scratch.projected_);
-  return kmeans_.predict_one(scratch.projected_, distance2);
+  const double* const row = features.data();
+  nearest_block<1>(&row, 1, scratch);
+  if (distance2 != nullptr) *distance2 = scratch.best_d2_[0];
+  return scratch.best_cluster_[0];
 }
 
 std::vector<std::size_t> Polygraph::predict_clusters(
     const ml::Matrix& features) const {
-  assert(trained());
-  const ml::Matrix projected = pca_.transform(scaler_.transform(features));
-  return kmeans_.predict(projected);
+  assert(features.cols() == config_.feature_indices.size());
+  BatchScratch scratch;
+  std::vector<std::size_t> out(features.rows());
+  for (std::size_t base = 0; base < out.size(); base += kScoreBatchBlock) {
+    const std::size_t n = std::min(kScoreBatchBlock, out.size() - base);
+    const double* row_ptr[kScoreBatchBlock];
+    for (std::size_t r = 0; r < n; ++r) {
+      row_ptr[r] = features.row(base + r).data();
+    }
+    nearest_block<0>(row_ptr, n, scratch);
+    std::copy_n(scratch.best_cluster_.begin(), n, out.begin() + base);
+  }
+  return out;
 }
 
-int Polygraph::risk_factor(const ua::UserAgent& session_ua,
-                           std::size_t predicted_cluster) const {
-  // Algorithm 1.  An empty (noise) cluster leaves the minimum at its
-  // initial value; we cap it at the vendor distance — no known-good UA
-  // resembles the session at all.
+int Polygraph::algorithm1(const ua::UserAgent& session_ua,
+                          std::size_t predicted_cluster) const {
+  return algorithm1(session_ua, table_.user_agents_in(predicted_cluster));
+}
+
+int Polygraph::algorithm1(const ua::UserAgent& session_ua,
+                          std::span<const ua::UserAgent> cluster_uas) const {
+  // An empty (noise) cluster leaves the minimum at its initial value; we
+  // cap it at the vendor distance — no known-good UA resembles the
+  // session at all.
   int risk = std::numeric_limits<int>::max();
-  for (const ua::UserAgent& ua : table_.user_agents_in(predicted_cluster)) {
+  for (const ua::UserAgent& ua : cluster_uas) {
     int distance = 0;
     if (!ua::same_vendor(session_ua.vendor, ua.vendor)) {
       distance = config_.vendor_distance;
     } else {
-      const int diff = std::abs(session_ua.major_version - ua.major_version);
-      distance = diff / config_.version_divisor;
+      // In 64 bits: a hostile claimed major may sit anywhere in int.
+      const std::int64_t diff = std::abs(
+          std::int64_t{session_ua.major_version} - ua.major_version);
+      distance = static_cast<int>(std::min<std::int64_t>(
+          diff / config_.version_divisor, std::numeric_limits<int>::max()));
     }
     risk = std::min(risk, distance);
   }
@@ -293,43 +321,98 @@ int Polygraph::risk_factor(const ua::UserAgent& session_ua,
                                                  : risk;
 }
 
+std::size_t Polygraph::table_row(const ua::UserAgent& ua) const noexcept {
+  const auto vendor = static_cast<std::size_t>(ua.vendor);
+  if (dense_expected_.empty() || vendor >= kTableVendors ||
+      ua.major_version < 0 ||
+      static_cast<std::size_t>(ua.major_version) >= kTableMajors) {
+    return kNoRow;
+  }
+  return vendor * kTableMajors + static_cast<std::size_t>(ua.major_version);
+}
+
+void Polygraph::build_verdict_tables() {
+  dense_expected_.clear();
+  dense_risk_.clear();
+  for (const auto& [key, cluster] : table_.entries()) {
+    // A cluster id the table cannot hold leaves every lookup on table_.
+    if (cluster >= kNotInTable) return;
+  }
+  const std::size_t width = kmeans_.centroids().rows();
+  std::vector<std::span<const ua::UserAgent>> cluster_uas;
+  for (std::size_t c = 0; c < width; ++c) {
+    cluster_uas.push_back(table_.user_agents_in(c));
+  }
+  dense_expected_.resize(kTableVendors * kTableMajors);
+  dense_risk_.resize(kTableVendors * kTableMajors * width);
+  for (std::size_t v = 0; v < kTableVendors; ++v) {
+    for (std::size_t major = 0; major < kTableMajors; ++major) {
+      const ua::UserAgent ua{static_cast<ua::Vendor>(v),
+                             static_cast<int>(major)};
+      const std::size_t row = v * kTableMajors + major;
+      const auto expected = table_.expected_cluster(ua);
+      dense_expected_[row] =
+          expected ? static_cast<std::uint32_t>(*expected) : kNotInTable;
+      for (std::size_t c = 0; c < width; ++c) {
+        dense_risk_[row * width + c] = algorithm1(ua, cluster_uas[c]);
+      }
+    }
+  }
+}
+
+std::optional<std::size_t> Polygraph::expected_cluster(
+    const ua::UserAgent& ua) const {
+  const std::size_t row = table_row(ua);
+  if (row == kNoRow) return table_.expected_cluster(ua);
+  const std::uint32_t expected = dense_expected_[row];
+  if (expected == kNotInTable) return std::nullopt;
+  return expected;
+}
+
+int Polygraph::risk_factor(const ua::UserAgent& session_ua,
+                           std::size_t predicted_cluster) const {
+  const std::size_t row = table_row(session_ua);
+  const std::size_t width = kmeans_.centroids().rows();
+  if (row == kNoRow || predicted_cluster >= width) {
+    return algorithm1(session_ua, predicted_cluster);
+  }
+  return dense_risk_[row * width + predicted_cluster];
+}
+
 Detection Polygraph::score(std::span<const double> features,
                            const ua::UserAgent& claimed) const {
-  ScoringScratch scratch;
+  BatchScratch scratch;
   return score(features, claimed, scratch);
 }
 
 Detection Polygraph::score(std::span<const std::int32_t> features,
                            const ua::UserAgent& claimed,
-                           ScoringScratch& scratch) const {
-  scratch.features_.resize(features.size());
-  std::copy(features.begin(), features.end(), scratch.features_.begin());
-  return score(std::span<const double>(scratch.features_), claimed, scratch);
+                           BatchScratch& scratch) const {
+  Detection detection;
+  score_batch_impl<1, std::int32_t>({&features, 1}, {&claimed, 1},
+                                    {&detection, 1}, scratch);
+  return detection;
 }
 
 Detection Polygraph::score(std::span<const double> features,
                            const ua::UserAgent& claimed,
-                           ScoringScratch& scratch) const {
+                           BatchScratch& scratch) const {
   Detection detection;
-  detection.predicted_cluster =
-      predict_cluster(features, scratch, &detection.centroid_distance2);
-  detection.expected_cluster = table_.expected_cluster(claimed);
-  if (detection.expected_cluster.has_value() &&
-      *detection.expected_cluster != detection.predicted_cluster) {
-    detection.flagged = true;
-    detection.risk_factor = risk_factor(claimed, detection.predicted_cluster);
-  }
+  score_batch_impl<1, double>({&features, 1}, {&claimed, 1},
+                              {&detection, 1}, scratch);
   return detection;
 }
 
-template <typename T>
-void Polygraph::score_batch_impl(std::span<const std::span<const T>> rows,
-                                 std::span<const ua::UserAgent> claims,
-                                 std::span<Detection> out,
-                                 BatchScratch& scratch) const {
+template <std::size_t kRows, typename T>
+void Polygraph::nearest_block(const T* const* row_ptr, std::size_t rows,
+                              BatchScratch& scratch) const {
   assert(trained());
-  assert(claims.size() == rows.size() && out.size() == rows.size());
-  constexpr std::size_t kBlock = kScoreBatchBlock;
+  static_assert(kRows <= 1);
+  // The buffers are sized for whole blocks whatever the lane stride, so a
+  // scratch shared by both forms is never resized between them.
+  constexpr std::size_t kStride = kRows != 0 ? kRows : kScoreBatchBlock;
+  const std::size_t n = kRows != 0 ? kRows : rows;
+  assert(n >= 1 && n <= kStride && (kRows == 0 || rows == kRows));
   const std::size_t n_features = config_.feature_indices.size();
   const std::size_t n_components = pca_.n_components();
   const std::size_t n_centroids = kmeans_.centroids().rows();
@@ -339,12 +422,12 @@ void Polygraph::score_batch_impl(std::span<const std::span<const T>> rows,
   const ml::Matrix& components = pca_.components();  // n_features x p
   const ml::Matrix& centroids = kmeans_.centroids();  // k x p
 
-  scratch.panel_.resize(n_features * kBlock);
-  scratch.centered_.resize(kBlock);
-  scratch.projected_.resize(n_components * kBlock);
-  scratch.distance_.resize(kBlock);
-  scratch.best_d2_.resize(kBlock);
-  scratch.best_cluster_.resize(kBlock);
+  scratch.panel_.resize(n_features * kScoreBatchBlock);
+  scratch.centered_.resize(kScoreBatchBlock);
+  scratch.projected_.resize(n_components * kScoreBatchBlock);
+  scratch.distance_.resize(kScoreBatchBlock);
+  scratch.best_d2_.resize(kScoreBatchBlock);
+  scratch.best_cluster_.resize(kScoreBatchBlock);
   double* const panel = scratch.panel_.data();
   double* const centered = scratch.centered_.data();
   double* const projected = scratch.projected_.data();
@@ -352,82 +435,94 @@ void Polygraph::score_batch_impl(std::span<const std::span<const T>> rows,
   double* const best_d2 = scratch.best_d2_.data();
   std::uint32_t* const best_cluster = scratch.best_cluster_.data();
 
+  // Gather + scale: transpose the block into feature-major lanes,
+  // fusing the StandardScaler (same expression as transform_row, so
+  // identical rounding).
+  for (std::size_t c = 0; c < n_features; ++c) {
+    const double mean = means[c];
+    const double stddev = stddevs[c];
+    double* const lane = panel + c * kStride;
+    for (std::size_t r = 0; r < n; ++r) {
+      lane[r] = (static_cast<double>(row_ptr[r][c]) - mean) / stddev;
+    }
+  }
+
+  // PCA: accumulate components in feature order — per row this is
+  // Pca::transform_row's exact reduction order.  (transform_row skips
+  // exactly-zero centered values; adding their +/-0.0 contribution here
+  // can only change the sign of a zero accumulator, which the squaring
+  // below erases.)  Only the n live rows of each lane are zeroed.
+  for (std::size_t j = 0; j < n_components; ++j) {
+    std::fill_n(projected + j * kStride, n, 0.0);
+  }
+  for (std::size_t c = 0; c < n_features; ++c) {
+    const double center = pca_mean[c];
+    const double* const lane = panel + c * kStride;
+    for (std::size_t r = 0; r < n; ++r) {
+      centered[r] = lane[r] - center;
+    }
+    const auto weights = components.row(c);  // n_components entries
+    for (std::size_t j = 0; j < n_components; ++j) {
+      const double weight = weights[j];
+      double* const proj = projected + j * kStride;
+      for (std::size_t r = 0; r < n; ++r) {
+        proj[r] += centered[r] * weight;
+      }
+    }
+  }
+
+  // Nearest centroid: full distance per centroid, strict < argmin —
+  // the same winner and the same fully-accumulated winning distance
+  // as squared_distance_bounded with early exit (a truncated sum is
+  // already over the bound, so it can never win; ties keep the lower
+  // centroid index in both paths).
+  for (std::size_t r = 0; r < n; ++r) {
+    best_d2[r] = std::numeric_limits<double>::max();
+    best_cluster[r] = 0;
+  }
+  for (std::size_t c = 0; c < n_centroids; ++c) {
+    const auto centroid = centroids.row(c);
+    std::fill_n(distance, n, 0.0);
+    for (std::size_t j = 0; j < n_components; ++j) {
+      const double coord = centroid[j];
+      const double* const proj = projected + j * kStride;
+      for (std::size_t r = 0; r < n; ++r) {
+        const double diff = proj[r] - coord;
+        distance[r] += diff * diff;
+      }
+    }
+    for (std::size_t r = 0; r < n; ++r) {
+      if (distance[r] < best_d2[r]) {
+        best_d2[r] = distance[r];
+        best_cluster[r] = static_cast<std::uint32_t>(c);
+      }
+    }
+  }
+}
+
+template <std::size_t kRows, typename T>
+void Polygraph::score_batch_impl(std::span<const std::span<const T>> rows,
+                                 std::span<const ua::UserAgent> claims,
+                                 std::span<Detection> out,
+                                 BatchScratch& scratch) const {
+  assert(claims.size() == rows.size() && out.size() == rows.size());
+  assert(kRows == 0 || rows.size() == kRows);
+  constexpr std::size_t kBlock = kRows != 0 ? kRows : kScoreBatchBlock;
   for (std::size_t base = 0; base < rows.size(); base += kBlock) {
     const std::size_t n = std::min(kBlock, rows.size() - base);
     const T* row_ptr[kBlock];
     for (std::size_t r = 0; r < n; ++r) {
-      assert(rows[base + r].size() == n_features);
+      assert(rows[base + r].size() == config_.feature_indices.size());
       row_ptr[r] = rows[base + r].data();
     }
+    nearest_block<kRows>(row_ptr, n, scratch);
 
-    // Gather + scale: transpose the block into feature-major lanes,
-    // fusing the StandardScaler (same expression as transform_row, so
-    // identical rounding).
-    for (std::size_t c = 0; c < n_features; ++c) {
-      const double mean = means[c];
-      const double stddev = stddevs[c];
-      double* const lane = panel + c * kBlock;
-      for (std::size_t r = 0; r < n; ++r) {
-        lane[r] = (static_cast<double>(row_ptr[r][c]) - mean) / stddev;
-      }
-    }
-
-    // PCA: accumulate components in feature order — per row this is the
-    // scalar transform_row's exact reduction order.  (The scalar path
-    // skips exactly-zero centered values; adding their +/-0.0
-    // contribution here can only change the sign of a zero accumulator,
-    // which the squaring below erases.)
-    std::fill_n(projected, n_components * kBlock, 0.0);
-    for (std::size_t c = 0; c < n_features; ++c) {
-      const double center = pca_mean[c];
-      const double* const lane = panel + c * kBlock;
-      for (std::size_t r = 0; r < n; ++r) {
-        centered[r] = lane[r] - center;
-      }
-      const auto weights = components.row(c);  // n_components entries
-      for (std::size_t j = 0; j < n_components; ++j) {
-        const double weight = weights[j];
-        double* const proj = projected + j * kBlock;
-        for (std::size_t r = 0; r < n; ++r) {
-          proj[r] += centered[r] * weight;
-        }
-      }
-    }
-
-    // Nearest centroid: full distance per centroid, strict < argmin —
-    // the same winner and the same fully-accumulated winning distance
-    // as squared_distance_bounded with early exit (a truncated sum is
-    // already over the bound, so it can never win; ties keep the lower
-    // centroid index in both paths).
-    for (std::size_t r = 0; r < n; ++r) {
-      best_d2[r] = std::numeric_limits<double>::max();
-      best_cluster[r] = 0;
-    }
-    for (std::size_t c = 0; c < n_centroids; ++c) {
-      const auto centroid = centroids.row(c);
-      std::fill_n(distance, n, 0.0);
-      for (std::size_t j = 0; j < n_components; ++j) {
-        const double coord = centroid[j];
-        const double* const proj = projected + j * kBlock;
-        for (std::size_t r = 0; r < n; ++r) {
-          const double diff = proj[r] - coord;
-          distance[r] += diff * diff;
-        }
-      }
-      for (std::size_t r = 0; r < n; ++r) {
-        if (distance[r] < best_d2[r]) {
-          best_d2[r] = distance[r];
-          best_cluster[r] = static_cast<std::uint32_t>(c);
-        }
-      }
-    }
-
-    // Verdict tail — statement for statement the scalar score().
+    // Verdict tail: the dense tables, Algorithm 1's answer.
     for (std::size_t r = 0; r < n; ++r) {
       Detection detection;
-      detection.predicted_cluster = best_cluster[r];
-      detection.centroid_distance2 = best_d2[r];
-      detection.expected_cluster = table_.expected_cluster(claims[base + r]);
+      detection.predicted_cluster = scratch.best_cluster_[r];
+      detection.centroid_distance2 = scratch.best_d2_[r];
+      detection.expected_cluster = expected_cluster(claims[base + r]);
       if (detection.expected_cluster.has_value() &&
           *detection.expected_cluster != detection.predicted_cluster) {
         detection.flagged = true;
@@ -443,14 +538,14 @@ void Polygraph::score_batch(std::span<const std::span<const std::int32_t>> rows,
                             std::span<const ua::UserAgent> claims,
                             std::span<Detection> out,
                             BatchScratch& scratch) const {
-  score_batch_impl(rows, claims, out, scratch);
+  score_batch_impl<0>(rows, claims, out, scratch);
 }
 
 void Polygraph::score_batch(std::span<const std::span<const double>> rows,
                             std::span<const ua::UserAgent> claims,
                             std::span<Detection> out,
                             BatchScratch& scratch) const {
-  score_batch_impl(rows, claims, out, scratch);
+  score_batch_impl<0>(rows, claims, out, scratch);
 }
 
 Polygraph Polygraph::from_parts(PolygraphConfig config,
@@ -461,6 +556,7 @@ Polygraph Polygraph::from_parts(PolygraphConfig config,
   model.pca_ = std::move(pca);
   model.kmeans_ = std::move(kmeans);
   model.table_ = std::move(table);
+  model.build_verdict_tables();
   return model;
 }
 

@@ -125,25 +125,11 @@ struct TrainingSummary {
   TrainingTimings timings;
 };
 
-// Reusable buffers for the allocation-free scoring path.  One instance
-// per thread (the serving tier keeps one per worker); after the first
-// score the vectors hold their capacity, so steady-state scoring does
-// not touch the allocator.
-class ScoringScratch {
- public:
-  ScoringScratch() = default;
-
- private:
-  friend class Polygraph;
-  std::vector<double> features_;   // int32 -> double widening target
-  std::vector<double> scaled_;     // StandardScaler output
-  std::vector<double> projected_;  // PCA output
-};
-
-// Reusable structure-of-arrays buffers for the fused batch-scoring
-// path (`Polygraph::score_batch`).  Like ScoringScratch: one instance
-// per thread, capacity sticks after the first block, so steady-state
-// batch scoring never touches the allocator.
+// Reusable structure-of-arrays buffers for the scoring kernel behind
+// every scoring entry point (`Polygraph::score_batch`, `score`,
+// `predict_cluster`).  One instance per thread (the serving tier keeps
+// one per worker); capacity sticks after the first block, so
+// steady-state scoring never touches the allocator.
 //
 // Layout (B = Polygraph::kScoreBatchBlock rows per block):
 //   panel_      d x B, feature-major — panel_[c*B + r] is feature c of
@@ -167,6 +153,10 @@ class BatchScratch {
   std::vector<double> best_d2_;
   std::vector<std::uint32_t> best_cluster_;
 };
+
+// score() is a batch of one through the same kernel, so it takes the
+// same scratch.
+using ScoringScratch = BatchScratch;
 
 class Polygraph {
  public:
@@ -197,40 +187,43 @@ class Polygraph {
   // the scratch is the only mutable state and must not be shared
   // between threads.
   std::size_t predict_cluster(std::span<const double> features,
-                              ScoringScratch& scratch) const;
+                              BatchScratch& scratch) const;
   // As above, also reporting the squared distance to the winning
   // centroid (Detection::centroid_distance2); `distance2` may be null.
   std::size_t predict_cluster(std::span<const double> features,
-                              ScoringScratch& scratch,
+                              BatchScratch& scratch,
                               double* distance2) const;
   Detection score(std::span<const double> features,
-                  const ua::UserAgent& claimed, ScoringScratch& scratch) const;
+                  const ua::UserAgent& claimed, BatchScratch& scratch) const;
   // Scores a session's native integer feature storage directly
   // (traffic::SessionRecord::features) without an intermediate
   // std::vector<double> per call.
   Detection score(std::span<const std::int32_t> features,
-                  const ua::UserAgent& claimed, ScoringScratch& scratch) const;
+                  const ua::UserAgent& claimed, BatchScratch& scratch) const;
 
-  // Fused structure-of-arrays batch scoring.  Processes `rows` in
-  // blocks of kScoreBatchBlock sessions: one gather+scale pass builds a
-  // feature-major panel, PCA projection and all centroid distances then
-  // run as contiguous unit-stride loops over the row lanes
-  // (auto-vectorizable, no per-row calls), and the verdict tail
-  // (table lookup + Algorithm 1) matches the scalar path statement for
-  // statement.
+  // Fused structure-of-arrays batch scoring — the one scoring kernel;
+  // score() and predict_cluster() are batches of one through it.
+  // Processes `rows` in blocks of kScoreBatchBlock sessions: one
+  // gather+scale pass builds a feature-major panel, PCA projection and
+  // all centroid distances then run as contiguous unit-stride loops over
+  // the row lanes (auto-vectorizable, no per-row calls), and the verdict
+  // tail reads the dense Algorithm-1 tables built at train / load time.
   //
   // Equivalence guarantee: for every row i, out[i] is bit-identical to
-  // `score(rows[i], claims[i], scratch)` — same predicted/expected
-  // cluster, flag, risk factor, and centroid_distance2 down to the last
-  // mantissa bit.  This holds because every floating-point reduction
-  // (PCA accumulation in feature order, distance accumulation in
-  // component order) runs in the scalar path's exact order per row —
-  // vectorization only runs independent *rows* side by side — and the
-  // two places the scalar path's control flow diverges cannot leak into
-  // a Detection: the scalar PCA's skip of exactly-zero centered values
-  // can only flip the sign of a zero accumulator (squaring erases it),
-  // and the scalar nearest-centroid early-exit never truncates the
-  // winning distance.  Tests lock this in (core_batch_score_test).
+  // the row-at-a-time pipeline StandardScaler::transform_row ->
+  // Pca::transform_row -> KMeans::predict_one -> ClusterTable lookup ->
+  // Algorithm 1 — same predicted/expected cluster, flag, risk factor,
+  // and centroid_distance2 down to the last mantissa bit, whatever the
+  // row's position in its block.  This holds because every
+  // floating-point reduction (PCA accumulation in feature order,
+  // distance accumulation in component order) runs in that pipeline's
+  // exact order per row — vectorization only runs independent *rows*
+  // side by side — and the two places its control flow diverges cannot
+  // leak into a Detection: Pca::transform_row's skip of exactly-zero
+  // centered values can only flip the sign of a zero accumulator
+  // (squaring erases it), and predict_one's early exit never truncates
+  // the winning distance.  Tests lock this in (core_batch_score_test,
+  // VerdictTables).
   //
   // `rows`/`claims`/`out` must have equal length; every row must have
   // feature_indices.size() entries.  Thread-safety matches score():
@@ -243,9 +236,16 @@ class Polygraph {
                    std::span<const ua::UserAgent> claims,
                    std::span<Detection> out, BatchScratch& scratch) const;
 
-  // Algorithm 1 verbatim: smallest UA distance within a cluster.
+  // Algorithm 1: smallest UA distance within a cluster.  A lookup in
+  // the dense table for vendors and majors it covers; the per-cluster
+  // loop itself otherwise.
   int risk_factor(const ua::UserAgent& session_ua,
                   std::size_t predicted_cluster) const;
+
+  // The dense tables cover every vendor and the majors [0, kTableMajors).
+  static constexpr std::size_t kTableVendors =
+      static_cast<std::size_t>(ua::Vendor::kUnknown) + 1;
+  static constexpr std::size_t kTableMajors = 256;
 
   const ClusterTable& cluster_table() const noexcept { return table_; }
   const PolygraphConfig& config() const noexcept { return config_; }
@@ -264,18 +264,45 @@ class Polygraph {
                               ClusterTable table);
 
  private:
-  // Shared SoA kernel behind both score_batch overloads; T is the raw
-  // feature element type (int32 widens exactly to double).
-  template <typename T>
+  // The kernel: scale, project and find the nearest centroid of rows
+  // row_ptr[0..n), 1 <= n <= kScoreBatchBlock, into scratch.best_cluster_
+  // and scratch.best_d2_.  T is the raw feature element type (int32
+  // widens exactly to double).  kRows = 0 takes n rows at the block
+  // stride; kRows = 1 compiles the same source for a lone row, whose
+  // lanes are then single values the compiler keeps unrolled (a
+  // runtime-length loop costs more than its one iteration).
+  template <std::size_t kRows, typename T>
+  void nearest_block(const T* const* row_ptr, std::size_t n,
+                     BatchScratch& scratch) const;
+  // The kernel over any number of rows plus the verdict tail: behind
+  // score_batch (kRows = 0) and, as a batch of one, score (kRows = 1).
+  template <std::size_t kRows, typename T>
   void score_batch_impl(std::span<const std::span<const T>> rows,
                         std::span<const ua::UserAgent> claims,
                         std::span<Detection> out, BatchScratch& scratch) const;
+
+  // Algorithm 1's per-cluster loop over table_, the dense tables' source.
+  int algorithm1(const ua::UserAgent& session_ua,
+                 std::size_t predicted_cluster) const;
+  int algorithm1(const ua::UserAgent& session_ua,
+                 std::span<const ua::UserAgent> cluster_uas) const;
+  // The claimed UA's cluster in table_, read like risk_factor.
+  std::optional<std::size_t> expected_cluster(const ua::UserAgent& ua) const;
+  // Row of `ua` in the dense tables, or kNoRow when they do not cover it.
+  std::size_t table_row(const ua::UserAgent& ua) const noexcept;
+  // Fills the dense tables from table_ and the centroid count; run at
+  // the end of train() and in from_parts().
+  void build_verdict_tables();
 
   PolygraphConfig config_;
   ml::StandardScaler scaler_;
   ml::Pca pca_;
   ml::KMeans kmeans_;
   ClusterTable table_;
+  // [vendor][major]: table_'s expected cluster, kNotInTable when absent.
+  std::vector<std::uint32_t> dense_expected_;
+  // [vendor][major][cluster], cluster < centroid count: Algorithm 1.
+  std::vector<std::int32_t> dense_risk_;
 };
 
 }  // namespace bp::core

@@ -318,7 +318,8 @@ void HttpListener::handler_loop(std::size_t lane) {
 void HttpListener::serve_connection(int fd) {
   using Clock = std::chrono::steady_clock;
   std::string buffer;
-  std::string reply;  // every response on this connection
+  HttpResponse response;  // every handler-built response on this connection
+  std::string reply;      // every response on this connection, serialized
   char chunk[4096];
   const Clock::time_point opened = Clock::now();
   // Renders one response into `reply` and sends it.
@@ -446,10 +447,13 @@ void HttpListener::serve_connection(int fd) {
     request.body =
         std::string_view(buffer).substr(head_end + 4, request.content_length);
 
-    HttpResponse response = [&] {
+    response.status = 200;
+    response.content_type = kPlainTextContentType;
+    response.body.clear();
+    {
       PROF_SCOPE("net.handle");
-      return handler_(request);
-    }();
+      handler_(request, response);
+    }
     ++served;
     const bool request_capped =
         config_.max_requests_per_connection > 0 &&

@@ -59,9 +59,13 @@ struct HttpRequest {
   bool keep_alive = true;
 };
 
+inline constexpr std::string_view kPlainTextContentType =
+    "text/plain; charset=utf-8";
+
 struct HttpResponse {
   int status = 200;
-  std::string content_type = "text/plain; charset=utf-8";
+  // Always a view of a string literal, so setting it never allocates.
+  std::string_view content_type = kPlainTextContentType;
   std::string body;
   // Set by the listener before serialization; handlers need not touch
   // it.  Default false so hand-serialized responses close, matching
@@ -139,10 +143,13 @@ struct ListenerConfig {
 // threads; it must be thread-safe.  It is invoked for every
 // well-framed request regardless of verb — verb policy (the
 // introspection plane's 405 for non-GET, the ingress's 405 for
-// non-POST) belongs to the handler.
+// non-POST) belongs to the handler.  It fills the connection's one
+// response, which the listener resets to a default 200 before each
+// call; the body keeps its capacity across the connection's requests,
+// so a handler that writes into it allocates nothing in steady state.
 class HttpListener {
  public:
-  using Handler = std::function<HttpResponse(const HttpRequest&)>;
+  using Handler = std::function<void(const HttpRequest&, HttpResponse&)>;
 
   // Binds and starts serving immediately.  On bind/listen failure the
   // listener constructs non-running with error() set.

@@ -256,7 +256,7 @@ ScoreClient::AttemptResult ScoreClient::attempt(
       // definitive server answer a retry will not supersede.
       const bool winner = result.kind == AttemptResult::Kind::kOk ||
                           result.kind == AttemptResult::Kind::kRejected;
-      config_.trace->record({trace_id, primary_span, 1,
+      config_.trace->record_forced({trace_id, primary_span, 1,
                              winner ? "attempt_winner" : "attempt", start_us,
                              obs::steady_now_us()});
     }
@@ -358,11 +358,11 @@ ScoreClient::AttemptResult ScoreClient::attempt(
         !timed_out && (winner.kind == AttemptResult::Kind::kOk ||
                        winner.kind == AttemptResult::Kind::kRejected);
     obs::TraceSink* sink = config_.trace;
-    sink->record({trace_id, primary_span, 1,
+    sink->record_forced({trace_id, primary_span, 1,
                   definitive_win && !hedge_won ? "attempt_winner" : "attempt",
                   primary_start_us, primary_end_us});
     if (launched_hedge) {
-      sink->record({trace_id, hedge_span, 1,
+      sink->record_forced({trace_id, hedge_span, 1,
                     definitive_win && hedge_won ? "hedge_winner" : "hedge",
                     hedge_start_us, hedge_end_us});
     }
@@ -405,7 +405,7 @@ ScoreCallResult ScoreClient::score(std::uint64_t session_id,
   }
   const auto finish_trace = [&] {
     if (sink != nullptr && call.trace_sampled) {
-      sink->record({call.trace_id, 1, 0, "client_call", call_start_us,
+      sink->record_forced({call.trace_id, 1, 0, "client_call", call_start_us,
                     obs::steady_now_us()});
     }
   };

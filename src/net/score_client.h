@@ -107,8 +107,10 @@ struct ScoreClientConfig {
   // sent carries the context as a wire t: segment (parent = that
   // runner's span id), so the server's slot/queue/cache/kernel spans
   // join this trace — see serve::adopted_span_base.  The sink's
-  // deterministic head-sampling decides whether the trace records;
-  // the decision rides the wire, so both sides agree span-for-span.
+  // deterministic head-sampling decides once per call whether the trace
+  // records (its spans then go through record_forced, not decided
+  // again); the decision rides the wire, so both sides agree
+  // span-for-span.
   obs::TraceSink* trace = nullptr;
 };
 

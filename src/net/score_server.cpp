@@ -1,5 +1,6 @@
 #include "net/score_server.h"
 
+#include <string_view>
 #include <utility>
 
 #include "obs/export.h"
@@ -10,12 +11,10 @@ namespace bp::net {
 
 namespace {
 
-HttpResponse plain(int status, std::string body) {
-  HttpResponse response;
+void plain(HttpResponse& response, int status, std::string_view body) {
   response.status = status;
   response.content_type = "text/plain";
-  response.body = std::move(body);
-  return response;
+  response.body = body;
 }
 
 }  // namespace
@@ -36,8 +35,9 @@ ScoreServer::ScoreServer(const serve::ModelRegistry& models,
   ListenerConfig listener_config = config_.listener;
   listener_config.keep_alive = true;
   listener_.emplace(listener_config,
-                    [this](const HttpRequest& request) {
-                      return handle(request);
+                    [this](const HttpRequest& request,
+                           HttpResponse& response) {
+                      handle(request, response);
                     });
   if (config_.registry != nullptr) {
     // The listener's serving + hardening counters (reaps, slow-loris
@@ -58,42 +58,42 @@ ScoreServer::~ScoreServer() {
   }
 }
 
-HttpResponse ScoreServer::handle(const HttpRequest& request) {
+void ScoreServer::handle(const HttpRequest& request, HttpResponse& response) {
   if (request.method != "POST") {
-    return plain(405, "method not allowed\n");
+    return plain(response, 405, "method not allowed\n");
   }
   if (request.path != "/score") {
-    return plain(404, "not found\n");
+    return plain(response, 404, "not found\n");
   }
   if (stopping_.load(std::memory_order_acquire)) {
-    return plain(503, "shutting down\n");
+    return plain(response, 503, "shutting down\n");
   }
 
-  // Parse the frame into thread-local scratch: the feature vector and
-  // render buffers keep their capacity across requests on this handler
-  // thread, so the steady-state path allocates nothing.
+  // Parse the frame into thread-local scratch: the feature vector keeps
+  // its capacity across requests on this handler thread, and the
+  // response body is the connection's reused buffer, so the
+  // steady-state path allocates nothing.
   thread_local WireScoreRequest wire_request;
-  thread_local std::string wire_body;
   const WireError parse = [&] {
     PROF_SCOPE("net.parse");
     return parse_score_request(request.body, &wire_request);
   }();
   if (parse != WireError::kOk) {
     malformed_.fetch_add(1, std::memory_order_relaxed);
-    std::string body("bad frame: ");
-    body.append(wire_error_name(parse));
-    body.push_back('\n');
-    return plain(400, std::move(body));
+    plain(response, 400, "bad frame: ");
+    response.body.append(wire_error_name(parse));
+    response.body.push_back('\n');
+    return;
   }
   if (config_.expected_features != 0 &&
       wire_request.features.size() != config_.expected_features) {
     malformed_.fetch_add(1, std::memory_order_relaxed);
-    std::string body("bad frame: expected ");
-    body.append(std::to_string(config_.expected_features));
-    body.append(" features, got ");
-    body.append(std::to_string(wire_request.features.size()));
-    body.push_back('\n');
-    return plain(400, std::move(body));
+    plain(response, 400, "bad frame: expected ");
+    response.body.append(std::to_string(config_.expected_features));
+    response.body.append(" features, got ");
+    response.body.append(std::to_string(wire_request.features.size()));
+    response.body.push_back('\n');
+    return;
   }
 
   // Adopted cross-hop trace context (the wire's t: segment): the
@@ -133,9 +133,10 @@ HttpResponse ScoreServer::handle(const HttpRequest& request) {
   if (scored != serve::SubmitResult::kAdmitted) {
     inflight_.fetch_sub(1, std::memory_order_relaxed);
     admission_rejected_.fetch_add(1, std::memory_order_relaxed);
-    return plain(503, scored == serve::SubmitResult::kStopped
-                          ? "shutting down\n"
-                          : "no model published\n");
+    return plain(response, 503,
+                 scored == serve::SubmitResult::kStopped
+                     ? "shutting down\n"
+                     : "no model published\n");
   }
 
   WireScoreResponse wire_response;
@@ -151,7 +152,7 @@ HttpResponse ScoreServer::handle(const HttpRequest& request) {
       trace_record ? obs::steady_now_us() : 0;
   {
     PROF_SCOPE("net.serialize");
-    render_score_response(wire_response, &wire_body);
+    render_score_response(wire_response, &response.body);
   }
   if (trace_record) {
     trace_sink->record_forced({trace.trace_id, span_base + 5, span_base + 1,
@@ -161,11 +162,7 @@ HttpResponse ScoreServer::handle(const HttpRequest& request) {
   responses_.fetch_add(1, std::memory_order_relaxed);
   inflight_.fetch_sub(1, std::memory_order_relaxed);
 
-  HttpResponse response;
-  response.status = 200;
   response.content_type = "application/x-bpwire";
-  response.body = wire_body;
-  return response;
 }
 
 void ScoreServer::stop() {

@@ -121,7 +121,7 @@ class ScoreServer {
   void stop();
 
  private:
-  HttpResponse handle(const HttpRequest& request);
+  void handle(const HttpRequest& request, HttpResponse& response);
 
   ScoreServerConfig config_;
 

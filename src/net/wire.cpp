@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <charconv>
+#include <cstring>
 #include <limits>
 
 namespace bp::net {
@@ -29,6 +30,38 @@ bool parse_i32(std::string_view text, std::int32_t* out) noexcept {
   return ec == std::errc() && ptr == text.data() + text.size();
 }
 
+// The feature field: int32 tokens separated by single spaces, each in
+// std::from_chars' grammar (an optional '-', then decimal digits, in
+// range) — one pass over the bytes, no per-token search or call.
+WireError parse_features(std::string_view field,
+                         std::vector<std::int32_t>* out) noexcept {
+  constexpr std::uint64_t kMagnitudeLimit = std::uint64_t{1} << 31;
+  out->clear();
+  const char* at = field.data();
+  const char* const end = at + field.size();
+  while (true) {
+    const bool negative = at < end && *at == '-';
+    if (negative) ++at;
+    const char* const digits = at;
+    std::uint64_t magnitude = 0;
+    while (at < end && static_cast<unsigned char>(*at - '0') < 10) {
+      magnitude = magnitude * 10 + static_cast<std::uint64_t>(*at - '0');
+      if (magnitude > kMagnitudeLimit) return WireError::kBadFeature;
+      ++at;
+    }
+    if (at == digits || (!negative && magnitude == kMagnitudeLimit) ||
+        (at < end && *at != ' ')) {
+      return WireError::kBadFeature;
+    }
+    if (out->size() >= kMaxWireFeatures) return WireError::kTooManyFeatures;
+    out->push_back(static_cast<std::int32_t>(
+        negative ? -static_cast<std::int64_t>(magnitude)
+                 : static_cast<std::int64_t>(magnitude)));
+    if (at == end) return WireError::kOk;
+    ++at;  // the separating space
+  }
+}
+
 // Split off the next '|'-terminated field.  Returns false when no '|'
 // remains (the caller decides whether the tail is the last field).
 bool next_field(std::string_view* rest, std::string_view* field) noexcept {
@@ -55,18 +88,39 @@ WireError check_magic(std::string_view* frame) noexcept {
   return WireError::kOk;
 }
 
-void append_u64(std::string* out, std::uint64_t value) {
-  char buf[20];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  (void)ec;
-  out->append(buf, ptr);
+static_assert(kWireVersion >= 0 && kWireVersion < 10,
+              "the render bounds count one version digit");
+
+// Longest decimal rendering of a uint64 / int32 (with its sign).
+constexpr std::size_t kMaxU64Chars = 20;
+constexpr std::size_t kMaxI32Chars = 11;
+
+char* put_u64(char* at, std::uint64_t value) noexcept {
+  return std::to_chars(at, at + kMaxU64Chars, value).ptr;
 }
 
-void append_i64(std::string* out, std::int64_t value) {
-  char buf[21];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  (void)ec;
-  out->append(buf, ptr);
+char* put_i32(char* at, std::int32_t value) noexcept {
+  return std::to_chars(at, at + kMaxI32Chars, value).ptr;
+}
+
+char* put(char* at, std::string_view text) noexcept {
+  std::memcpy(at, text.data(), text.size());
+  return at + text.size();
+}
+
+// Sizes `out` for at most `bound` bytes, lets `write` fill it from the
+// front and returns the end it reports: every field is written once,
+// straight into the string's storage.
+template <typename Write>
+void render_into(std::string* out, std::size_t bound, Write write) {
+  out->resize(bound);
+  char* const end = write(out->data());
+  out->resize(static_cast<std::size_t>(end - out->data()));
+}
+
+void append_u64(std::string* out, std::uint64_t value) {
+  char buf[kMaxU64Chars];
+  out->append(buf, put_u64(buf, value));
 }
 
 // One t:<trace_id>:<parent_span>:<sampled> payload (the part after
@@ -166,14 +220,9 @@ WireError parse_score_request(std::string_view frame, WireScoreRequest* out) {
   std::string_view ua_field;
   if (!next_field(&frame, &ua_field)) return WireError::kTruncated;
   if (ua_field.empty()) return WireError::kBadUserAgent;
-  // The short label form first ("Chrome 112"), then the full header.
   // An unknown vendor is not an error: scoring a claimed UA the table
   // has never seen is exactly the risk path's job.
-  if (const auto label = ua::parse_label(ua_field)) {
-    out->claimed = *label;
-  } else {
-    out->claimed = ua::parse_user_agent(ua_field);
-  }
+  out->claimed = ua::parse_claimed(ua_field);
 
   // `frame` is now the feature field, running to the next '|' (the
   // start of the optional extension segments) or the end of the frame.
@@ -182,20 +231,8 @@ WireError parse_score_request(std::string_view frame, WireScoreRequest* out) {
   const std::string_view feature_field =
       ext_bar == std::string_view::npos ? frame : frame.substr(0, ext_bar);
   if (feature_field.empty()) return WireError::kNoFeatures;
-  out->features.clear();
-  std::size_t pos = 0;
-  while (pos <= feature_field.size()) {
-    std::size_t space = feature_field.find(' ', pos);
-    if (space == std::string_view::npos) space = feature_field.size();
-    const std::string_view token = feature_field.substr(pos, space - pos);
-    std::int32_t value = 0;
-    if (!parse_i32(token, &value)) return WireError::kBadFeature;
-    if (out->features.size() >= kMaxWireFeatures) {
-      return WireError::kTooManyFeatures;
-    }
-    out->features.push_back(value);
-    pos = space + 1;
-  }
+  const WireError features = parse_features(feature_field, &out->features);
+  if (features != WireError::kOk) return features;
   if (ext_bar != std::string_view::npos) {
     return parse_extensions(frame.substr(ext_bar + 1), &out->trace);
   }
@@ -206,19 +243,26 @@ void render_score_request(std::uint64_t session_id,
                           std::string_view claimed_ua,
                           std::span<const std::int32_t> features,
                           std::string* out) {
-  out->clear();
-  out->append("bp");
-  append_u64(out, static_cast<std::uint64_t>(kWireVersion));
-  out->push_back('|');
-  append_u64(out, session_id);
-  out->push_back('|');
-  out->append(claimed_ua);
-  out->push_back('|');
-  for (std::size_t i = 0; i < features.size(); ++i) {
-    if (i > 0) out->push_back(' ');
-    append_i64(out, features[i]);
-  }
-  out->push_back('\n');
+  // "bp1|<id>|<ua>|<features>\n": the magic, the version digit, three
+  // separators, the newline, and one space before each feature but the
+  // first.
+  const std::size_t bound = 8 + kMaxU64Chars + claimed_ua.size() +
+                            features.size() * (kMaxI32Chars + 1);
+  render_into(out, bound, [&](char* at) {
+    at = put(at, "bp");
+    at = put_u64(at, static_cast<std::uint64_t>(kWireVersion));
+    *at++ = '|';
+    at = put_u64(at, session_id);
+    *at++ = '|';
+    at = put(at, claimed_ua);
+    *at++ = '|';
+    for (std::size_t i = 0; i < features.size(); ++i) {
+      if (i > 0) *at++ = ' ';
+      at = put_i32(at, features[i]);
+    }
+    *at++ = '\n';
+    return at;
+  });
 }
 
 void append_trace_context(const WireTraceContext& trace, std::string* frame) {
@@ -245,24 +289,31 @@ std::string_view wire_status_token(serve::ResponseStatus status) noexcept {
 
 void render_score_response(const WireScoreResponse& response,
                            std::string* out) {
-  out->clear();
-  out->append("bp");
-  append_u64(out, static_cast<std::uint64_t>(kWireVersion));
-  out->push_back('|');
-  append_u64(out, response.session_id);
-  out->push_back('|');
-  out->append(wire_status_token(response.status));
-  out->push_back('|');
-  out->push_back(response.flagged ? '1' : '0');
-  out->push_back('|');
-  append_i64(out, response.risk_factor);
-  out->push_back('|');
-  append_u64(out, response.predicted_cluster);
-  out->push_back('|');
-  append_u64(out, response.model_version);
-  out->push_back('|');
-  append_u64(out, response.latency_micros);
-  out->push_back('\n');
+  const std::string_view status = wire_status_token(response.status);
+  // "bp1|", seven separators plus the newline, the flag digit, and the
+  // numeric fields at their widest.
+  const std::size_t bound =
+      4 + 8 + 1 + status.size() + 4 * kMaxU64Chars + kMaxI32Chars;
+  render_into(out, bound, [&](char* at) {
+    at = put(at, "bp");
+    at = put_u64(at, static_cast<std::uint64_t>(kWireVersion));
+    *at++ = '|';
+    at = put_u64(at, response.session_id);
+    *at++ = '|';
+    at = put(at, status);
+    *at++ = '|';
+    *at++ = response.flagged ? '1' : '0';
+    *at++ = '|';
+    at = put_i32(at, response.risk_factor);
+    *at++ = '|';
+    at = put_u64(at, response.predicted_cluster);
+    *at++ = '|';
+    at = put_u64(at, response.model_version);
+    *at++ = '|';
+    at = put_u64(at, response.latency_micros);
+    *at++ = '\n';
+    return at;
+  });
 }
 
 WireError parse_score_response(std::string_view frame,

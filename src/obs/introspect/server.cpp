@@ -20,14 +20,14 @@ IntrospectionServer::IntrospectionServer(Sources sources, ServerConfig config)
   // contract (scrapers open fresh connections each cadence anyway).
   listener_config.keep_alive = false;
   listener_.emplace(std::move(listener_config),
-                    [this](const net::HttpRequest& request) {
+                    [this](const net::HttpRequest& request,
+                           net::HttpResponse& response) {
                       if (request.method != "GET") {
-                        net::HttpResponse response;
                         response.status = 405;
                         response.body = "only GET is served here\n";
-                        return response;
+                        return;
                       }
-                      return handle(request);
+                      response = handle(request);
                     });
 }
 
@@ -84,11 +84,12 @@ net::HttpResponse IntrospectionServer::handle(
     }
     // ?trace=<id> keeps one trace (the cross-hop drill-down: paste the
     // id a ScoreCallResult or an exemplar reported, on either side of
-    // the wire); ?n=K keeps the K most recent matching events.  A
-    // present-but-unparseable value is the operator's typo — 400, not
-    // a silently unfiltered dump.
+    // the wire); ?n=K keeps the K most recent matching events (n=0: all
+    // of them), kTracezDefaultEvents without n.  A present-but-
+    // unparseable value is the operator's typo — 400, not a silently
+    // unfiltered dump.
     std::uint64_t trace_filter = 0;
-    std::uint64_t limit = 0;
+    std::uint64_t limit = kTracezDefaultEvents;
     if (net::query_uint_checked(request.query, "trace", &trace_filter) ==
         net::QueryParam::kMalformed) {
       response.status = 400;
@@ -175,8 +176,10 @@ net::HttpResponse IntrospectionServer::handle(
   response.status = 404;
   response.body =
       "not found; endpoints: /metrics /metrics.json /healthz /readyz "
-      "/statusz /tracez?trace=ID&n=K /auditz?n=K /profilez?seconds=N "
-      "/profilez.json /contentionz\n";
+      "/statusz /tracez?trace=ID&n=K (default n=" +
+      std::to_string(kTracezDefaultEvents) +
+      ", n=0 all) /auditz?n=K /profilez?seconds=N /profilez.json "
+      "/contentionz\n";
   return response;
 }
 

@@ -22,8 +22,9 @@
 //                  states, recent alert transitions, app extras
 //   /tracez        TraceSink render (with timing); ?trace=ID keeps one
 //                  trace id (the cross-hop drill-down), ?n=K keeps the
-//                  K most recent matching events; a malformed value in
-//                  either is refused 400
+//                  K most recent matching events (default
+//                  kTracezDefaultEvents, n=0 the whole ring); a
+//                  malformed value in either is refused 400
 //   /auditz?n=K    most recent K AuditTrail records as JSONL
 //   /profilez      collapsed-stack profile (flamegraph.pl input);
 //                  ?seconds=N (default 1, clamped to [1,30]) windows
@@ -60,6 +61,11 @@
 #include "obs/trace.h"
 
 namespace bp::obs::introspect {
+
+// Events /tracez renders without an n= parameter: the most recent ones,
+// not the whole trace ring (thousands of events, a large body to build
+// under a scrape).
+inline constexpr std::size_t kTracezDefaultEvents = 256;
 
 // What the server exposes.  Any pointer may be null — the matching
 // endpoints then answer 404 (/readyz: 503).  /healthz needs none:

@@ -68,7 +68,7 @@ SessionGenerator::SessionGenerator(TrafficConfig config)
 
   // One ReleaseChoice per (decay, vendor, day): the vendor's releases
   // out by that day in database order, their popularity weights, and the
-  // weights' total summed in the order Rng::weighted sums.
+  // weights' running sums for Rng::weighted's binary search.
   const int days = std::max(config_.end_date - config_.start_date, 0) + 1;
   const double taus[kDecays] = {
       config_.release_age_tau_days,
@@ -90,10 +90,13 @@ SessionGenerator::SessionGenerator(TrafficConfig config)
           const double weight = std::exp(-age_days / tau_days);
           release_pool_.push_back(&r);
           weight_pool_.push_back(weight);
-          choice.total += weight > 0.0 ? weight : 0.0;
         }
         choice.count =
             static_cast<std::uint32_t>(release_pool_.size()) - choice.begin;
+        for (double sum : bp::util::weighted_prefix_sums(std::span<const double>(
+                 weight_pool_.data() + choice.begin, choice.count))) {
+          prefix_pool_.push_back(sum);
+        }
         release_choices_.push_back(choice);
       }
     }
@@ -164,7 +167,8 @@ const browser::BrowserRelease* SessionGenerator::sample_release(
   const std::size_t pick = rng.weighted(
       std::span<const double>(weight_pool_.data() + choice.begin,
                               choice.count),
-      choice.total);
+      std::span<const double>(prefix_pool_.data() + choice.begin,
+                              choice.count));
   return candidates[pick < choice.count ? pick : choice.count - 1];
 }
 

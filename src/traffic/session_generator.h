@@ -125,9 +125,9 @@ class SessionGenerator {
   // weights and the weights' total.  Built once per generator from the
   // immutable ReleaseDatabase.
   struct ReleaseChoice {
-    std::uint32_t begin = 0;  // into release_pool_ and weight_pool_
+    // into release_pool_, weight_pool_ and prefix_pool_
+    std::uint32_t begin = 0;
     std::uint32_t count = 0;
-    double total = 0.0;
   };
 
   SessionRecord synthesize(const std::vector<std::size_t>& stored_indices,
@@ -170,6 +170,8 @@ class SessionGenerator {
   std::vector<ReleaseChoice> release_choices_;  // [decay][vendor][day]
   std::vector<const browser::BrowserRelease*> release_pool_;
   std::vector<double> weight_pool_;
+  // Per choice, util::weighted_prefix_sums of its weights.
+  std::vector<double> prefix_pool_;
   std::vector<std::string> user_agents_;  // [release][os slot]
   std::vector<std::string> labels_;       // [release]
 };

@@ -1,7 +1,10 @@
 #include "ua/user_agent.h"
 
 #include <cstdio>
+#include <cstring>
+#include <memory>
 
+#include "util/rng.h"
 #include "util/strings.h"
 
 namespace bp::ua {
@@ -12,19 +15,20 @@ using bp::util::contains;
 using bp::util::parse_int;
 
 // Extract the integer that follows `token` in `header` (major version up
-// to the first '.' or non-digit).  Returns 0 when absent.
+// to the first '.' or non-digit).  Returns 0 when absent.  A version too
+// long for an int wraps modulo 2^32 rather than overflowing.
 int version_after(std::string_view header, std::string_view token) {
   const std::size_t pos = header.find(token);
   if (pos == std::string_view::npos) return 0;
   std::size_t i = pos + token.size();
-  int value = 0;
+  std::uint32_t value = 0;
   bool any = false;
   while (i < header.size() && header[i] >= '0' && header[i] <= '9') {
-    value = value * 10 + (header[i] - '0');
+    value = value * 10 + static_cast<std::uint32_t>(header[i] - '0');
     any = true;
     ++i;
   }
-  return any ? value : 0;
+  return any ? static_cast<int>(value) : 0;
 }
 
 std::string os_fragment(Os os) {
@@ -161,25 +165,99 @@ UserAgent parse_user_agent(std::string_view header) {
 }
 
 std::optional<UserAgent> parse_label(std::string_view label) {
-  const auto parts = bp::util::split(bp::util::trim(label), ' ');
-  if (parts.size() != 2) return std::nullopt;
-  const auto version = parse_int(parts[1]);
+  // Exactly two space-separated fields once the ends are trimmed.
+  label = bp::util::trim(label);
+  const std::size_t space = label.find(' ');
+  if (space == std::string_view::npos ||
+      label.find(' ', space + 1) != std::string_view::npos) {
+    return std::nullopt;
+  }
+  const std::string_view name = label.substr(0, space);
+  const auto version = parse_int(label.substr(space + 1));
   if (!version || *version <= 0) return std::nullopt;
 
   UserAgent ua;
   ua.major_version = static_cast<int>(*version);
-  if (bp::util::iequals(parts[0], "Chrome")) {
+  if (bp::util::iequals(name, "Chrome")) {
     ua.vendor = Vendor::kChrome;
-  } else if (bp::util::iequals(parts[0], "Firefox")) {
+  } else if (bp::util::iequals(name, "Firefox")) {
     ua.vendor = Vendor::kFirefox;
-  } else if (bp::util::iequals(parts[0], "Edge")) {
+  } else if (bp::util::iequals(name, "Edge")) {
     ua.vendor = ua.major_version < 20 ? Vendor::kEdgeLegacy : Vendor::kEdge;
-  } else if (bp::util::iequals(parts[0], "Safari")) {
+  } else if (bp::util::iequals(name, "Safari")) {
     ua.vendor = Vendor::kSafari;
   } else {
     return std::nullopt;
   }
   return ua;
+}
+
+UserAgent parse_claimed(std::string_view claimed) {
+  const auto parse = [](std::string_view text) {
+    if (const auto label = parse_label(text)) return *label;
+    return parse_user_agent(text);
+  };
+  if (claimed.empty() || claimed.size() > kInternKeyBytes) {
+    return parse(claimed);
+  }
+  // Two-way sets: a key evicts the way its set used less recently, so
+  // two hot claims sharing a set do not evict each other.
+  struct Slot {
+    std::uint64_t hash = 0;
+    std::uint8_t length = 0;  // 0: empty
+    UserAgent ua;
+    char key[kInternKeyBytes];
+  };
+  struct Set {
+    Slot way[2];
+    std::uint8_t recent = 0;
+  };
+  constexpr std::size_t kSets = kInternSlots / 2;
+  static_assert(kInternKeyBytes <= 255, "Slot::length is one byte");
+  static_assert(kSets > 0 && (kSets & (kSets - 1)) == 0,
+                "the set index is a mask of the hash");
+  thread_local std::unique_ptr<Set[]> table;
+  if (!table) table = std::make_unique<Set[]>(kSets);
+
+  // Two multiply-xor lanes over alternate eight-byte words (the tail
+  // zero-padded, the length in the seed), joined by a SplitMix64 round.
+  // Only the slot choice rides on it; a hit still compares the bytes.
+  constexpr std::uint64_t kMul = 0xbf58476d1ce4e5b9ULL;
+  std::uint64_t even = 0x9e3779b97f4a7c15ULL ^ claimed.size();
+  std::uint64_t odd = 0xd1b54a32d192ed03ULL;
+  const char* at = claimed.data();
+  const char* const end = at + claimed.size();
+  for (; end - at >= 16; at += 16) {
+    std::uint64_t words[2];
+    std::memcpy(words, at, 16);
+    even = (even ^ words[0]) * kMul;
+    odd = (odd ^ words[1]) * kMul;
+  }
+  if (at < end) {
+    std::uint64_t words[2] = {0, 0};
+    std::memcpy(words, at, static_cast<std::size_t>(end - at));
+    even = (even ^ words[0]) * kMul;
+    odd = (odd ^ words[1]) * kMul;
+  }
+  const std::uint64_t hash =
+      bp::util::mix64(even ^ (odd * 0x94d049bb133111ebULL));
+
+  Set& set = table[hash & (kSets - 1)];
+  for (std::uint8_t w = 0; w < 2; ++w) {
+    const Slot& slot = set.way[w];
+    if (slot.hash == hash && slot.length == claimed.size() &&
+        std::memcmp(slot.key, claimed.data(), claimed.size()) == 0) {
+      set.recent = w;
+      return slot.ua;
+    }
+  }
+  set.recent ^= 1;
+  Slot& slot = set.way[set.recent];
+  slot.hash = hash;
+  slot.ua = parse(claimed);
+  slot.length = static_cast<std::uint8_t>(claimed.size());
+  std::memcpy(slot.key, claimed.data(), claimed.size());
+  return slot.ua;
 }
 
 bool same_vendor(Vendor a, Vendor b) noexcept {

@@ -60,19 +60,55 @@ int Rng::integer_noise(double p, double decay) noexcept {
 std::size_t Rng::weighted(std::span<const double> weights) noexcept {
   double total = 0.0;
   for (double w : weights) total += (w > 0.0 ? w : 0.0);
-  return weighted(weights, total);
+  if (total <= 0.0) return weights.size();
+  return weighted_bucket(weights, uniform() * total);
 }
 
 std::size_t Rng::weighted(std::span<const double> weights,
-                          double total) noexcept {
+                          std::span<const double> prefix) noexcept {
+  const double total = prefix.empty() ? 0.0 : prefix.back();
   if (total <= 0.0) return weights.size();
-  double target = uniform() * total;
+  return weighted_bucket(weights, prefix, uniform() * total);
+}
+
+std::size_t weighted_bucket(std::span<const double> weights,
+                            double target) noexcept {
   for (std::size_t i = 0; i < weights.size(); ++i) {
     const double w = weights[i] > 0.0 ? weights[i] : 0.0;
     if (target < w) return i;
     target -= w;
   }
   return weights.size() - 1;  // numeric slop lands on the last bucket
+}
+
+std::vector<double> weighted_prefix_sums(std::span<const double> weights) {
+  std::vector<double> prefix;
+  prefix.reserve(weights.size());
+  double total = 0.0;
+  for (double w : weights) {
+    total += (w > 0.0 ? w : 0.0);
+    prefix.push_back(total);
+  }
+  return prefix;
+}
+
+std::size_t weighted_bucket(std::span<const double> weights,
+                            std::span<const double> prefix,
+                            double target) noexcept {
+  // Each step of the scan and of the running sum errs by at most 2^-53 of
+  // a value no larger than the total, so after n steps the two differ
+  // from exact arithmetic by at most n 2^-53 total each.  The margin
+  // doubles that sum again so its own rounding cannot matter.
+  const std::size_t n = prefix.size();
+  const double margin =
+      4.0 * static_cast<double>(n + 1) * 0x1.0p-53 * prefix.back();
+  const std::size_t i = static_cast<std::size_t>(
+      std::upper_bound(prefix.begin(), prefix.end(), target) - prefix.begin());
+  const double low = i == 0 ? 0.0 : prefix[i - 1];
+  if (i < n && target - low > margin && prefix[i] - target > margin) {
+    return i;
+  }
+  return weighted_bucket(weights, target);
 }
 
 std::vector<std::size_t> Rng::sample_indices(std::size_t n,

@@ -116,10 +116,11 @@ class Rng {
   // weights (need not be normalized).  Returns weights.size() only when
   // all weights are zero or the span is empty.
   std::size_t weighted(std::span<const double> weights) noexcept;
-  // The same draw with the weights' total (the sum of the positive
-  // weights, in order) already known, for callers that sample one fixed
-  // table many times.
-  std::size_t weighted(std::span<const double> weights, double total) noexcept;
+  // The same draw, bit for bit, over a fixed table sampled many times:
+  // `prefix` holds weighted_prefix_sums(weights), so the bucket is a
+  // binary search (weighted_bucket below).
+  std::size_t weighted(std::span<const double> weights,
+                       std::span<const double> prefix) noexcept;
 
   // Fisher-Yates shuffle.
   template <typename T>
@@ -172,6 +173,25 @@ class Rng {
   bool have_cached_normal_ = false;
   double cached_normal_ = 0.0;
 };
+
+// The bucket Rng::weighted returns for a draw of `target` (uniform() *
+// total): the first i with target < w_i after subtracting the earlier
+// positive weights in order, the last bucket on rounding slop.
+std::size_t weighted_bucket(std::span<const double> weights,
+                            double target) noexcept;
+
+// Running sums of the positive weights in order: prefix[i] is the sum
+// of weights [0, i], so prefix.back() is Rng::weighted's total.
+std::vector<double> weighted_prefix_sums(std::span<const double> weights);
+
+// The same bucket as weighted_bucket(weights, target), found by binary
+// search over `prefix` (weighted_prefix_sums(weights), non-empty).  The
+// subtraction scan and the prefix sums each round once per step, so
+// they can disagree only for a target within 2 n 2^-53 total of a
+// bucket edge; such a target takes the scan instead.
+std::size_t weighted_bucket(std::span<const double> weights,
+                            std::span<const double> prefix,
+                            double target) noexcept;
 
 // Deterministic per-id Bernoulli(rate) decision, pure in (seed, id):
 // keep(id) is `Rng(seed).split(id).uniform() < rate` bit for bit, with

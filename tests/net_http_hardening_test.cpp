@@ -33,11 +33,9 @@ std::chrono::milliseconds sock_timeout(int fd, int option) {
 }
 
 HttpListener::Handler echo_handler() {
-  return [](const HttpRequest& request) {
-    HttpResponse response;
+  return [](const HttpRequest& request, HttpResponse& response) {
     response.body = request.method + " " + request.path + " " +
                     std::string(request.body) + "\n";
-    return response;
   };
 }
 

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -24,6 +25,7 @@
 #include "net/score_server.h"
 #include "net/wire.h"
 #include "obs/metrics_registry.h"
+#include "obs/trace.h"
 #include "serve/model_registry.h"
 #include "util/fault.h"
 
@@ -78,10 +80,15 @@ HttpResponse healthy_verdict(const HttpRequest& request,
   return response;
 }
 
-std::unique_ptr<HttpListener> scripted_listener(HttpListener::Handler fn) {
+std::unique_ptr<HttpListener> scripted_listener(
+    std::function<HttpResponse(const HttpRequest&)> fn) {
   ListenerConfig config;
   config.keep_alive = true;
-  auto listener = std::make_unique<HttpListener>(config, std::move(fn));
+  auto listener = std::make_unique<HttpListener>(
+      config, [fn = std::move(fn)](const HttpRequest& request,
+                                   HttpResponse& response) {
+        response = fn(request);
+      });
   EXPECT_TRUE(listener->running()) << listener->error();
   return listener;
 }
@@ -147,6 +154,48 @@ TEST(ScoreClient, PoolsKeepAliveConnections) {
   proxy.stop();
   EXPECT_EQ(proxy.stats().connections, 1u);
   EXPECT_EQ(client.stats().ok, 3u);
+}
+
+// A call's spans follow the one sampling decision it made: at rate 1
+// the root and the winning attempt, at rate 0 nothing, and at any rate
+// in between exactly the calls that reported trace_sampled.
+TEST(ScoreClient, TracedCallsRecordSpansExactlyWhenSampled) {
+  auto listener = scripted_listener(
+      [](const HttpRequest& r) { return healthy_verdict(r); });
+  const std::int32_t features[] = {1, 2};
+  for (const double rate : {1.0, 0.0, 0.5}) {
+    obs::TraceSink sink({.capacity = 4096, .sample_rate = rate});
+    ScoreClientConfig config = client_config(listener->port());
+    config.trace = &sink;
+    ScoreClient client(config);
+    std::size_t sampled = 0;
+    for (std::uint64_t session = 1; session <= 200; ++session) {
+      const ScoreCallResult result =
+          client.score(session, "Chrome 100", features);
+      ASSERT_EQ(result.outcome, ScoreClientOutcome::kOk) << result.error;
+      const std::vector<obs::TraceEvent> events =
+          sink.events(result.trace_id);
+      if (!result.trace_sampled) {
+        EXPECT_TRUE(events.empty()) << "rate " << rate;
+        continue;
+      }
+      ++sampled;
+      ASSERT_EQ(events.size(), 2u) << "rate " << rate;
+      EXPECT_EQ(events[0].span_id, 1u);
+      EXPECT_STREQ(events[0].name, "client_call");
+      EXPECT_EQ(events[1].span_id, 10u);
+      EXPECT_STREQ(events[1].name, "attempt_winner");
+    }
+    EXPECT_EQ(sink.recorded(), 2 * sampled) << "rate " << rate;
+    if (rate == 1.0) {
+      EXPECT_EQ(sampled, 200u);
+    } else if (rate == 0.0) {
+      EXPECT_EQ(sampled, 0u);
+    } else {
+      EXPECT_GT(sampled, 50u);
+      EXPECT_LT(sampled, 150u);
+    }
+  }
 }
 
 TEST(ScoreClient, ShedIsRetriedUpToMaxAttempts) {

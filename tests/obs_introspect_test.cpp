@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <string>
@@ -335,6 +336,36 @@ TEST(ObsIntrospect, AuditzBoundsToLastN) {
   EXPECT_EQ(last3.body.find("\"session_id\": 6"), std::string::npos);
   EXPECT_NE(last3.body.find("\"session_id\": 7"), std::string::npos);
   EXPECT_NE(last3.body.find("\"session_id\": 9"), std::string::npos);
+}
+
+TEST(ObsIntrospect, TracezRendersTheMostRecentEventsByDefault) {
+  TraceSink trace;  // 8192 slots, every trace kept
+  for (std::uint64_t i = 0; i < trace.config().capacity; ++i) {
+    trace.record({i + 1, 1, 0, "request", 0, 1});
+  }
+  Sources sources;
+  sources.trace = &trace;
+  IntrospectionServer server(sources);
+  ASSERT_TRUE(server.running()) << server.error();
+  const auto lines_of = [&](const std::string& target) {
+    const net::HttpResult result =
+        net::HttpClient("127.0.0.1", server.port())
+            .get(target, /*close_connection=*/true);
+    EXPECT_EQ(result.status, 200) << target;
+    return static_cast<std::size_t>(
+        std::count(result.body.begin(), result.body.end(), '\n'));
+  };
+  // A full ring renders only its newest kTracezDefaultEvents events
+  // without n=; an explicit n keeps its meaning, and n=0 is the ring.
+  EXPECT_EQ(lines_of("/tracez"), kTracezDefaultEvents);
+  EXPECT_EQ(lines_of("/tracez?n=1000"), 1000u);
+  EXPECT_EQ(lines_of("/tracez?n=0"), trace.config().capacity);
+  const std::string newest =
+      "trace=" + std::to_string(trace.config().capacity) + " ";
+  EXPECT_NE(net::HttpClient("127.0.0.1", server.port())
+                .get("/tracez", /*close_connection=*/true)
+                .body.find(newest),
+            std::string::npos);
 }
 
 TEST(ObsIntrospect, BindFailureReportsInsteadOfRunning) {

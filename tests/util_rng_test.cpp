@@ -8,6 +8,7 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <vector>
 
 namespace bp::util {
 namespace {
@@ -197,6 +198,80 @@ TEST(Rng, WeightedMatchesRatios) {
   constexpr int kDraws = 40'000;
   for (int i = 0; i < kDraws; ++i) second += rng.weighted(weights) == 1 ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(second) / kDraws, 0.75, 0.02);
+}
+
+// Weight tables of the shapes the generator samples (exponential decay
+// over release age, oldest first), plus zeros, negatives, one dominant
+// weight among tiny ones, and seeded random weights.
+std::vector<std::vector<double>> weight_tables() {
+  std::vector<std::vector<double>> tables;
+  for (const double tau : {30.0, 90.0, 365.0}) {
+    std::vector<double> decay;
+    for (int age = 1500; age >= 0; age -= 23) {
+      decay.push_back(std::exp(-age / tau));
+    }
+    tables.push_back(std::move(decay));
+  }
+  tables.push_back({0.0, 0.1, 0.2, 0.0, -3.0, 0.3, 0.7, 0.0});
+  tables.push_back({1e-300, 1e-17, 1.0, 1e-17, 1e-300, 3e-16});
+  tables.push_back({0.0});
+  Rng rng(99);
+  for (int t = 0; t < 8; ++t) {
+    std::vector<double> random(1 + rng.below(200));
+    for (double& w : random) w = rng.chance(0.1) ? 0.0 : rng.uniform(0.0, 7.0);
+    tables.push_back(std::move(random));
+  }
+  return tables;
+}
+
+TEST(RngWeighted, PrefixSearchMatchesTheScanOverAMillionDraws) {
+  std::size_t draws = 0;
+  std::uint64_t seed = 1;
+  for (const std::vector<double>& weights : weight_tables()) {
+    const std::vector<double> prefix = weighted_prefix_sums(weights);
+    Rng scan(seed);
+    Rng search(seed++);
+    for (int i = 0; i < 80'000; ++i, ++draws) {
+      ASSERT_EQ(search.weighted(weights, prefix), scan.weighted(weights))
+          << "table of " << weights.size() << ", draw " << i;
+    }
+  }
+  EXPECT_GE(draws, 1'000'000u);
+}
+
+TEST(RngWeighted, TargetsAtBucketEdgesFindTheScansBucket) {
+  std::size_t targets = 0;
+  for (const std::vector<double>& weights : weight_tables()) {
+    const std::vector<double> prefix = weighted_prefix_sums(weights);
+    const double total = prefix.back();
+    if (total <= 0.0) continue;
+    // Every edge as the running sums place it and as the scan's own
+    // subtractions place it, each stepped a few ulps either way.
+    std::vector<double> edges(prefix.begin(), prefix.end());
+    double scanned = total;
+    for (std::size_t i = weights.size(); i-- > 0;) {
+      scanned -= weights[i] > 0.0 ? weights[i] : 0.0;
+      edges.push_back(scanned);
+      edges.push_back(total - scanned);
+    }
+    edges.push_back(0.0);
+    for (const double edge : edges) {
+      double below = edge;
+      double above = edge;
+      for (int step = 0; step < 64; ++step) {
+        for (const double target : {below, above}) {
+          if (target < 0.0 || target >= total) continue;
+          ASSERT_EQ(weighted_bucket(weights, prefix, target),
+                    weighted_bucket(weights, target))
+              << "target " << target << " near edge " << edge;
+          ++targets;
+        }
+        below = std::nextafter(below, -1.0);
+        above = std::nextafter(above, 2.0 * total);
+      }
+    }
+  }
+  EXPECT_GT(targets, 100'000u);
 }
 
 TEST(Rng, ShuffleIsPermutation) {
