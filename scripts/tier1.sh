@@ -262,9 +262,8 @@ if [[ -n "${BP_SANITIZE:-}" ]]; then
   # breaker and backoff the client and the retrain supervisor use, the
   # isolation forest, whose fit and block scoring run on pool lanes,
   # with the golden-hash suite that drives them at 1, 2 and 8 threads,
-  # and the verdict tables: the per-thread claimed-UA intern table and
-  # the dense Algorithm-1 tables engine workers and handler threads read
-  # at once.
+  # and the verdict tables: the dense Algorithm-1 tables engine workers
+  # and handler threads read at once.
   ctest --test-dir "${san_dir}" \
     -R 'Serve|BoundedQueue|Parallel|TrainingDeterminism|Fault|RetrainSupervisor|ModelIntegrity|Chaos|Client|SockOps|HttpListener|WireFuzz|Obs|Audit|Introspect|Slo|Health|Net|Router|Batch|Cache|DistTrace|Prof|Contention|Generator|Breaker|Backoff|IsolationForest|TrainingGolden|VerdictTables' \
     --output-on-failure

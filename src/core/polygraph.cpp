@@ -11,6 +11,7 @@
 #include "browser/release_db.h"
 #include "obs/metrics_registry.h"
 #include "obs/prof/prof.h"
+#include "util/parallel.h"
 
 namespace bp::core {
 
@@ -279,17 +280,23 @@ std::size_t Polygraph::predict_cluster(std::span<const double> features,
 std::vector<std::size_t> Polygraph::predict_clusters(
     const ml::Matrix& features) const {
   assert(features.cols() == config_.feature_indices.size());
-  BatchScratch scratch;
   std::vector<std::size_t> out(features.rows());
-  for (std::size_t base = 0; base < out.size(); base += kScoreBatchBlock) {
-    const std::size_t n = std::min(kScoreBatchBlock, out.size() - base);
-    const double* row_ptr[kScoreBatchBlock];
-    for (std::size_t r = 0; r < n; ++r) {
-      row_ptr[r] = features.row(base + r).data();
+  // Chunks of whole blocks on the pool, each with its own scratch; a
+  // row's answer does not depend on its block, so neither does out.
+  constexpr std::size_t kGrain = 16 * kScoreBatchBlock;
+  util::parallel_for(0, out.size(), kGrain, [&](std::size_t begin,
+                                                std::size_t end) {
+    BatchScratch scratch;
+    for (std::size_t base = begin; base < end; base += kScoreBatchBlock) {
+      const std::size_t n = std::min(kScoreBatchBlock, end - base);
+      const double* row_ptr[kScoreBatchBlock];
+      for (std::size_t r = 0; r < n; ++r) {
+        row_ptr[r] = features.row(base + r).data();
+      }
+      nearest_block<0>(row_ptr, n, scratch);
+      std::copy_n(scratch.best_cluster_.begin(), n, out.begin() + base);
     }
-    nearest_block<0>(row_ptr, n, scratch);
-    std::copy_n(scratch.best_cluster_.begin(), n, out.begin() + base);
-  }
+  });
   return out;
 }
 
@@ -332,13 +339,14 @@ std::size_t Polygraph::table_row(const ua::UserAgent& ua) const noexcept {
 }
 
 void Polygraph::build_verdict_tables() {
+  const std::size_t width = kmeans_.centroids().rows();
+  // train() assigns ids below k and model_io rejects any other, so every
+  // id fits the uint32 table below kNotInTable.
+  for ([[maybe_unused]] const auto& entry : table_.entries()) {
+    assert(entry.second < width);
+  }
   dense_expected_.clear();
   dense_risk_.clear();
-  for (const auto& [key, cluster] : table_.entries()) {
-    // A cluster id the table cannot hold leaves every lookup on table_.
-    if (cluster >= kNotInTable) return;
-  }
-  const std::size_t width = kmeans_.centroids().rows();
   std::vector<std::span<const ua::UserAgent>> cluster_uas;
   for (std::size_t c = 0; c < width; ++c) {
     cluster_uas.push_back(table_.user_agents_in(c));

@@ -270,12 +270,23 @@ class Polygraph {
   // widens exactly to double).  kRows = 0 takes n rows at the block
   // stride; kRows = 1 compiles the same source for a lone row, whose
   // lanes are then single values the compiler keeps unrolled (a
-  // runtime-length loop costs more than its one iteration).
+  // runtime-length loop costs more than its one iteration: ~0.3 vs
+  // ~0.9 us a row).  Both forms give the same bits.
+  //
+  // The entry point picks the form, not the input: only the offline
+  // callers of score() and predict_cluster() (benchmark fixtures,
+  // examples, tests) take kRows = 1.  score_batch, which serves every
+  // engine verdict, spans of one included, always takes kRows = 0:
+  // the faster form there makes the observability planes' fixed cost
+  // per verdict exceed ServeOverhead's 3% bound.  Choosing the form
+  // from rows.size() inside score_batch_impl waits until the planes
+  // are cheaper (ROADMAP item 4).
   template <std::size_t kRows, typename T>
   void nearest_block(const T* const* row_ptr, std::size_t n,
                      BatchScratch& scratch) const;
   // The kernel over any number of rows plus the verdict tail: behind
-  // score_batch (kRows = 0) and, as a batch of one, score (kRows = 1).
+  // score_batch (kRows = 0) and, as a batch of one, offline score()
+  // (kRows = 1).
   template <std::size_t kRows, typename T>
   void score_batch_impl(std::span<const std::span<const T>> rows,
                         std::span<const ua::UserAgent> claims,

@@ -145,7 +145,7 @@ void serialize_response(const HttpResponse& response, std::string& out) {
   out += ' ';
   out += status_reason(response.status);
   out += "\r\nContent-Type: ";
-  out += response.content_type;
+  out += response.content_type.view();
   out += "\r\nContent-Length: ";
   append_decimal(out, response.body.size());
   out += response.keep_alive ? "\r\nConnection: keep-alive\r\n\r\n"

@@ -32,6 +32,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -59,13 +60,27 @@ struct HttpRequest {
   bool keep_alive = true;
 };
 
-inline constexpr std::string_view kPlainTextContentType =
+// A Content-Type value made only from a string literal: the
+// constructor runs at compile time, so the view it holds never dangles
+// and setting one never allocates.  Implicit, so a handler writes
+// `response.content_type = "application/json";`.
+class ContentType {
+ public:
+  template <std::size_t N>
+  consteval ContentType(const char (&literal)[N])
+      : value_(literal, N - 1) {}
+  constexpr std::string_view view() const noexcept { return value_; }
+
+ private:
+  std::string_view value_;
+};
+
+inline constexpr ContentType kPlainTextContentType =
     "text/plain; charset=utf-8";
 
 struct HttpResponse {
   int status = 200;
-  // Always a view of a string literal, so setting it never allocates.
-  std::string_view content_type = kPlainTextContentType;
+  ContentType content_type = kPlainTextContentType;
   std::string body;
   // Set by the listener before serialization; handlers need not touch
   // it.  Default false so hand-serialized responses close, matching

@@ -1,10 +1,7 @@
 #include "ua/user_agent.h"
 
 #include <cstdio>
-#include <cstring>
-#include <memory>
 
-#include "util/rng.h"
 #include "util/strings.h"
 
 namespace bp::ua {
@@ -193,71 +190,8 @@ std::optional<UserAgent> parse_label(std::string_view label) {
 }
 
 UserAgent parse_claimed(std::string_view claimed) {
-  const auto parse = [](std::string_view text) {
-    if (const auto label = parse_label(text)) return *label;
-    return parse_user_agent(text);
-  };
-  if (claimed.empty() || claimed.size() > kInternKeyBytes) {
-    return parse(claimed);
-  }
-  // Two-way sets: a key evicts the way its set used less recently, so
-  // two hot claims sharing a set do not evict each other.
-  struct Slot {
-    std::uint64_t hash = 0;
-    std::uint8_t length = 0;  // 0: empty
-    UserAgent ua;
-    char key[kInternKeyBytes];
-  };
-  struct Set {
-    Slot way[2];
-    std::uint8_t recent = 0;
-  };
-  constexpr std::size_t kSets = kInternSlots / 2;
-  static_assert(kInternKeyBytes <= 255, "Slot::length is one byte");
-  static_assert(kSets > 0 && (kSets & (kSets - 1)) == 0,
-                "the set index is a mask of the hash");
-  thread_local std::unique_ptr<Set[]> table;
-  if (!table) table = std::make_unique<Set[]>(kSets);
-
-  // Two multiply-xor lanes over alternate eight-byte words (the tail
-  // zero-padded, the length in the seed), joined by a SplitMix64 round.
-  // Only the slot choice rides on it; a hit still compares the bytes.
-  constexpr std::uint64_t kMul = 0xbf58476d1ce4e5b9ULL;
-  std::uint64_t even = 0x9e3779b97f4a7c15ULL ^ claimed.size();
-  std::uint64_t odd = 0xd1b54a32d192ed03ULL;
-  const char* at = claimed.data();
-  const char* const end = at + claimed.size();
-  for (; end - at >= 16; at += 16) {
-    std::uint64_t words[2];
-    std::memcpy(words, at, 16);
-    even = (even ^ words[0]) * kMul;
-    odd = (odd ^ words[1]) * kMul;
-  }
-  if (at < end) {
-    std::uint64_t words[2] = {0, 0};
-    std::memcpy(words, at, static_cast<std::size_t>(end - at));
-    even = (even ^ words[0]) * kMul;
-    odd = (odd ^ words[1]) * kMul;
-  }
-  const std::uint64_t hash =
-      bp::util::mix64(even ^ (odd * 0x94d049bb133111ebULL));
-
-  Set& set = table[hash & (kSets - 1)];
-  for (std::uint8_t w = 0; w < 2; ++w) {
-    const Slot& slot = set.way[w];
-    if (slot.hash == hash && slot.length == claimed.size() &&
-        std::memcmp(slot.key, claimed.data(), claimed.size()) == 0) {
-      set.recent = w;
-      return slot.ua;
-    }
-  }
-  set.recent ^= 1;
-  Slot& slot = set.way[set.recent];
-  slot.hash = hash;
-  slot.ua = parse(claimed);
-  slot.length = static_cast<std::uint8_t>(claimed.size());
-  std::memcpy(slot.key, claimed.data(), claimed.size());
-  return slot.ua;
+  if (const auto label = parse_label(claimed)) return *label;
+  return parse_user_agent(claimed);
 }
 
 bool same_vendor(Vendor a, Vendor b) noexcept {

@@ -11,7 +11,6 @@
 // the fingerprint-side detection exploits.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -81,14 +80,7 @@ std::optional<UserAgent> parse_label(std::string_view label);
 
 // A claimed user-agent as a client sends it: the short label form
 // first, else the full header (parse_label, then parse_user_agent).
-// Memoized per thread in a two-way set-associative table of
-// kInternSlots slots keyed by the raw bytes, stored inline, so repeated
-// headers skip both parsers.  A claim longer than kInternKeyBytes (or
-// empty) bypasses the table.  The table is allocated once per thread on
-// first use and never grows, so hostile input cannot inflate it; a miss
-// overwrites one slot and allocates nothing.
-inline constexpr std::size_t kInternSlots = 512;
-inline constexpr std::size_t kInternKeyBytes = 192;
+// Allocates nothing.
 UserAgent parse_claimed(std::string_view claimed);
 
 // Algorithm 1's vendor notion: EdgeHTML and Chromium Edge are the same

@@ -180,9 +180,13 @@ TEST(Prediction, BatchMatchesSingle) {
   const auto& s = shared();
   const ml::Matrix features =
       s.data.feature_matrix(s.model.config().feature_indices);
+  // Every row, so the pool's chunk and block edges are all crossed.
   const auto batch = s.model.predict_clusters(features);
-  for (std::size_t i = 0; i < 50; ++i) {
-    EXPECT_EQ(batch[i], s.model.predict_cluster(features.row(i)));
+  ASSERT_EQ(batch.size(), features.rows());
+  BatchScratch scratch;
+  for (std::size_t i = 0; i < features.rows(); ++i) {
+    ASSERT_EQ(batch[i], s.model.predict_cluster(features.row(i), scratch))
+        << "row " << i;
   }
 }
 

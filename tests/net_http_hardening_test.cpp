@@ -14,6 +14,7 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "net/http_common.h"
 #include "net/socket_ops.h"
@@ -306,6 +307,30 @@ TEST(HttpListenerHardening, LifetimeCapReapsBetweenRequests) {
   EXPECT_EQ(listener.reaped(), 1u);
   ASSERT_EQ(client.get("/c").status, 200);
   EXPECT_EQ(client.connects(), 2u);
+}
+
+// A response's Content-Type is a view, so it may only be made from a
+// string literal: the listener serializes it after the handler returns,
+// when a handler's own string would already be gone.  Anything else
+// must not compile.
+static_assert(std::is_constructible_v<ContentType, const char (&)[10]>);
+static_assert(!std::is_constructible_v<ContentType, std::string>);
+static_assert(!std::is_constructible_v<ContentType, std::string_view>);
+static_assert(!std::is_constructible_v<ContentType, const char*>);
+
+TEST(HttpListenerHardening, ContentTypeIsSerializedVerbatim) {
+  HttpResponse response;
+  std::string wire;
+  serialize_response(response, wire);
+  EXPECT_NE(wire.find("\r\nContent-Type: text/plain; charset=utf-8\r\n"),
+            std::string::npos)
+      << wire;
+  response.content_type = "application/x-bpwire";
+  wire.clear();
+  serialize_response(response, wire);
+  EXPECT_NE(wire.find("\r\nContent-Type: application/x-bpwire\r\n"),
+            std::string::npos)
+      << wire;
 }
 
 // Two Content-Length headers are the request-smuggling shape: "5" then

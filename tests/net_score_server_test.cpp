@@ -657,10 +657,8 @@ int exchange_without_allocating(int fd, std::string_view request,
 // allocation in the process counted.  The counted stream revisits the
 // warm-up content and brings unseen content, so cache hits and
 // kernel-scored misses both run.  The budget is 0: the claimed UA
-// resolves through ua::parse_claimed's per-thread intern table (which
-// allocates once per thread, during the warm-up), the frame renders
-// into the connection's reused response body, and the content type is
-// a view of a literal.  (It was 14, then 7: 5 in parse_label's
+// parses without util::split, the frame renders into the connection's
+// reused response body, and the content type is a view of a literal.  (It was 14, then 7: 5 in parse_label's
 // util::split vector and 2 in ScoreServer::handle's response strings.)
 TEST(NetWireAllocBudget, AllocationsPerVerdictStayWithinBudget) {
   if (!obs::prof::alloc_hook_linked()) {
