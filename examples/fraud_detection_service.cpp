@@ -408,7 +408,7 @@ int main(int argc, char** argv) {
       }
       return extra;
     };
-    obs::introspect::ServerConfig server_config;
+    net::ListenerConfig server_config;
     server_config.bind_address = listen.address;
     server_config.port = listen.port;
     server.emplace(std::move(sources), server_config);

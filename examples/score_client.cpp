@@ -125,7 +125,7 @@ int run_connect(const std::string& host, std::uint16_t port, int calls,
     bp::obs::introspect::Sources sources;
     sources.metrics = &registry;
     sources.trace = &trace;
-    bp::obs::introspect::ServerConfig server_config;
+    bp::net::ListenerConfig server_config;
     server_config.bind_address = listen_addr;
     server_config.port = listen_port;
     bp::obs::introspect::IntrospectionServer server(sources, server_config);

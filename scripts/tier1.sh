@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification: full build + test suite + training-bench smoke
-# run, plus an optional sanitizer pass over the concurrency tests
-# (serving tier and the parallel training substrate).
+# Tier-1 verification: full build + test suite + live HTTP/scoring and
+# chaos smokes, plus an optional sanitizer pass over the concurrency
+# tests (serving tier and the parallel training substrate).
 #
-#   ./scripts/tier1.sh                  # standard build + ctest + smoke
+#   ./scripts/tier1.sh                  # standard build + ctest + smokes
 #   BP_SANITIZE=thread ./scripts/tier1.sh   # ... + TSan concurrency pass
 #   BP_SANITIZE=address ./scripts/tier1.sh  # ... + ASan concurrency pass
 set -euo pipefail
@@ -20,9 +20,6 @@ esac
 cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
-
-echo "== training-throughput bench smoke (determinism gate) =="
-./build/bench/bench_training_throughput --smoke /tmp/bp_bench_training_smoke.json
 
 echo "== live introspection + scoring smoke (HTTP over ephemeral ports) =="
 smoke_log=/tmp/bp_introspect_smoke.log

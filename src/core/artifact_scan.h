@@ -32,7 +32,6 @@ class ArtifactScanner {
   static ArtifactScanner with_builtin_signatures();
 
   void add_signature(ArtifactSignature signature);
-  std::size_t signature_count() const noexcept { return signatures_.size(); }
 
   // Scan a window-global namespace; returns every signature hit (empty
   // for clean browsers).  Names are matched exactly or by

@@ -105,8 +105,8 @@ struct Detection {
   double centroid_distance2 = 0.0;
 };
 
-// Wall-clock seconds per training stage; bench_training_throughput
-// reports these per thread count to show where a retrain's latency goes.
+// Wall-clock seconds per training stage; perfbench reports them per run
+// to show where a retrain's latency goes.
 struct TrainingTimings {
   double scale = 0.0;   // scaler fit + transform
   double filter = 0.0;  // isolation-forest fit + inlier mask + row filter

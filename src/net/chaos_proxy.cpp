@@ -34,17 +34,6 @@ bool raw_send_all(int fd, const char* data, std::size_t len) {
 
 }  // namespace
 
-std::string_view chaos_action_name(ChaosAction a) noexcept {
-  switch (a) {
-    case ChaosAction::kForward: return "forward";
-    case ChaosAction::kDelay: return "delay";
-    case ChaosAction::kTruncate: return "truncate";
-    case ChaosAction::kCorrupt: return "corrupt";
-    case ChaosAction::kReset: return "reset";
-  }
-  return "unknown";
-}
-
 ChaosProxy::ChaosProxy(ChaosProxyConfig config) : config_(std::move(config)) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {

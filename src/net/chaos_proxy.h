@@ -7,8 +7,8 @@
 // paths *inside* this process; the proxy exercises them from the
 // *wire*: a peer that really does send half a frame and close, really
 // does RST mid-response, really does go quiet for 40ms.  The chaos
-// soak (tests/net_chaos_test.cpp) and the saturation bench's fault
-// arm run their traffic through one of these.
+// tests (tests/net_chaos_test.cpp), the chaos_proxy example and the
+// tier-1 chaos smoke run their traffic through one of these.
 //
 // Determinism: every forwarded chunk consults decide(stream, chunk),
 // where stream = connection_index * 2 + direction (0 = client→
@@ -78,8 +78,6 @@ enum class ChaosAction : std::uint8_t {
   kCorrupt,
   kReset,
 };
-
-std::string_view chaos_action_name(ChaosAction a) noexcept;
 
 struct ChaosProxyStats {
   std::uint64_t connections = 0;

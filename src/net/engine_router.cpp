@@ -82,10 +82,6 @@ serve::MetricsSnapshot EngineRouter::metrics() const {
   return total;
 }
 
-serve::CacheStats EngineRouter::shard_cache_stats(std::size_t shard) const {
-  return engines_[shard]->cache_stats();
-}
-
 serve::CacheStats EngineRouter::cache_stats() const {
   serve::CacheStats total;
   for (const auto& engine : engines_) {

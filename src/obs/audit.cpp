@@ -5,20 +5,15 @@
 namespace bp::obs {
 
 AuditTrail::AuditTrail(AuditConfig config)
-    : config_(config), sampler_(config.seed, config.unflagged_sample_rate) {
-  if (config_.capacity == 0) config_.capacity = 1;
-  ring_.resize(config_.capacity);
+    : config_(config),
+      sampler_(config.seed, config.unflagged_sample_rate),
+      ring_(config.capacity) {
+  config_.capacity = ring_.capacity();
 }
 
 void AuditTrail::record(const AuditRecord& record) {
   std::lock_guard lock(mutex_);
-  if (size_ == ring_.size()) {
-    overwritten_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    ++size_;
-  }
-  ring_[next_] = record;
-  if (++next_ == ring_.size()) next_ = 0;
+  if (ring_.push(record)) overwritten_.fetch_add(1, std::memory_order_relaxed);
   recorded_.fetch_add(1, std::memory_order_relaxed);
   if (record.flagged()) flagged_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -26,11 +21,8 @@ void AuditTrail::record(const AuditRecord& record) {
 std::vector<AuditRecord> AuditTrail::records() const {
   std::lock_guard lock(mutex_);
   std::vector<AuditRecord> out;
-  out.reserve(size_);
-  const std::size_t begin = size_ == ring_.size() ? next_ : 0;
-  for (std::size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(begin + i) % ring_.size()]);
-  }
+  out.reserve(ring_.size());
+  ring_.for_each([&](const AuditRecord& r) { out.push_back(r); });
   return out;
 }
 
@@ -65,8 +57,7 @@ std::string AuditTrail::render_jsonl(bool include_timing,
 
 void AuditTrail::clear() {
   std::lock_guard lock(mutex_);
-  next_ = 0;
-  size_ = 0;
+  ring_.clear();
   recorded_.store(0, std::memory_order_relaxed);
   flagged_.store(0, std::memory_order_relaxed);
   overwritten_.store(0, std::memory_order_relaxed);

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/ring.h"
 #include "ua/user_agent.h"
 #include "util/rng.h"
 
@@ -107,9 +108,7 @@ class AuditTrail {
   AuditConfig config_;
   util::IdSampler sampler_;
   mutable std::mutex mutex_;
-  std::vector<AuditRecord> ring_;
-  std::size_t next_ = 0;
-  std::size_t size_ = 0;
+  Ring<AuditRecord> ring_;
   std::atomic<std::uint64_t> recorded_{0};
   std::atomic<std::uint64_t> flagged_{0};
   std::atomic<std::uint64_t> overwritten_{0};

@@ -8,18 +8,13 @@
 
 namespace bp::obs::introspect {
 
-IntrospectionServer::IntrospectionServer(Sources sources, ServerConfig config)
-    : sources_(std::move(sources)), config_(std::move(config)) {
-  net::ListenerConfig listener_config;
-  listener_config.bind_address = config_.bind_address;
-  listener_config.port = config_.port;
-  listener_config.handler_threads = config_.handler_threads;
-  listener_config.max_pending = config_.max_pending;
-  listener_config.io_timeout = config_.io_timeout;
+IntrospectionServer::IntrospectionServer(Sources sources,
+                                         net::ListenerConfig config)
+    : sources_(std::move(sources)) {
   // One request per connection: the introspection plane's historical
   // contract (scrapers open fresh connections each cadence anyway).
-  listener_config.keep_alive = false;
-  listener_.emplace(std::move(listener_config),
+  config.keep_alive = false;
+  listener_.emplace(std::move(config),
                     [this](const net::HttpRequest& request,
                            net::HttpResponse& response) {
                       if (request.method != "GET") {

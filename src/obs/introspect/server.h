@@ -45,7 +45,6 @@
 // exercised by the real-TCP tests and the tier-1 curl smoke.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -85,20 +84,14 @@ struct Sources {
   std::function<std::string()> statusz_extra;
 };
 
-struct ServerConfig {
-  std::string bind_address = "127.0.0.1";
-  std::uint16_t port = 0;  // 0 = ephemeral; read the choice via port()
-  std::size_t handler_threads = 2;
-  std::size_t max_pending = 64;  // accepted connections awaiting a handler
-  std::chrono::milliseconds io_timeout{2000};  // per-connection recv/send
-};
-
 class IntrospectionServer {
  public:
   // Binds and starts serving immediately.  On bind/listen failure the
   // server constructs non-running with error() set — callers decide
   // whether that is fatal (the example does; tests assert running()).
-  explicit IntrospectionServer(Sources sources, ServerConfig config = {});
+  // `config.keep_alive` is forced off: one request per connection.
+  explicit IntrospectionServer(Sources sources,
+                               net::ListenerConfig config = {});
   ~IntrospectionServer();
 
   IntrospectionServer(const IntrospectionServer&) = delete;
@@ -107,9 +100,6 @@ class IntrospectionServer {
   bool running() const noexcept { return listener_ && listener_->running(); }
   std::uint16_t port() const noexcept {
     return listener_ ? listener_->port() : 0;
-  }
-  const std::string& bind_address() const noexcept {
-    return config_.bind_address;
   }
   std::string error() const { return listener_ ? listener_->error() : ""; }
 
@@ -133,7 +123,6 @@ class IntrospectionServer {
   std::string render_statusz() const;
 
   Sources sources_;
-  ServerConfig config_;
   std::optional<net::HttpListener> listener_;
 };
 

@@ -270,8 +270,6 @@ void Profiler::sample_here(SampleKind kind) noexcept {
   record(kind, name, tags, depth, nullptr, 0);
   if (kind == SampleKind::kWall) {
     wall_samples_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    cpu_samples_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -296,7 +294,6 @@ void Profiler::record_signal_sample(void* ucontext) noexcept {
     n_frames = walk_frames(fp, ctx.stack_lo, ctx.stack_hi, frames, n_frames);
   }
   record(SampleKind::kCpu, name, tags, depth, frames, n_frames);
-  cpu_samples_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Profiler::wall_tick() {

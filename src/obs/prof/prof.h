@@ -249,9 +249,6 @@ class Profiler {
   std::uint64_t wall_samples() const noexcept {
     return wall_samples_.load(std::memory_order_relaxed);
   }
-  std::uint64_t cpu_samples() const noexcept {
-    return cpu_samples_.load(std::memory_order_relaxed);
-  }
   std::uint64_t dropped() const noexcept;
 
   // Called from the SIGPROF handler on the interrupted thread.
@@ -272,7 +269,6 @@ class Profiler {
   std::unique_ptr<TableSlot[]> table_;
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> wall_samples_{0};
-  std::atomic<std::uint64_t> cpu_samples_{0};
 
   ProfilerConfig config_;
   std::atomic<bool> running_{false};

@@ -123,24 +123,6 @@ AlertState SloEngine::worst_state(bool gating_only) const {
   return worst;
 }
 
-std::vector<RuleStatus> SloEngine::statuses() const {
-  std::lock_guard lock(mutex_);
-  std::vector<RuleStatus> out;
-  out.reserve(rules_.size());
-  for (const RuleState& rs : rules_) {
-    RuleStatus status;
-    status.name = rs.rule.name;
-    status.state = rs.held;
-    status.indicated = rs.indicated;
-    status.short_value = rs.short_value;
-    status.long_value = rs.long_value;
-    status.quiet_ticks = rs.quiet_ticks;
-    status.gate_readiness = rs.rule.gate_readiness;
-    out.push_back(std::move(status));
-  }
-  return out;
-}
-
 std::vector<AlertTransition> SloEngine::transitions() const {
   std::lock_guard lock(mutex_);
   return transitions_;

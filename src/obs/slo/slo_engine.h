@@ -93,16 +93,6 @@ struct AlertTransition {
   AlertState to = AlertState::kOk;
 };
 
-struct RuleStatus {
-  std::string name;
-  AlertState state = AlertState::kOk;
-  AlertState indicated = AlertState::kOk;  // this tick's raw evaluation
-  double short_value = 0.0;  // burn rate / error fraction / level
-  double long_value = 0.0;   // kBurnRate only
-  int quiet_ticks = 0;       // consecutive ticks below the held state
-  bool gate_readiness = false;
-};
-
 class SloEngine {
  public:
   explicit SloEngine(std::vector<SloRule> rules);
@@ -118,7 +108,6 @@ class SloEngine {
   // readiness-gating rules only.
   AlertState worst_state(bool gating_only = false) const;
 
-  std::vector<RuleStatus> statuses() const;
   std::vector<AlertTransition> transitions() const;
   std::uint64_t evaluations() const;
 

@@ -8,32 +8,28 @@ TimeSeriesWindow::TimeSeriesWindow(const MetricsRegistry& registry,
                                    std::size_t capacity)
     : registry_(registry), capacity_(std::max<std::size_t>(capacity, 2)) {}
 
-void TimeSeriesWindow::track(std::string series, std::string metric) {
+void TimeSeriesWindow::track_series(std::string name, SourceKind kind,
+                                    std::vector<std::string> metrics,
+                                    std::uint64_t threshold) {
+  Series series{kind, std::move(metrics), threshold, Ring<Point>(capacity_)};
   std::lock_guard lock(mutex_);
-  Series s;
-  s.kind = SourceKind::kValue;
-  s.metrics = {std::move(metric)};
-  series_.insert_or_assign(std::move(series), std::move(s));
+  series_.insert_or_assign(std::move(name), std::move(series));
+}
+
+void TimeSeriesWindow::track(std::string series, std::string metric) {
+  track_series(std::move(series), SourceKind::kValue, {std::move(metric)}, 0);
 }
 
 void TimeSeriesWindow::track_sum(std::string series,
                                  std::vector<std::string> metrics) {
-  std::lock_guard lock(mutex_);
-  Series s;
-  s.kind = SourceKind::kSum;
-  s.metrics = std::move(metrics);
-  series_.insert_or_assign(std::move(series), std::move(s));
+  track_series(std::move(series), SourceKind::kSum, std::move(metrics), 0);
 }
 
 void TimeSeriesWindow::track_histogram_over(std::string series,
                                             std::string metric,
                                             std::uint64_t threshold) {
-  std::lock_guard lock(mutex_);
-  Series s;
-  s.kind = SourceKind::kHistogramOver;
-  s.metrics = {std::move(metric)};
-  s.threshold = threshold;
-  series_.insert_or_assign(std::move(series), std::move(s));
+  track_series(std::move(series), SourceKind::kHistogramOver,
+               {std::move(metric)}, threshold);
 }
 
 double TimeSeriesWindow::read_source(const Series& series) const {
@@ -58,16 +54,7 @@ double TimeSeriesWindow::read_source(const Series& series) const {
 void TimeSeriesWindow::sample(std::int64_t now_ms) {
   std::lock_guard lock(mutex_);
   for (auto& [name, series] : series_) {
-    Point point;
-    point.at_ms = now_ms;
-    point.value = read_source(series);
-    if (series.ring.size() < capacity_) {
-      series.ring.push_back(point);
-      ++series.size;
-    } else {
-      series.ring[series.next] = point;
-    }
-    series.next = (series.next + 1) % capacity_;
+    series.ring.push(Point{now_ms, read_source(series)});
   }
   last_sample_ms_ = now_ms;
   ++samples_;
@@ -75,16 +62,13 @@ void TimeSeriesWindow::sample(std::int64_t now_ms) {
 
 bool TimeSeriesWindow::span(const Series& series, std::int64_t lookback_ms,
                             Point* oldest, Point* newest) const {
-  if (series.size == 0) return false;
-  const std::size_t begin =
-      series.size == capacity_ ? series.next : 0;  // oldest retained slot
-  *newest = series.ring[(begin + series.size - 1) % series.ring.size()];
+  if (series.ring.empty()) return false;
+  *newest = series.ring.newest();
   const std::int64_t horizon = newest->at_ms - lookback_ms;
   *oldest = *newest;
-  for (std::size_t i = 0; i < series.size; ++i) {
-    const Point& p = series.ring[(begin + i) % series.ring.size()];
-    if (p.at_ms >= horizon) {
-      *oldest = p;
+  for (std::size_t i = 0; i < series.ring.size(); ++i) {
+    if (series.ring[i].at_ms >= horizon) {
+      *oldest = series.ring[i];
       break;
     }
   }

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "obs/metrics_registry.h"
+#include "obs/ring.h"
 
 namespace bp::obs::slo {
 
@@ -95,10 +96,13 @@ class TimeSeriesWindow {
     SourceKind kind = SourceKind::kValue;
     std::vector<std::string> metrics;  // one entry except for kSum
     std::uint64_t threshold = 0;       // kHistogramOver only
-    std::vector<Point> ring;           // size <= capacity
-    std::size_t next = 0;              // ring write cursor
-    std::size_t size = 0;
+    Ring<Point> ring;                  // capacity_ points, allocated at track
   };
+
+  // Registers (or replaces) `name` with an empty ring of capacity_.
+  void track_series(std::string name, SourceKind kind,
+                    std::vector<std::string> metrics,
+                    std::uint64_t threshold);
 
   double read_source(const Series& series) const;
   // Newest point and the oldest retained point within the lookback;

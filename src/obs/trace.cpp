@@ -7,9 +7,10 @@
 namespace bp::obs {
 
 TraceSink::TraceSink(TraceSinkConfig config)
-    : config_(config), sampler_(config.seed, config.sample_rate) {
-  if (config_.capacity == 0) config_.capacity = 1;
-  ring_.resize(config_.capacity);
+    : config_(config),
+      sampler_(config.seed, config.sample_rate),
+      ring_(config.capacity) {
+  config_.capacity = ring_.capacity();
 }
 
 void TraceSink::record(const TraceEvent& event) {
@@ -19,13 +20,7 @@ void TraceSink::record(const TraceEvent& event) {
 
 void TraceSink::record_forced(const TraceEvent& event) {
   std::lock_guard lock(mutex_);
-  if (size_ == ring_.size()) {
-    overwritten_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    ++size_;
-  }
-  ring_[next_] = event;
-  if (++next_ == ring_.size()) next_ = 0;
+  if (ring_.push(event)) overwritten_.fetch_add(1, std::memory_order_relaxed);
   recorded_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -34,14 +29,12 @@ std::vector<TraceEvent> TraceSink::events(std::uint64_t trace_filter,
   std::vector<TraceEvent> kept;
   {
     std::lock_guard lock(mutex_);
-    kept.reserve(size_);
+    kept.reserve(ring_.size());
     // Oldest-first ring walk, so "the most recent `limit` events" is a
     // suffix of this vector.
-    const std::size_t begin = size_ == ring_.size() ? next_ : 0;
-    for (std::size_t i = 0; i < size_; ++i) {
-      const TraceEvent& e = ring_[(begin + i) % ring_.size()];
+    ring_.for_each([&](const TraceEvent& e) {
       if (trace_filter == 0 || e.trace_id == trace_filter) kept.push_back(e);
-    }
+    });
   }
   if (limit != 0 && kept.size() > limit) {
     kept.erase(kept.begin(), kept.end() - static_cast<std::ptrdiff_t>(limit));
@@ -84,8 +77,7 @@ std::string TraceSink::render(bool include_timing, std::uint64_t trace_filter,
 
 void TraceSink::clear() {
   std::lock_guard lock(mutex_);
-  next_ = 0;
-  size_ = 0;
+  ring_.clear();
   recorded_.store(0, std::memory_order_relaxed);
   overwritten_.store(0, std::memory_order_relaxed);
 }

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/ring.h"
 #include "util/rng.h"
 
 namespace bp::obs {
@@ -112,9 +113,7 @@ class TraceSink {
   TraceSinkConfig config_;
   util::IdSampler sampler_;
   mutable std::mutex mutex_;
-  std::vector<TraceEvent> ring_;
-  std::size_t next_ = 0;  // ring write cursor
-  std::size_t size_ = 0;  // live events (<= capacity)
+  Ring<TraceEvent> ring_;
   std::atomic<std::uint64_t> recorded_{0};
   std::atomic<std::uint64_t> overwritten_{0};
 };

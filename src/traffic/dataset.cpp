@@ -43,13 +43,6 @@ std::vector<std::uint32_t> Dataset::ua_keys() const {
   return out;
 }
 
-std::vector<std::string> Dataset::ua_labels() const {
-  std::vector<std::string> out;
-  out.reserve(records_.size());
-  for (const auto& r : records_) out.push_back(r.claimed.label());
-  return out;
-}
-
 std::vector<std::string> Dataset::fingerprint_strings() const {
   std::vector<std::string> out;
   out.reserve(records_.size());

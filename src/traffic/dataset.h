@@ -71,9 +71,8 @@ class Dataset {
   // All stored features, in stored order.
   ml::Matrix feature_matrix() const;
 
-  // Per-row claimed-UA keys / labels (for the accuracy metrics).
+  // Per-row claimed-UA keys (for the accuracy metrics).
   std::vector<std::uint32_t> ua_keys() const;
-  std::vector<std::string> ua_labels() const;
 
   // Concatenated feature-value string per row (anonymity-set analysis).
   std::vector<std::string> fingerprint_strings() const;

@@ -64,22 +64,6 @@ std::string_view vendor_name(Vendor v) noexcept {
   return "Unknown";
 }
 
-std::string_view os_name(Os os) noexcept {
-  switch (os) {
-    case Os::kWindows10:
-      return "Windows 10";
-    case Os::kWindows11:
-      return "Windows 11";
-    case Os::kMacSonoma:
-      return "macOS Sonoma";
-    case Os::kMacSequoia:
-      return "macOS Sequoia";
-    case Os::kLinux:
-      return "Linux";
-  }
-  return "Windows 10";
-}
-
 std::string UserAgent::label() const {
   std::string out(vendor_name(vendor));
   out += ' ';

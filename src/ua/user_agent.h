@@ -37,8 +37,6 @@ enum class Os : std::uint8_t {
   kLinux,
 };
 
-std::string_view os_name(Os os) noexcept;
-
 // A parsed (or synthesized) user-agent.
 struct UserAgent {
   Vendor vendor = Vendor::kUnknown;

@@ -17,10 +17,6 @@ class TextTable {
   explicit TextTable(std::vector<std::string> header)
       : header_(std::move(header)) {}
 
-  void set_header(std::vector<std::string> header) {
-    header_ = std::move(header);
-  }
-
   void add_row(std::vector<std::string> row) { rows_.push_back(std::move(row)); }
 
   // Convenience for mixed literal rows.

@@ -369,7 +369,7 @@ TEST(ObsIntrospect, TracezRendersTheMostRecentEventsByDefault) {
 }
 
 TEST(ObsIntrospect, BindFailureReportsInsteadOfRunning) {
-  ServerConfig config;
+  net::ListenerConfig config;
   config.bind_address = "not-an-address";
   IntrospectionServer server(Sources{}, config);
   EXPECT_FALSE(server.running());

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/model_io.h"
 #include "core/polygraph.h"
 #include "ml/isolation_forest.h"
 #include "ml/kmeans.h"
+#include "paired_gate.h"
 #include "traffic/session_generator.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -141,6 +143,37 @@ TEST_F(TrainingDeterminismTest, TrainingTimingsArePopulated) {
                            summary.timings.table;
   EXPECT_GT(stage_sum, 0.0);
   EXPECT_LE(stage_sum, summary.timings.total * 1.01);
+}
+
+// Training scaling: on the same 200k rows, Polygraph::train's total wall
+// clock at 8 threads must be at least 3x shorter than at 1 thread.
+// Below 8 hardware threads the pool's lanes time-share cores, so the
+// bound cannot hold there.
+using TrainingThroughput = TrainingDeterminismTest;
+
+TEST_F(TrainingThroughput, EightThreadsTrain200kRowsThreeTimesFaster) {
+  if (kSanitized) GTEST_SKIP() << "timings mean nothing under a sanitizer";
+  const unsigned hardware = std::thread::hardware_concurrency();
+  if (hardware < 8) {
+    GTEST_SKIP() << "needs 8 hardware threads, this host has " << hardware;
+  }
+  util::set_parallel_threads(8);
+  const traffic::Dataset data = make_dataset(200'000);
+  const ml::Matrix features =
+      data.feature_matrix(core::PolygraphConfig::production().feature_indices);
+  std::vector<ua::UserAgent> uas;
+  uas.reserve(data.size());
+  for (const auto& r : data.records()) uas.push_back(r.claimed);
+
+  const auto train_seconds = [&](std::size_t threads) {
+    util::set_parallel_threads(threads);
+    core::Polygraph model;
+    return model.train(features, uas).timings.total;
+  };
+  const double one = train_seconds(1);
+  const double eight = train_seconds(8);
+  EXPECT_GE(one / eight, 3.0)
+      << "1 thread " << one << " s, 8 threads " << eight << " s";
 }
 
 }  // namespace
