@@ -43,8 +43,8 @@ std::size_t EngineRouter::shard_of(std::uint64_t session_id) const noexcept {
 }
 
 serve::SubmitResult EngineRouter::submit(std::uint64_t session_id,
-                                         serve::ScoreRequest request) {
-  return engines_[shard_of(session_id)]->submit(std::move(request));
+                                         const serve::ScoreRequest& request) {
+  return engines_[shard_of(session_id)]->submit(request);
 }
 
 void EngineRouter::drain() {

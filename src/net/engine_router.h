@@ -82,7 +82,7 @@ class EngineRouter {
   // separate so a caller never has to overload one field with both
   // meanings.
   serve::SubmitResult submit(std::uint64_t session_id,
-                             serve::ScoreRequest request);
+                             const serve::ScoreRequest& request);
 
   // Route and score inline on the calling thread: ScoringEngine::
   // score_now on shard_of(session_id), so that shard's verdict cache

@@ -275,6 +275,7 @@ void HttpListener::acceptor_loop() {
       break;  // listen socket is gone; stop() is the only cause
     }
     sockops::set_io_timeout(fd, config_.io_timeout);
+    sockops::set_nodelay(fd);
     {
       std::lock_guard lock(queue_mutex_);
       if (pending_.size() >= config_.max_pending) {
@@ -557,6 +558,7 @@ bool HttpClient::connect() {
     return false;
   }
   sockops::set_io_timeout(fd, timeout_);
+  sockops::set_nodelay(fd);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port_);

@@ -1,5 +1,8 @@
 #include "net/socket_ops.h"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+
 #include <cerrno>
 #include <thread>
 
@@ -75,6 +78,11 @@ void set_send_timeout(int fd, std::chrono::milliseconds timeout) {
 void set_io_timeout(int fd, std::chrono::milliseconds timeout) {
   set_recv_timeout(fd, timeout);
   set_send_timeout(fd, timeout);
+}
+
+void set_nodelay(int fd) {
+  const int on = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, sizeof(on));
 }
 
 }  // namespace bp::net::sockops

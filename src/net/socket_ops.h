@@ -76,4 +76,9 @@ void set_recv_timeout(int fd, std::chrono::milliseconds timeout);
 void set_send_timeout(int fd, std::chrono::milliseconds timeout);
 void set_io_timeout(int fd, std::chrono::milliseconds timeout);
 
+// TCP_NODELAY: every HTTP exchange here is one small request answered
+// by one small response, so Nagle's algorithm only ever holds a
+// segment back until the peer's delayed ACK (up to ~40 ms on Linux).
+void set_nodelay(int fd);
+
 }  // namespace bp::net::sockops

@@ -8,8 +8,9 @@
 // record_block/record_event touch only relaxed atomics, cheap enough
 // to leave in hot paths permanently.
 //
-// The serving tier instruments three sites out of the box:
+// The serving tier instruments four sites out of the box:
 //   serve.queue.push_block   producer blocked on a full BoundedQueue
+//                            (every ring slot holds a queued request)
 //   serve.queue.pop_wait     worker parked on an empty BoundedQueue
 //   serve.registry.publish_lock  publisher waited for the swap mutex
 //   serve.cache.insert_cas   VerdictCache insert lost the slot CAS

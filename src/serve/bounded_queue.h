@@ -12,12 +12,20 @@
 //
 // Either way no item is silently discarded: push() enqueues it or
 // reports why it did not.
+//
+// Storage is a ring of `capacity` slots built once, and items never
+// leave it by value: a producer writes into the tail slot in place
+// (copy-assignment, so a slot's retained buffers are reused), and a
+// consumer swaps ready slots with the elements of the batch vector it
+// reuses, handing its previous batch's buffers back to the ring.  Once
+// every slot has taken one push and every consumer one batch, the
+// queue hop allocates nothing (for items no larger than those before).
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -41,20 +49,24 @@ template <typename T>
 class BoundedQueue {
  public:
   BoundedQueue(std::size_t capacity, OverflowPolicy policy)
-      : capacity_(capacity == 0 ? 1 : capacity), policy_(policy) {}
+      : slots_(capacity == 0 ? 1 : capacity), policy_(policy) {}
 
-  // Push under the configured policy.
-  PushResult push(T item) {
+  // Push under the configured policy: `fill(slot)` writes the item into
+  // the tail slot in place, under the queue's lock, so it must be short
+  // and must overwrite every field (the slot holds a stale item).  If
+  // it throws, nothing is enqueued.
+  template <typename Fill>
+  PushResult push_with(Fill&& fill) {
     std::unique_lock lock(mutex_);
     if (closed_) return PushResult::kClosed;
-    if (items_.size() >= capacity_) {
+    if (count_ == slots_.size()) {
       if (policy_ == OverflowPolicy::kReject) return PushResult::kRejected;
       ++waiting_producers_;
       const auto wait_begin = push_block_site_ != nullptr
                                   ? std::chrono::steady_clock::now()
                                   : std::chrono::steady_clock::time_point{};
       not_full_.wait(lock,
-                     [&] { return closed_ || items_.size() < capacity_; });
+                     [&] { return closed_ || count_ < slots_.size(); });
       --waiting_producers_;
       if (push_block_site_ != nullptr) {
         push_block_site_->record_block(static_cast<std::uint64_t>(
@@ -64,7 +76,10 @@ class BoundedQueue {
       }
       if (closed_) return PushResult::kClosed;
     }
-    items_.push_back(std::move(item));
+    std::size_t tail = head_ + count_;
+    if (tail >= slots_.size()) tail -= slots_.size();
+    fill(slots_[tail]);
+    ++count_;
     // Waiter-counted wakeups: under load the consumers are almost never
     // parked (they drain in batches), yet every push used to issue a
     // futex syscall anyway — per-item kernel round-trips that dominated
@@ -76,13 +91,21 @@ class BoundedQueue {
     return PushResult::kAccepted;
   }
 
-  // Blocks until at least one item is available (or the queue closes),
-  // then drains up to `max_batch` items into `out` (cleared first).
-  // Returns false only when the queue is closed and fully drained.
-  bool pop_batch(std::vector<T>& out, std::size_t max_batch) {
-    out.clear();
+  // Copy-assigns `item` into the tail slot.
+  PushResult push(const T& item) {
+    return push_with([&](T& slot) { slot = item; });
+  }
+
+  // Blocks until at least one item is ready (or the queue closes), then
+  // swaps up to `max_batch` of them (at least 1) with out[0, n) and
+  // returns n.  `out` grows once, on its first batch, and never
+  // shrinks: its elements past n hold buffers, not items.  Returns 0
+  // only when the queue is closed and drained.
+  std::size_t pop_batch(std::vector<T>& out, std::size_t max_batch) {
+    const std::size_t limit =
+        std::min(std::max<std::size_t>(max_batch, 1), slots_.size());
     std::unique_lock lock(mutex_);
-    if (closed_ || !items_.empty()) {
+    if (closed_ || count_ > 0) {
       // Fast path: skip the wait bookkeeping entirely when work is
       // already queued (the steady state under load).
     } else {
@@ -90,7 +113,7 @@ class BoundedQueue {
       const auto wait_begin = pop_wait_site_ != nullptr
                                   ? std::chrono::steady_clock::now()
                                   : std::chrono::steady_clock::time_point{};
-      not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
+      not_empty_.wait(lock, [&] { return closed_ || count_ > 0; });
       --waiting_consumers_;
       if (pop_wait_site_ != nullptr) {
         pop_wait_site_->record_block(static_cast<std::uint64_t>(
@@ -99,21 +122,20 @@ class BoundedQueue {
                 .count()));
       }
     }
-    if (items_.empty()) return false;  // closed and drained
-    const std::size_t n = std::min(max_batch, items_.size());
+    const std::size_t n = std::min(limit, count_);  // 0: closed and drained
+    // Grown once, to copies of the head item: an element swapped into
+    // the ring must carry a buffer like the one it replaces, or the
+    // next push into that slot would allocate.  (Not before the wait,
+    // so a consumer that never gets work allocates nothing.)
+    if (n > 0 && out.size() < limit) out.resize(limit, slots_[head_]);
     for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(std::move(items_.front()));
-      items_.pop_front();
+      using std::swap;
+      swap(out[i], slots_[head_]);
+      if (++head_ == slots_.size()) head_ = 0;
     }
-    if (waiting_producers_ > 0) not_full_.notify_all();
-    return true;
-  }
-
-  bool pop(T& out) {
-    std::vector<T> batch;
-    if (!pop_batch(batch, 1)) return false;
-    out = std::move(batch.front());
-    return true;
+    count_ -= n;
+    if (n > 0 && waiting_producers_ > 0) not_full_.notify_all();
+    return n;
   }
 
   // Wakes all waiters; subsequent pushes fail with kClosed.  Items
@@ -134,10 +156,10 @@ class BoundedQueue {
 
   std::size_t size() const {
     std::lock_guard lock(mutex_);
-    return items_.size();
+    return count_;
   }
 
-  std::size_t capacity() const noexcept { return capacity_; }
+  std::size_t capacity() const noexcept { return slots_.size(); }
   OverflowPolicy policy() const noexcept { return policy_; }
 
   // Attribute blocking waits to named contention sites (/contentionz).
@@ -150,12 +172,15 @@ class BoundedQueue {
   }
 
  private:
-  const std::size_t capacity_;
+  // The ring: items occupy slots_[head_, head_ + count_) modulo size.
+  // Sized once; never reallocated.
+  std::vector<T> slots_;
   const OverflowPolicy policy_;
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
-  std::deque<T> items_;
+  std::size_t head_ = 0;   // guarded by mutex_
+  std::size_t count_ = 0;  // guarded by mutex_
   bool closed_ = false;
   // Parked-thread counts (guarded by mutex_) so push/pop skip the
   // condition-variable syscall when nobody is waiting.

@@ -82,24 +82,22 @@ ScoringEngine::ScoringEngine(const ModelRegistry& registry, EngineConfig config,
 
 ScoringEngine::~ScoringEngine() { stop(); }
 
-bool ScoringEngine::try_cached_submit(const ScoreRequest& request) {
+bool ScoringEngine::try_cached_submit(const ScoreRequest& request,
+                                      const VerdictCache::Key& key) {
   // The submit-side fast path: answer on the submitting thread, never
   // touching the queue or the drain accounting (the response is
   // delivered before submit returns, so no drain() can be waiting on
   // it).  This is where the heavy-tailed win lives, so the path is
-  // kept allocation- and syscall-free: no request copy, no snapshot
-  // shared_ptr traffic (the atomic version counter is enough — a hit
-  // is only served when its entry was minted under exactly that
-  // version), a fixed counter stripe (one submitter keeps one set of
-  // cache lines hot), and the clock only read when a trace span needs
-  // timestamps (the latency is 0 either way).  A repeat session costs
-  // one hash + one seqlock read.
-  if (cache_ == nullptr) return false;
+  // kept allocation- and syscall-free: no snapshot shared_ptr traffic
+  // (the atomic version counter is enough — a hit is only served when
+  // its entry was minted under exactly that version), a fixed counter
+  // stripe (one submitter keeps one set of cache lines hot), and the
+  // clock only read when a trace span needs timestamps (the latency is
+  // 0 either way).  A repeat session costs one hash + one seqlock read.
   const std::uint64_t version = registry_.version();
   if (version == 0) return false;
   core::Detection detection;
-  if (!cache_->lookup(VerdictCache::key_of(request.features, request.claimed),
-                      version, detection, /*stripe_hint=*/0)) {
+  if (!cache_->lookup(key, version, detection, /*stripe_hint=*/0)) {
     return false;
   }
   const auto now = config_.trace != nullptr
@@ -114,29 +112,27 @@ bool ScoringEngine::try_cached_submit(const ScoreRequest& request) {
 
 SubmitResult ScoringEngine::submit(const ScoreRequest& request) {
   if (stopping_.load(std::memory_order_acquire)) return SubmitResult::kStopped;
-  if (try_cached_submit(request)) return SubmitResult::kAdmitted;
-  return submit_miss(ScoreRequest(request));  // miss: copy into the queue
-}
-
-SubmitResult ScoringEngine::submit(ScoreRequest&& request) {
-  if (stopping_.load(std::memory_order_acquire)) return SubmitResult::kStopped;
-  if (try_cached_submit(request)) return SubmitResult::kAdmitted;
-  return submit_miss(std::move(request));
-}
-
-SubmitResult ScoringEngine::submit_miss(ScoreRequest&& request) {
-  request.admitted_at = std::chrono::steady_clock::now();
+  // Hashed once: the submit-side probe uses it, and so do the worker's
+  // re-check against its batch's snapshot version and the post-score
+  // insert.
+  VerdictCache::Key key{};
   if (cache_ != nullptr) {
-    // Computed once here; workers re-check it against their batch's
-    // snapshot version and insert under it after scoring.
-    request.cache_key =
-        VerdictCache::key_of(request.features, request.claimed);
+    key = VerdictCache::key_of(request.features, request.claimed);
+    if (try_cached_submit(request, key)) return SubmitResult::kAdmitted;
   }
+  const auto admitted_at = std::chrono::steady_clock::now();
   // Count admission before the push: once the request is in the queue a
   // worker may complete it, and `completed_` must never overtake
   // `admitted_` or drain() would return early.
   admitted_.fetch_add(1, std::memory_order_acq_rel);
-  switch (queue_.push(std::move(request))) {
+  // The request is copied straight into its ring slot, whose retained
+  // feature buffer takes the copy without allocating.
+  const PushResult pushed = queue_.push_with([&](ScoreRequest& slot) {
+    slot = request;
+    slot.admitted_at = admitted_at;
+    slot.cache_key = key;
+  });
+  switch (pushed) {
     case PushResult::kAccepted:
       return SubmitResult::kAdmitted;
     case PushResult::kRejected:
@@ -359,17 +355,31 @@ void ScoringEngine::record_audit(const ScoreRequest& request,
 
 void ScoringEngine::worker_loop(std::uint32_t worker_index) {
   obs::prof::ThreadHandle prof_handle("serve.worker", worker_index);
+  // Swapped with ring slots by pop_batch: the requests in batch[0, n)
+  // are this round's, and their buffers go back to the ring next round.
   std::vector<ScoreRequest> batch;
   std::vector<ScoreResponse> responses;
   ScoreScratch scratch;
   scratch.lane = worker_index;
   for (;;) {
+    std::size_t n = 0;
     {
       // Tagged so wall samples of an idle worker read as queue time,
       // not as an unattributed mystery.
       PROF_SCOPE("serve.queue_wait");
-      if (!queue_.pop_batch(batch, config_.max_batch)) break;
+      n = queue_.pop_batch(batch, config_.max_batch);
     }
+    if (n == 0) break;  // closed and drained
+    if (responses.capacity() < config_.max_batch) {
+      // First batch: stage for a full one, so that a worker whose
+      // batches first reach max_batch mid-stream does not allocate then.
+      responses.reserve(config_.max_batch);
+      scratch.pending.reserve(config_.max_batch);
+      scratch.rows.reserve(config_.max_batch);
+      scratch.claims.reserve(config_.max_batch);
+      scratch.detections.reserve(config_.max_batch);
+    }
+    const std::span<const ScoreRequest> ready = std::span(batch).first(n);
     if (FAULT_POINT("engine.worker_stall")) {
       // Chaos hook: freeze this worker for one fixed stall per batch.
       std::this_thread::sleep_for(kInjectedWorkerStall);
@@ -387,16 +397,16 @@ void ScoringEngine::worker_loop(std::uint32_t worker_index) {
     if (!snapshot && !config_.degrade_without_model) {
       // Stopped before any model was ever published: complete the batch
       // as shed so no admitted request is left without a response.
-      for (const ScoreRequest& request : batch) {
+      for (const ScoreRequest& request : ready) {
         deliver_shed(request, worker_index);
       }
       continue;
     }
-    if (snapshot) metrics_.record_batch(worker_index, batch.size());
-    responses.resize(batch.size());
-    score_span(snapshot, batch, responses, scratch,
+    if (snapshot) metrics_.record_batch(worker_index, n);
+    responses.resize(n);
+    score_span(snapshot, ready, responses, scratch,
                std::chrono::steady_clock::now(), /*deliver=*/true);
-    note_completed(batch.size());
+    note_completed(n);
   }
 }
 

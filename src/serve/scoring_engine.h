@@ -2,9 +2,16 @@
 // path, two ways in:
 //
 //   submit()  ->  BoundedQueue  ->  worker pool  ->  ResponseCallback
-//                                     |
-//   score_now() (inline) -------------+->  score_span(): one snapshot,
-//                                          cache, SoA kernel, metrics
+//                 (ring of          |
+//                  request slots)   |
+//   score_now() (inline) -----------+->  score_span(): one snapshot,
+//                                        cache, SoA kernel, metrics
+//
+// The queue hop copies each request into a ring slot that keeps its
+// feature buffer, and workers swap ready slots with the elements of a
+// batch vector they reuse (serve/bounded_queue.h), so once the ring and
+// the batches are warm a queued verdict allocates nothing anywhere —
+// pinned by EngineQueueAllocBudget.QueuedVerdictsAllocateNothing.
 //
 // Invariants the tests pin down:
 //   * every admitted request produces exactly one response — a score
@@ -202,13 +209,12 @@ class ScoringEngine {
   ScoringEngine(const ScoringEngine&) = delete;
   ScoringEngine& operator=(const ScoringEngine&) = delete;
 
-  // Thread-safe admission.  On kAdmitted the engine owns the request
-  // and will deliver exactly one response for it.  The const& overload
-  // is the cache fast path's friend: a submit-side hit answers without
-  // ever copying the request (the rvalue overload is identical for
-  // hits; on a miss the const& form copies, exactly as a by-value
-  // parameter would have).
-  SubmitResult submit(ScoreRequest&& request);
+  // Thread-safe admission.  On kAdmitted the engine will deliver
+  // exactly one response for the request.  A submit-side cache hit
+  // answers without touching the queue; a miss is copied straight into
+  // a ring slot of the queue, whose retained feature buffer takes the
+  // copy, so the queued path allocates nothing once the ring is warm
+  // (an rvalue binds here too: moving would gain nothing).
   SubmitResult submit(const ScoreRequest& request);
 
   // Inline scoring on the calling thread through the workers' span
@@ -275,11 +281,10 @@ class ScoringEngine {
   void record_audit(const ScoreRequest& request, const ScoreResponse& response);
   // Completes a request without a verdict, as kShed.
   void deliver_shed(const ScoreRequest& request, std::uint32_t worker_index);
-  // Submit-side cache fast path; true = answered, request not admitted.
-  bool try_cached_submit(const ScoreRequest& request);
-  // The queue path both public submit overloads fall through to after
-  // a cache miss (or with the cache off).
-  SubmitResult submit_miss(ScoreRequest&& request);
+  // Submit-side cache fast path (cache enabled; `key` is the request's
+  // content address); true = answered, request not admitted.
+  bool try_cached_submit(const ScoreRequest& request,
+                         const VerdictCache::Key& key);
   void note_completed(std::uint64_t n);
   void retract_admission();
 

@@ -110,17 +110,17 @@ TEST(ContentionQueue, BlockedProducerAndIdleConsumerAreAttributed) {
     EXPECT_EQ(queue.push(2), bp::serve::PushResult::kAccepted);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  int out = 0;
-  ASSERT_TRUE(queue.pop(out));
+  std::vector<int> out;
+  ASSERT_EQ(queue.pop_batch(out, 1), 1u);
   producer.join();
   EXPECT_GE(push_site.blocks(), push_blocks0 + 1);
 
   // Consumer side: pop on an empty queue parks until a push arrives.
-  ASSERT_TRUE(queue.pop(out));  // drain item 2 first
+  ASSERT_EQ(queue.pop_batch(out, 1), 1u);  // drain item 2 first
   std::thread consumer([&] {
-    int v = 0;
-    EXPECT_TRUE(queue.pop(v));
-    EXPECT_EQ(v, 3);
+    std::vector<int> got;
+    EXPECT_EQ(queue.pop_batch(got, 1), 1u);
+    EXPECT_EQ(got.front(), 3);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   ASSERT_EQ(queue.push(3), bp::serve::PushResult::kAccepted);

@@ -199,72 +199,87 @@ TEST(ChaosProxy, ResetStormYieldsTypedErrorsNotHangs) {
   EXPECT_GT(proxy.stats().resets, 0u);
 }
 
-// Hedging under injected stalls: 400 sequential ScoreClient calls
-// through a proxy stalling 1% of relayed chunks by 40 ms, once
-// unhedged and once with a 5 ms hedge.  Both arms absorb every stall
+// Hedging under injected stalls: 400 sequential ScoreClient calls per
+// arm through a proxy stalling 1% of relayed chunks by 40 ms, one arm
+// unhedged and one with a 5 ms hedge.  Both arms absorb every stall
 // (zero lost, zero corrupted), stalls fire in both, a hedge wins at
-// least once, and the hedged p99 beats the unhedged one.  The unhedged
-// arm reuses one pooled connection, so its stall schedule is the same
+// least once, and the hedged p99 over the arm's pooled latencies beats
+// the unhedged one.  The arms run interleaved, in rounds whose first
+// arm alternates, so load that arrives mid-test lands on both alike.
+// Each arm keeps its own proxy and client throughout: the unhedged arm
+// reuses one pooled connection, so its stall schedule is the same
 // every run; the hedged arm's extra connections are new chaos streams
 // drawing from the same per-chunk rate.
+ChaosProxyConfig stall_proxy_config(std::uint16_t server_port) {
+  ChaosProxyConfig config;
+  config.upstream_port = server_port;
+  config.seed = 0xFA17A;
+  config.delay_probability = 0.01;
+  config.delay = 40ms;
+  return config;
+}
+
+ScoreClientConfig stall_client_config(std::uint16_t proxy_port,
+                                      std::chrono::milliseconds hedge_delay) {
+  ScoreClientConfig config;
+  config.port = proxy_port;
+  config.io_timeout = 1000ms;
+  config.deadline = 3000ms;
+  config.max_attempts = 4;
+  config.initial_backoff = 2ms;
+  config.max_backoff = 20ms;
+  config.hedge_delay = hedge_delay;
+  return config;
+}
+
 struct StallArm {
-  std::size_t lost = 0;       // outcome != kOk
-  std::size_t corrupted = 0;  // accepted verdict for the wrong session
-  double p99_us = 0.0;
-  ScoreClientStats client;
-  ChaosProxyStats chaos;
-};
+  StallArm(std::uint16_t server_port, std::chrono::milliseconds hedge_delay)
+      : proxy(stall_proxy_config(server_port)),
+        client(stall_client_config(proxy.port(), hedge_delay)) {}
 
-StallArm score_through_stalls(std::uint16_t server_port,
-                              std::chrono::milliseconds hedge_delay) {
-  StallArm arm;
-  ChaosProxyConfig proxy_config;
-  proxy_config.upstream_port = server_port;
-  proxy_config.seed = 0xFA17A;
-  proxy_config.delay_probability = 0.01;
-  proxy_config.delay = 40ms;
-  ChaosProxy proxy(proxy_config);
-  EXPECT_TRUE(proxy.running()) << proxy.error();
-
-  ScoreClientConfig client_config;
-  client_config.port = proxy.port();
-  client_config.io_timeout = 1000ms;
-  client_config.deadline = 3000ms;
-  client_config.max_attempts = 4;
-  client_config.initial_backoff = 2ms;
-  client_config.max_backoff = 20ms;
-  client_config.hedge_delay = hedge_delay;
-  ScoreClient client(client_config);
-
-  std::vector<double> latencies_us;
-  for (std::uint64_t session = 1; session <= 400; ++session) {
-    const std::int32_t features[] = {0, 0};
-    const Clock::time_point start = Clock::now();
-    const ScoreCallResult call = client.score(session, "Chrome 100", features);
-    const Clock::time_point end = Clock::now();
-    if (call.outcome != ScoreClientOutcome::kOk) {
-      ++arm.lost;
-    } else if (call.response.session_id != session) {
-      ++arm.corrupted;
-    } else {
-      latencies_us.push_back(
-          std::chrono::duration<double, std::micro>(end - start).count());
+  // Scores sessions [first, first + count), one call at a time.
+  void score(std::uint64_t first, std::uint64_t count) {
+    for (std::uint64_t session = first; session < first + count; ++session) {
+      const std::int32_t features[] = {0, 0};
+      const Clock::time_point start = Clock::now();
+      const ScoreCallResult call =
+          client.score(session, "Chrome 100", features);
+      const Clock::time_point end = Clock::now();
+      if (call.outcome != ScoreClientOutcome::kOk) {
+        ++lost;
+      } else if (call.response.session_id != session) {
+        ++corrupted;
+      } else {
+        latencies_us.push_back(
+            std::chrono::duration<double, std::micro>(end - start).count());
+      }
     }
   }
-  proxy.stop();
-  arm.client = client.stats();
-  arm.chaos = proxy.stats();
-  if (!latencies_us.empty()) {
+
+  // Stops the proxy and folds the counters and the pooled p99.
+  void finish() {
+    proxy.stop();
+    client_stats = client.stats();
+    chaos = proxy.stats();
+    if (latencies_us.empty()) return;
     // Linear interpolation between the two ranks around the 99th.
     std::sort(latencies_us.begin(), latencies_us.end());
     const double rank = 0.99 * static_cast<double>(latencies_us.size() - 1);
     const std::size_t lo = static_cast<std::size_t>(rank);
     const std::size_t hi = std::min(lo + 1, latencies_us.size() - 1);
-    arm.p99_us = latencies_us[lo] + (latencies_us[hi] - latencies_us[lo]) *
-                                        (rank - static_cast<double>(lo));
+    p99_us = latencies_us[lo] + (latencies_us[hi] - latencies_us[lo]) *
+                                    (rank - static_cast<double>(lo));
   }
-  return arm;
-}
+
+  ChaosProxy proxy;
+  ScoreClient client;
+  std::vector<double> latencies_us;
+  std::size_t lost = 0;       // outcome != kOk
+  std::size_t corrupted = 0;  // accepted verdict for the wrong session
+  double p99_us = 0.0;
+  ScoreClientStats client_stats;
+  ChaosProxyStats chaos;
+};
 
 TEST(ChaosProxy, HedgingCutsTailLatencyUnderInjectedStalls) {
   serve::ModelRegistry models;
@@ -272,15 +287,27 @@ TEST(ChaosProxy, HedgingCutsTailLatencyUnderInjectedStalls) {
   ScoreServer server(models, server_config());
   ASSERT_TRUE(server.running()) << server.error();
 
-  const StallArm unhedged = score_through_stalls(server.port(), 0ms);
-  const StallArm hedged = score_through_stalls(server.port(), 5ms);
+  StallArm unhedged(server.port(), 0ms);
+  StallArm hedged(server.port(), 5ms);
+  ASSERT_TRUE(unhedged.proxy.running()) << unhedged.proxy.error();
+  ASSERT_TRUE(hedged.proxy.running()) << hedged.proxy.error();
+  constexpr std::uint64_t kRounds = 8;
+  constexpr std::uint64_t kCallsPerRound = 50;
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
+    StallArm& first = round % 2 == 0 ? unhedged : hedged;
+    StallArm& second = round % 2 == 0 ? hedged : unhedged;
+    first.score(1 + round * kCallsPerRound, kCallsPerRound);
+    second.score(1 + round * kCallsPerRound, kCallsPerRound);
+  }
+  unhedged.finish();
+  hedged.finish();
   EXPECT_EQ(unhedged.lost, 0u);
   EXPECT_EQ(unhedged.corrupted, 0u);
   EXPECT_EQ(hedged.lost, 0u);
   EXPECT_EQ(hedged.corrupted, 0u);
   EXPECT_GT(unhedged.chaos.delays, 0u) << "no stall injected, unhedged arm";
   EXPECT_GT(hedged.chaos.delays, 0u) << "no stall injected, hedged arm";
-  EXPECT_GT(hedged.client.hedge_wins, 0u)
+  EXPECT_GT(hedged.client_stats.hedge_wins, 0u)
       << "no hedge ever won; the arms are indistinguishable";
   EXPECT_LT(hedged.p99_us, unhedged.p99_us)
       << "hedging did not improve p99 under stalls";

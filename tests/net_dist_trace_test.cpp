@@ -373,9 +373,9 @@ TEST(DistTraceOverheadGate, VerdictIsDeterministicForAFixedSeed) {
 // extension parse and adoption, and the sampled 1% also pay span
 // recording.  60 pairs of 1000-call closed-loop runs over 2
 // connections; both arms lossless, spans recorded, and the paired gate
-// holds at 3%.  A run lasts ~47 ms on a 4-thread host, most of it one
-// delayed-ACK stall, so the ratio prices whole runs and a per-request
-// cost reaches it diluted.
+// holds at 3%.  A run lasts ~5 ms on a 4-thread host (both ends set
+// TCP_NODELAY, so no delayed-ACK stall sits in it), and the ratio
+// prices whole runs.
 TEST(DistTrace, TracingCostsUnderThreePercentOverPairedRuns) {
   core::Polygraph model = wire_load::train_production_model(8'000);
   const auto pool = wire_load::session_pool(model, 500, 0x5EF7E2025);

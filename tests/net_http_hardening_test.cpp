@@ -7,6 +7,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -74,6 +75,75 @@ TEST(SockOps, PerDirectionTimeoutsAreIndependent) {
   EXPECT_EQ(sock_timeout(fd, SO_RCVTIMEO), 100ms);
   EXPECT_EQ(sock_timeout(fd, SO_SNDTIMEO), 700ms);
   ::close(fd);
+}
+
+int sock_nodelay(int fd) {
+  int on = -1;
+  socklen_t len = sizeof(on);
+  if (::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, &len) != 0) return -1;
+  return on;
+}
+
+// Local and peer ports of a connected IPv4 TCP socket; false for any
+// other descriptor (including a listening socket, which has no peer).
+bool tcp_ports(int fd, std::uint16_t* local, std::uint16_t* peer) {
+  sockaddr_in addr{};
+  socklen_t len = sizeof(addr);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0 ||
+      addr.sin_family != AF_INET) {
+    return false;
+  }
+  *local = ntohs(addr.sin_port);
+  len = sizeof(addr);
+  if (::getpeername(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    return false;
+  }
+  *peer = ntohs(addr.sin_port);
+  return true;
+}
+
+// Both ends of one live loopback connection are in this process: the
+// client's socket (peer port = the listener's) and the accepted one
+// (local port = the listener's, peer port = the client's local port).
+// Each must read TCP_NODELAY back as set.
+TEST(SockOps, NodelayIsSetOnAcceptedAndConnectedSockets) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(sock_nodelay(fd), 0);  // the kernel default: Nagle on
+  sockops::set_nodelay(fd);
+  EXPECT_EQ(sock_nodelay(fd), 1);
+  ::close(fd);
+
+  ListenerConfig config;
+  config.keep_alive = true;
+  HttpListener listener(config, echo_handler());
+  ASSERT_TRUE(listener.running()) << listener.error();
+  HttpClient client("127.0.0.1", listener.port());
+  ASSERT_EQ(client.get("/a").status, 200);  // accepted and served
+
+  int client_fd = -1;
+  std::uint16_t client_port = 0;
+  for (int candidate = 0; candidate < 4096; ++candidate) {
+    std::uint16_t local = 0, peer = 0;
+    if (tcp_ports(candidate, &local, &peer) && peer == listener.port()) {
+      client_fd = candidate;
+      client_port = local;
+      break;
+    }
+  }
+  ASSERT_GE(client_fd, 0) << "client socket not found";
+  int accepted_fd = -1;
+  for (int candidate = 0; candidate < 4096; ++candidate) {
+    std::uint16_t local = 0, peer = 0;
+    if (tcp_ports(candidate, &local, &peer) && local == listener.port() &&
+        peer == client_port) {
+      accepted_fd = candidate;
+      break;
+    }
+  }
+  ASSERT_GE(accepted_fd, 0) << "accepted socket not found";
+  EXPECT_EQ(sock_nodelay(client_fd), 1) << "HttpClient::connect";
+  EXPECT_EQ(sock_nodelay(accepted_fd), 1) << "HttpListener accept";
 }
 
 // Behavioral half of the regression: with the send timeout set, a

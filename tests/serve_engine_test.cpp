@@ -469,5 +469,58 @@ TEST(ServeInline, SteadyStateIsAllocationFree) {
   engine.stop();
 }
 
+// The queued path's "allocation-free steady state" as a gate: submit()
+// copies each request into a ring slot that kept its buffer, workers
+// swap ready slots with their reused batch vectors, and nothing
+// between submit() and the callback allocates.  (Before the ring, each
+// queued verdict heap-copied its request and pushed it through
+// std::deque chunks: at least one allocation per verdict.)  Same
+// counting and skip rule as NetWireAllocBudget.
+TEST(EngineQueueAllocBudget, QueuedVerdictsAllocateNothing) {
+  if (!obs::prof::alloc_hook_linked()) {
+    GTEST_SKIP() << "bp_prof_alloc not linked into this binary "
+                    "(sanitizer build compiles the hook out)";
+  }
+  ModelRegistry registry;
+  registry.publish(make_model(false));
+  EngineConfig config;
+  config.workers = 2;
+  config.max_batch = 64;
+  config.overflow_policy = OverflowPolicy::kBlock;
+  std::atomic<std::uint64_t> answered{0};
+  ScoringEngine engine(registry, config, [&](const ScoreResponse& response) {
+    if (response.status == ResponseStatus::kScored) {
+      answered.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  const ScoreRequest request = request_at_origin(1);
+
+  // Warm-up: two full laps of the queue, so every ring slot has taken a
+  // request and each worker has staged its first batch.
+  const std::size_t warm = 2 * engine.config().queue_capacity;
+  for (std::size_t i = 0; i < warm; ++i) {
+    ASSERT_EQ(engine.submit(request), SubmitResult::kAdmitted);
+  }
+  engine.drain();
+  ASSERT_EQ(answered.load(), warm);
+
+  constexpr std::size_t kCounted = 10'000;
+  const obs::prof::AllocCounts before = obs::prof::alloc_counts();
+  obs::prof::set_alloc_counting(true);
+  for (std::size_t i = 0; i < kCounted; ++i) {
+    if (engine.submit(request) != SubmitResult::kAdmitted) break;
+  }
+  engine.drain();
+  obs::prof::set_alloc_counting(false);
+  const obs::prof::AllocCounts after = obs::prof::alloc_counts();
+
+  EXPECT_EQ(answered.load(), warm + kCounted);
+  const std::uint64_t allocations = after.allocations - before.allocations;
+  EXPECT_EQ(allocations, 0u)
+      << static_cast<double>(allocations) / kCounted
+      << " allocations per queued verdict";
+  engine.stop();
+}
+
 }  // namespace
 }  // namespace bp::serve
