@@ -14,9 +14,9 @@
 //     version they hold; every response names the model version that
 //     produced it, and
 //   * with --listen, a live introspection plane (src/obs/introspect)
-//     serves /metrics, /healthz, /readyz, /statusz, /tracez and
-//     /auditz over HTTP while an SLO engine evaluates burn-rate,
-//     shed-rate and staleness rules against a sampled metrics window.
+//     serves /metrics, /healthz, /readyz, /statusz, /tracez, /auditz
+//     and the profiling endpoints over HTTP; /readyz folds the serving
+//     tier's health signals (obs/health.h) on every request.
 //
 // Usage:
 //   fraud_detection_service                     # batch demo, exits
@@ -37,8 +37,7 @@
 //
 // Shutdown on SIGINT/SIGTERM is graceful and ordered: stop the score
 // ingress (stop intake -> join handlers -> stop shards), stop the
-// introspection server, drain and stop the demo scoring engine, then
-// flush the final metrics dump.
+// introspection server, then drain and stop the demo scoring engine.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -56,13 +55,11 @@
 #include "net/score_server.h"
 #include "obs/audit.h"
 #include "obs/export.h"
+#include "obs/health.h"
 #include "obs/introspect/server.h"
 #include "obs/metrics_registry.h"
 #include "obs/prof/contention.h"
 #include "obs/prof/prof.h"
-#include "obs/slo/health.h"
-#include "obs/slo/slo_engine.h"
-#include "obs/slo/time_series.h"
 #include "obs/trace.h"
 #include "serve/model_registry.h"
 #include "serve/retrain_supervisor.h"
@@ -178,9 +175,7 @@ int main(int argc, char** argv) {
   // One process-wide registry shared by training, serving, drift and
   // the fault layer; a 1%-sampled request trace; a full-rate sink for
   // the offline training runs; an audit trail holding Algorithm-1
-  // evidence for every flagged verdict (1% of clean ones).  A periodic
-  // dumper snapshots the registry for scrape-by-file collection (and
-  // flushes one final dump on stop()).
+  // evidence for every flagged verdict (1% of clean ones).
   obs::MetricsRegistry metrics;
   obs::register_fault_metrics(metrics);
   obs::TraceSinkConfig request_trace_config;
@@ -188,8 +183,6 @@ int main(int argc, char** argv) {
   obs::TraceSink request_trace(request_trace_config);
   obs::TraceSink training_trace;
   obs::AuditTrail audit;
-  obs::PeriodicDumper dumper(metrics, "/tmp/browser_polygraph_metrics.prom",
-                             std::chrono::seconds(1));
 
   // ---- serving tier, constructed before anything is published ----
   // The engine idles (and /readyz answers 503) until the first
@@ -252,77 +245,23 @@ int main(int argc, char** argv) {
       },
       [](const core::Polygraph& m) { return m.trained(); });
 
-  // ---- SLO plane: sampled window + declarative rules ----
-  // The sampler thread snapshots the registry every 200 ms; the rules
-  // alarm on windowed behaviour, not lifetime averages.
-  obs::slo::TimeSeriesWindow window(metrics, /*capacity=*/512);
-  window.track_histogram_over("over_budget", "bp_serve_latency_micros",
-                              serve::kLatencyBudgetMicros);
-  window.track("answered", "bp_serve_latency_micros");  // histogram count
-  window.track_sum("bad_responses",
-                   {"bp_serve_shed_total", "bp_serve_rejected_total"});
-  window.track_sum("responses",
-                   {"bp_serve_scored_total", "bp_serve_degraded_total",
-                    "bp_serve_shed_total", "bp_serve_rejected_total"});
-  window.track("shed", "bp_serve_shed_total");
-
-  std::vector<obs::slo::SloRule> rules(3);
-  rules[0].name = "latency_budget_burn";  // p99-style: ≤1% over 100 ms
-  rules[0].kind = obs::slo::SloRule::Kind::kBurnRate;
-  rules[0].numerator = "over_budget";
-  rules[0].denominator = "answered";
-  rules[0].budget = 0.01;
-  rules[0].short_window_ms = 10'000;
-  rules[0].long_window_ms = 60'000;
-  rules[0].gate_readiness = true;
-  rules[1].name = "shed_rate";
-  rules[1].kind = obs::slo::SloRule::Kind::kErrorRate;
-  rules[1].numerator = "bad_responses";
-  rules[1].denominator = "responses";
-  rules[1].short_window_ms = 10'000;
-  rules[1].warn_threshold = 0.01;
-  rules[1].page_threshold = 0.05;
-  rules[1].gate_readiness = true;
-  rules[2].name = "model_staleness";  // fleet-wide; informational only
-  rules[2].kind = obs::slo::SloRule::Kind::kCeiling;
-  rules[2].numerator = "bp_retrain_staleness_cycles";
-  rules[2].warn_threshold = 3;
-  rules[2].page_threshold = 10;
-  obs::slo::SloEngine slo(std::move(rules));
-
-  // ---- health rollup: serving-tier accessors -> one verdict pair ----
-  obs::slo::HealthModel health(
-      [&] {
-        obs::slo::HealthSignals s;
-        const serve::MetricsSnapshot m = engine.metrics();
-        const serve::SupervisorStatus st = supervisor.status();
-        s.model_version = registry.version();
-        s.degraded_active =
-            engine_config.degrade_without_model && registry.version() == 0;
-        s.breaker_open = st.breaker_open;
-        s.staleness_cycles = st.staleness_cycles;
-        s.quarantined = registry.quarantined();
-        s.queue_depth = m.queue_depth;
-        s.queue_capacity = engine_config.queue_capacity;
-        s.shed_per_second = window.rate_per_second("shed", 10'000);
-        s.armed_faults = static_cast<std::uint64_t>(
-            util::FaultRegistry::instance().armed_points());
-        return s;
-      },
-      &slo);
-
-  std::atomic<bool> sampler_stop{false};
-  std::thread sampler([&] {
-    const auto t0 = std::chrono::steady_clock::now();
-    while (!sampler_stop.load(std::memory_order_acquire)) {
-      const auto now_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-      window.sample(now_ms);
-      slo.evaluate(window, now_ms);
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    }
-  });
+  // ---- health signals: the serving tier's accessors, folded into
+  // readiness by /readyz, /statusz and the final rollup ----
+  const auto health_signals = [&] {
+    obs::HealthSignals s;
+    const serve::SupervisorStatus st = supervisor.status();
+    s.model_version = registry.version();
+    s.degraded_active =
+        engine_config.degrade_without_model && registry.version() == 0;
+    s.breaker_open = st.breaker_open;
+    s.staleness_cycles = st.staleness_cycles;
+    s.quarantined = registry.quarantined();
+    s.queue_depth = engine.queue_depth();
+    s.queue_capacity = engine_config.queue_capacity;
+    s.armed_faults = static_cast<std::uint64_t>(
+        util::FaultRegistry::instance().armed_points());
+    return s;
+  };
 
   // Declared before the introspection server so statusz_extra's
   // by-reference capture is valid and the introspection server (which
@@ -344,8 +283,7 @@ int main(int argc, char** argv) {
     sources.metrics = &metrics;
     sources.trace = &request_trace;
     sources.audit = &audit;
-    sources.health = &health;
-    sources.slo = &slo;
+    sources.health = health_signals;
     sources.profiler = &profiler;
     sources.contention = &obs::prof::ContentionRegistry::instance();
     sources.statusz_extra = [&] {
@@ -415,8 +353,6 @@ int main(int argc, char** argv) {
     if (!server->running()) {
       std::fprintf(stderr, "introspection server failed: %s\n",
                    server->error().c_str());
-      sampler_stop.store(true, std::memory_order_release);
-      sampler.join();
       return 1;
     }
     std::printf("introspection server listening on %s:%u\n",
@@ -459,8 +395,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "score server failed: %s\n",
                    score_server->error().c_str());
       if (server) server->stop();
-      sampler_stop.store(true, std::memory_order_release);
-      sampler.join();
       return 1;
     }
     std::printf("score server listening on %s:%u (%zu shards)\n",
@@ -472,16 +406,12 @@ int main(int argc, char** argv) {
   // Ordered graceful teardown, shared by the signal path and the
   // normal exit: stop the score ingress (its stop() is itself ordered:
   // stop intake -> join handlers -> stop shards), stop taking scrapes,
-  // drain what the demo engine admitted, stop its workers, then flush
-  // the final metrics dump.
+  // drain what the demo engine admitted, then stop its workers.
   const auto graceful_shutdown = [&] {
     if (score_server) score_server->stop();
     if (server) server->stop();
     engine.drain();
     engine.stop();
-    sampler_stop.store(true, std::memory_order_release);
-    sampler.join();
-    dumper.stop();  // joins the dump thread and flushes one last dump
   };
 
   // ---- offline: train and persist (§6.5's offline/online split) ----
@@ -666,10 +596,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(audit.flagged_recorded()));
   std::printf("\ntraining stage spans (trace 1 = initial, 2 = retrain):\n%s",
               training_trace.render(/*include_timing=*/true).c_str());
-  const obs::slo::HealthReport final_health = health.evaluate();
-  std::printf("\nhealth rollup:\n%s", final_health.detail.c_str());
-  std::printf("\ntelemetry (Prometheus exposition, dumped every second to "
-              "/tmp/browser_polygraph_metrics.prom):\n%s",
+  std::printf("\nhealth rollup:\n%s",
+              obs::fold(health_signals()).detail.c_str());
+  std::printf("\ntelemetry (Prometheus exposition):\n%s",
               metrics.render_prometheus().c_str());
 
   if (!snapshot.within_budget()) {

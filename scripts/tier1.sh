@@ -245,7 +245,7 @@ if [[ -n "${BP_SANITIZE:-}" ]]; then
   # fault-tolerance layer — including the chaos soak, which must run
   # clean under both TSan and ASan — and the observability plane
   # (striped counters, trace ring, audit trail, the introspection HTTP
-  # server scraped under mutation, and the SLO/health rollup) whose
+  # server scraped under mutation, and the readiness fold) whose
   # lock-free hot paths are exactly what the sanitizers exist to vet,
   # plus the network scoring plane (wire parser, sharded router,
   # concurrent TCP soak over POST /score), the SoA batch-scoring
@@ -262,6 +262,6 @@ if [[ -n "${BP_SANITIZE:-}" ]]; then
   # and the verdict tables: the dense Algorithm-1 tables engine workers
   # and handler threads read at once.
   ctest --test-dir "${san_dir}" \
-    -R 'Serve|BoundedQueue|Parallel|TrainingDeterminism|Fault|RetrainSupervisor|ModelIntegrity|Chaos|Client|SockOps|HttpListener|WireFuzz|Obs|Audit|Introspect|Slo|Health|Net|Router|Batch|Cache|DistTrace|Prof|Contention|Generator|Breaker|Backoff|IsolationForest|TrainingGolden|VerdictTables' \
+    -R 'Serve|BoundedQueue|Parallel|TrainingDeterminism|Fault|RetrainSupervisor|ModelIntegrity|Chaos|Client|SockOps|HttpListener|WireFuzz|Obs|Audit|Introspect|Health|Net|Router|Batch|Cache|DistTrace|Prof|Contention|Generator|Breaker|Backoff|IsolationForest|TrainingGolden|VerdictTables' \
     --output-on-failure
 fi

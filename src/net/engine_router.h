@@ -32,8 +32,8 @@
 // "<metrics_prefix>_shard<i>_..." in the registry the EngineConfig
 // template names, so an exporter shows per-shard queue depth, scored
 // counts and latency histograms side by side; metrics() folds them
-// into one aggregate MetricsSnapshot for SLO rules that care about
-// the plane, not the shard.
+// into one aggregate MetricsSnapshot for readers that care about the
+// plane, not the shard.
 #pragma once
 
 #include <cstdint>

@@ -33,14 +33,13 @@ std::string_view trim(std::string_view s) noexcept {
 }
 
 // Value of header `name` (case-insensitive) in `head`, which starts at
-// the first header line (past the request/status line).  Empty view
-// when absent.  When `repeated` is given, the whole head is scanned and
-// *repeated says whether `name` appears more than once.
+// the first header line (past the request/status line): the first
+// occurrence's, or an empty view when absent.  When `count` is given,
+// the whole head is scanned and *count is how often `name` appears.
 std::string_view find_header(std::string_view head, std::string_view name,
-                             bool* repeated = nullptr) {
+                             std::size_t* count = nullptr) {
   std::string_view value;
-  bool found = false;
-  if (repeated != nullptr) *repeated = false;
+  std::size_t found = 0;
   std::size_t pos = 0;
   while (pos < head.size()) {
     std::size_t eol = head.find("\r\n", pos);
@@ -49,16 +48,12 @@ std::string_view find_header(std::string_view head, std::string_view name,
     const std::size_t colon = line.find(':');
     if (colon != std::string_view::npos &&
         util::iequals(trim(line.substr(0, colon)), name)) {
-      if (found) {
-        *repeated = true;
-        return value;
-      }
-      value = trim(line.substr(colon + 1));
-      found = true;
-      if (repeated == nullptr) return value;
+      if (found++ == 0) value = trim(line.substr(colon + 1));
+      if (count == nullptr) return value;
     }
     pos = eol + 2;
   }
+  if (count != nullptr) *count = found;
   return value;
 }
 
@@ -117,12 +112,16 @@ bool parse_request_head(std::string_view head, HttpRequest* out) {
   const std::string_view connection = find_header(headers, "Connection");
   if (util::iequals(connection, "close")) out->keep_alive = false;
   if (util::iequals(connection, "keep-alive")) out->keep_alive = true;
-  // A second Content-Length is the request-smuggling shape: a proxy and
-  // this parser could frame the body differently, so refuse it.
-  bool repeated = false;
+  // A second Content-Length, or any Transfer-Encoding, is the
+  // request-smuggling shape: a proxy and this parser could frame the
+  // body differently (this parser frames by Content-Length alone, so a
+  // chunked body would be read as the next request), so refuse it.
+  std::size_t lengths = 0;
+  std::size_t encodings = 0;
   const std::string_view length =
-      find_header(headers, "Content-Length", &repeated);
-  if (repeated) return false;
+      find_header(headers, "Content-Length", &lengths);
+  find_header(headers, "Transfer-Encoding", &encodings);
+  if (lengths > 1 || encodings > 0) return false;
   if (!length.empty() && !parse_size(length, &out->content_length)) {
     return false;
   }
@@ -343,20 +342,69 @@ void HttpListener::serve_connection(int fd) {
       return;
     }
 
-    // ---- assemble one full head (pipelined data may already be here) ----
+    // ---- assemble one full request (pipelined data may already be here) ----
     //
-    // The header deadline starts at the first byte of this request —
-    // waiting for a request to *begin* is idle keep-alive time, bounded
-    // by io_timeout, not slow-loris time.  While mid-head, the kernel
-    // recv timeout is clamped to the remaining window so a byte-per-
-    // second peer is cut off at the deadline, not at deadline+io_timeout.
-    std::size_t head_end = buffer.find("\r\n\r\n");
+    // The request deadline starts at the first byte of this request and
+    // covers its head and its body — waiting for a request to *begin*
+    // is idle keep-alive time, bounded by io_timeout, not slow-loris
+    // time.  Once the request has started, the kernel recv timeout is
+    // clamped to the remaining window, so a peer trickling a byte per
+    // second is cut off at the deadline, not at deadline + io_timeout.
+    const bool deadline_armed = config_.header_timeout.count() > 0;
+    bool started = !buffer.empty();
     bool recv_timeout_clamped = false;
-    Clock::time_point head_deadline{};
-    bool head_started = !buffer.empty();
-    if (head_started && config_.header_timeout.count() > 0) {
-      head_deadline = Clock::now() + config_.header_timeout;
+    Clock::time_point deadline{};
+    if (started && deadline_armed) {
+      deadline = Clock::now() + config_.header_timeout;
     }
+    // Appends the request's next bytes to `buffer`, or says why none
+    // came: the deadline passed, the keep-alive connection sat idle for
+    // io_timeout, or the peer closed (EOF/error).
+    enum class Read { kData, kDeadline, kIdle, kClosed };
+    const auto read_more = [&]() -> Read {
+      while (true) {
+        const bool timed = started && deadline_armed;
+        if (timed) {
+          const auto remaining = deadline - Clock::now();
+          if (remaining <= Clock::duration::zero()) return Read::kDeadline;
+          sockops::set_recv_timeout(
+              fd, std::min(config_.io_timeout,
+                           std::chrono::ceil<std::chrono::milliseconds>(
+                               remaining)));
+          recv_timeout_clamped = true;
+        }
+        const ssize_t n = sockops::recv_some(fd, chunk, sizeof(chunk));
+        if (n > 0) {
+          if (!started) {
+            started = true;
+            if (deadline_armed) {
+              deadline = Clock::now() + config_.header_timeout;
+            }
+          }
+          buffer.append(chunk, static_cast<std::size_t>(n));
+          return Read::kData;
+        }
+        if (n < 0 && errno == EINTR) continue;  // signal: retry the recv
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+          if (buffer.empty() && served > 0) return Read::kIdle;
+          // A clamped recv timing out IS the deadline firing: loop so
+          // the check above answers it.
+          if (timed) continue;
+        }
+        return Read::kClosed;
+      }
+    };
+    // Answers a request that missed its deadline: 408, then close.
+    const auto time_out = [&] {
+      slowloris_.fetch_add(1, std::memory_order_relaxed);
+      HttpResponse timed_out;
+      timed_out.status = 408;
+      timed_out.body = "request timeout\n";
+      requests_.fetch_add(1, std::memory_order_relaxed);
+      send_response(timed_out);
+    };
+
+    std::size_t head_end = buffer.find("\r\n\r\n");
     while (head_end == std::string::npos) {
       if (buffer.size() > kMaxHeadBytes) {
         HttpResponse too_large;
@@ -369,53 +417,13 @@ void HttpListener::serve_connection(int fd) {
       // Between requests on an idle keep-alive connection, notice a
       // shutdown instead of blocking a full io_timeout on recv.
       if (buffer.empty() && stopping_.load(std::memory_order_acquire)) return;
-      if (head_started && config_.header_timeout.count() > 0) {
-        const auto remaining = head_deadline - Clock::now();
-        if (remaining <= Clock::duration::zero()) {
-          slowloris_.fetch_add(1, std::memory_order_relaxed);
-          HttpResponse timed_out;
-          timed_out.status = 408;
-          timed_out.body = "request head timeout\n";
-          requests_.fetch_add(1, std::memory_order_relaxed);
-          send_response(timed_out);
-          return;
-        }
-        sockops::set_recv_timeout(
-            fd, std::min(config_.io_timeout,
-                         std::chrono::ceil<std::chrono::milliseconds>(
-                             remaining)));
-        recv_timeout_clamped = true;
-      }
-      const ssize_t n = sockops::recv_some(fd, chunk, sizeof(chunk));
-      if (n < 0 && errno == EINTR) continue;  // signal: retry the recv
-      if (n <= 0) {
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-          // Timeout on an idle keep-alive connection is the reaper's
-          // idle path.
-          if (buffer.empty() && served > 0) {
-            reaped_.fetch_add(1, std::memory_order_relaxed);
-            return;
-          }
-          // Timeout *mid-head*: loop so the header deadline at the
-          // top decides — a clamped recv timing out IS the slow-loris
-          // cutoff firing (the deadline check answers 408).
-          if (head_started && config_.header_timeout.count() > 0) continue;
-        }
-        // EOF/error between requests is just the peer leaving;
-        // nothing to answer.
-        return;
-      }
-      if (!head_started) {
-        head_started = true;
-        if (config_.header_timeout.count() > 0) {
-          head_deadline = Clock::now() + config_.header_timeout;
-        }
-      }
-      buffer.append(chunk, static_cast<std::size_t>(n));
+      const Read read = read_more();
+      if (read == Read::kDeadline) return time_out();
+      // An idle keep-alive connection timing out is the reaper's idle
+      // path; EOF/error between requests is just the peer leaving.
+      if (read == Read::kIdle) reaped_.fetch_add(1, std::memory_order_relaxed);
+      if (read != Read::kData) return;
       head_end = buffer.find("\r\n\r\n");
-    }
-    if (recv_timeout_clamped) {
-      sockops::set_recv_timeout(fd, config_.io_timeout);
     }
 
     HttpRequest request;
@@ -437,13 +445,15 @@ void HttpListener::serve_connection(int fd) {
       return;
     }
 
-    // ---- assemble the body ----
+    // ---- assemble the body, under the same deadline ----
     const std::size_t frame_end = head_end + 4 + request.content_length;
     while (buffer.size() < frame_end) {
-      const ssize_t n = sockops::recv_some(fd, chunk, sizeof(chunk));
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return;  // truncated request: nothing to answer
-      buffer.append(chunk, static_cast<std::size_t>(n));
+      const Read read = read_more();
+      if (read == Read::kDeadline) return time_out();
+      if (read != Read::kData) return;  // truncated request: nothing to answer
+    }
+    if (recv_timeout_clamped) {
+      sockops::set_recv_timeout(fd, config_.io_timeout);
     }
     request.body =
         std::string_view(buffer).substr(head_end + 4, request.content_length);

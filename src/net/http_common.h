@@ -20,8 +20,8 @@
 //     queue of accepted connections, shed-at-accept when that queue is
 //     full, optional keep-alive with pipelining (a request already
 //     buffered behind the current one is served without another recv),
-//     a header-read deadline distinct from the body deadline (the
-//     slow-loris cutoff) and keep-alive reaper caps on requests-per-
+//     a per-request deadline from first byte to last (the slow-loris
+//     cutoff) and keep-alive reaper caps on requests-per-
 //     connection and connection lifetime (DESIGN.md §15);
 //   * HttpClient — the blocking test/bench client, now with keep-alive
 //     connection reuse and POST.  The split send_request/read_response
@@ -93,9 +93,10 @@ std::string_view status_reason(int status) noexcept;
 
 // Parse the head of an HTTP/1.1 request ("GET /path HTTP/1.1\r\n" +
 // header lines).  Returns false on a malformed request line, a
-// non-numeric Content-Length or more than one Content-Length.
-// Recognized headers: Content-Length and Connection (case-insensitive);
-// everything else is ignored.
+// non-numeric Content-Length, more than one Content-Length, or any
+// Transfer-Encoding (bodies are framed by Content-Length alone).
+// Recognized headers: Content-Length, Transfer-Encoding and Connection
+// (case-insensitive); everything else is ignored.
 bool parse_request_head(std::string_view head, HttpRequest* out);
 
 // Append status line + minimal headers + body to `out`.  The
@@ -129,12 +130,13 @@ struct ListenerConfig {
   std::size_t max_pending = 64;  // accepted connections awaiting a handler
   std::chrono::milliseconds io_timeout{2000};  // per-connection recv/send
   // Slow-loris cutoff, distinct from io_timeout: once the first byte
-  // of a request head arrives, the whole head must arrive within this
-  // window or the connection is answered 408 and closed (counted in
-  // slowloris()).  io_timeout alone cannot bound this — a peer
-  // trickling one header byte per io_timeout holds a handler forever.
-  // The wait for a request to *begin* (an idle keep-alive connection)
-  // is governed by io_timeout, not this.  0 disables the cutoff.
+  // of a request arrives, the whole request — head and body — must
+  // arrive within this window or the connection is answered 408 and
+  // closed (counted in slowloris()).  io_timeout alone cannot bound
+  // this — a peer trickling one byte per io_timeout holds a handler
+  // for as many io_timeouts as the request has bytes.  The wait for a
+  // request to *begin* (an idle keep-alive connection) is governed by
+  // io_timeout, not this.  0 disables the cutoff.
   std::chrono::milliseconds header_timeout{1000};
   // Keep-alive reaper caps (0 = uncapped).  A connection that has
   // served this many requests, or lived this long, is closed after its
@@ -196,7 +198,7 @@ class HttpListener {
   std::uint64_t reaped() const noexcept {
     return reaped_.load(std::memory_order_relaxed);
   }
-  // Connections cut off by the header-read deadline (408).
+  // Connections cut off by the request deadline (408).
   std::uint64_t slowloris() const noexcept {
     return slowloris_.load(std::memory_order_relaxed);
   }

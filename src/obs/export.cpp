@@ -1,74 +1,9 @@
 #include "obs/export.h"
 
-#include <cstdio>
-
 #include "net/http_common.h"
 #include "util/fault.h"
 
 namespace bp::obs {
-
-PeriodicDumper::PeriodicDumper(const MetricsRegistry& registry,
-                               std::string path,
-                               std::chrono::milliseconds period,
-                               DumpFormat format)
-    : registry_(registry),
-      path_(std::move(path)),
-      period_(period),
-      format_(format) {
-  thread_ = std::thread([this] { loop(); });
-}
-
-PeriodicDumper::~PeriodicDumper() { stop(); }
-
-bool PeriodicDumper::dump_now() const {
-  const std::string body = format_ == DumpFormat::kPrometheus
-                               ? registry_.render_prometheus()
-                               : registry_.render_json();
-  // Write-to-temp + rename so a concurrent reader never sees a torn
-  // dump; the rename is atomic within one filesystem.
-  const std::string tmp = path_ + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    failures_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  const bool wrote =
-      std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed || std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    failures_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  dumps_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-void PeriodicDumper::loop() {
-  std::unique_lock lock(mutex_);
-  while (true) {
-    lock.unlock();
-    dump_now();
-    lock.lock();
-    if (cv_.wait_for(lock, period_, [&] { return stop_; })) return;
-  }
-}
-
-void PeriodicDumper::stop() {
-  bool first_stop;
-  {
-    std::lock_guard lock(mutex_);
-    first_stop = !stop_;
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  // One final synchronous dump after the loop is gone, so the tail of
-  // the last period (everything recorded since the previous cadence
-  // tick) survives shutdown.  Only the stop() that actually stopped
-  // the loop flushes; repeated stop() calls stay cheap no-ops.
-  if (first_stop) dump_now();
-}
 
 void register_fault_metrics(MetricsRegistry& registry) {
   registry.gauge_callback(
@@ -105,7 +40,7 @@ void register_http_listener_metrics(MetricsRegistry& registry,
   registry.gauge_callback(
       prefix + "_slowloris_total",
       [&listener] { return static_cast<double>(listener.slowloris()); },
-      "request heads cut off 408 at the header deadline");
+      "requests cut off 408 at the request deadline");
 }
 
 void remove_http_listener_metrics(MetricsRegistry& registry,

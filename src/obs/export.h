@@ -1,26 +1,19 @@
 // Exporters for the observability plane.
 //
-// Rendering is pull-based — `MetricsRegistry::render_prometheus()` /
+// Rendering is pull-based: `MetricsRegistry::render_prometheus()` /
 // `render_json()` are plain functions an HTTP handler (or a test, or a
-// bench) calls on demand.  For deployments without a scrape endpoint,
-// PeriodicDumper runs one background thread that renders the registry
-// to a file on a fixed cadence (write-to-temp + atomic rename, so a
-// scraper never reads a torn file).  All file I/O happens on the dumper
-// thread; nothing here touches a scoring hot path.
+// bench) calls on demand, and the introspection server's /metrics is
+// the one scrape surface.
 //
-// register_fault_metrics bridges the fault-injection registry
-// (util/fault.h) into a MetricsRegistry as callback gauges, so chaos
-// posture — how many points are armed, how often they fired — shows up
-// in the same exposition as serving and training telemetry.
+// The functions here bridge other subsystems' counters into a
+// MetricsRegistry as callback gauges read at render time: the
+// fault-injection registry (util/fault.h), so chaos posture — how many
+// points are armed, how often they fired — shows up in the same
+// exposition as serving and training telemetry, and an HttpListener's
+// serving and hardening counters.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
 
 #include "obs/metrics_registry.h"
 
@@ -29,56 +22,6 @@ class HttpListener;
 }  // namespace bp::net
 
 namespace bp::obs {
-
-enum class DumpFormat : std::uint8_t { kPrometheus, kJson };
-
-class PeriodicDumper {
- public:
-  // Starts dumping immediately and then every `period`.  `registry`
-  // must outlive the dumper.
-  PeriodicDumper(const MetricsRegistry& registry, std::string path,
-                 std::chrono::milliseconds period,
-                 DumpFormat format = DumpFormat::kPrometheus);
-  ~PeriodicDumper();
-
-  PeriodicDumper(const PeriodicDumper&) = delete;
-  PeriodicDumper& operator=(const PeriodicDumper&) = delete;
-
-  // Render and write one dump synchronously; returns false on I/O
-  // failure.  Also usable standalone for a final flush before exit.
-  bool dump_now() const;
-
-  std::uint64_t dumps() const noexcept {
-    return dumps_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t failures() const noexcept {
-    return failures_.load(std::memory_order_relaxed);
-  }
-
-  // Stops the background thread, then performs one final synchronous
-  // dump_now() so the tail of the last period is never lost on
-  // shutdown.  Idempotent (destructor calls it); only the stopping
-  // call flushes.
-  void stop();
-
- private:
-  void loop();
-
-  const MetricsRegistry& registry_;
-  const std::string path_;
-  const std::chrono::milliseconds period_;
-  const DumpFormat format_;
-
-  // Mutated by the logically-const dump_now(): dump bookkeeping, not
-  // observable registry state.
-  mutable std::atomic<std::uint64_t> dumps_{0};
-  mutable std::atomic<std::uint64_t> failures_{0};
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
-};
 
 // Export the process-wide FaultRegistry through `registry` as callback
 // gauges: bp_fault_points_armed and bp_fault_fires_total.  Values are
@@ -89,9 +32,10 @@ void register_fault_metrics(MetricsRegistry& registry);
 // `registry` as callback gauges: "<prefix>_requests_total",
 // "<prefix>_overloaded_total" (connections shed at accept),
 // "<prefix>_reaped_total" (keep-alive connections closed by the idle /
-// lifetime / request-cap reaper) and "<prefix>_slowloris_total" (heads
-// cut off 408 at the header deadline).  The listener must outlive the
-// registration — call remove_http_listener_metrics before it dies.
+// lifetime / request-cap reaper) and "<prefix>_slowloris_total"
+// (requests cut off 408 at the request deadline).  The listener must
+// outlive the registration — call remove_http_listener_metrics before
+// it dies.
 void register_http_listener_metrics(MetricsRegistry& registry,
                                     const net::HttpListener& listener,
                                     const std::string& prefix = "bp_http");

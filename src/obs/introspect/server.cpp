@@ -57,12 +57,12 @@ net::HttpResponse IntrospectionServer::handle(
     return response;
   }
   if (request.path == "/readyz") {
-    if (sources_.health == nullptr) {
+    if (!sources_.health) {
       response.status = 503;
-      response.body = "no health model attached\n";
+      response.body = "no health signals attached\n";
       return response;
     }
-    const slo::HealthReport report = sources_.health->evaluate();
+    const HealthReport report = fold(sources_.health());
     response.status = report.ready ? 200 : 503;
     response.body = report.ready ? "ok\n" : report.detail;
     return response;
@@ -182,15 +182,8 @@ std::string IntrospectionServer::render_statusz() const {
   std::string out = "browser-polygraph introspection\n";
   out += "requests_served: " + std::to_string(requests()) + "\n";
   out += "\n-- build --\n" + render_build_info();
-  if (sources_.health != nullptr) {
-    out += "\n-- health --\n" + sources_.health->evaluate().detail;
-  }
-  if (sources_.slo != nullptr) {
-    out += "\n-- slo rules --\n" + sources_.slo->render_statuses();
-    const std::string transitions = sources_.slo->render_transitions();
-    if (!transitions.empty()) {
-      out += "\n-- alert transitions --\n" + transitions;
-    }
+  if (sources_.health) {
+    out += "\n-- health --\n" + fold(sources_.health()).detail;
   }
   if (sources_.statusz_extra) {
     const std::string extra = sources_.statusz_extra();

@@ -14,12 +14,13 @@
 //   /metrics       Prometheus text exposition (MetricsRegistry)
 //   /metrics.json  the same registry as one JSON object
 //   /healthz       liveness: 200 `ok` whenever the server answers
-//   /readyz        serving-fitness verdict (200/503) — flips to 503
-//                  while no model is published or degraded mode is
-//                  active, back after a publish; the check to run
-//                  before and after a hot swap
-//   /statusz       human-readable rollup: health signals, SLO rule
-//                  states, recent alert transitions, app extras
+//   /readyz        serving-fitness verdict (200/503) — obs::fold over
+//                  the health signals (obs/health.h): 503 while no
+//                  model is published or degraded mode is active, 200
+//                  after a publish; the check to run before and after
+//                  a hot swap
+//   /statusz       human-readable rollup: build info, the health
+//                  signals, app extras
 //   /tracez        TraceSink render (with timing); ?trace=ID keeps one
 //                  trace id (the cross-hop drill-down), ?n=K keeps the
 //                  K most recent matching events (default
@@ -52,11 +53,10 @@
 
 #include "net/http_common.h"
 #include "obs/audit.h"
+#include "obs/health.h"
 #include "obs/metrics_registry.h"
 #include "obs/prof/contention.h"
 #include "obs/prof/prof.h"
-#include "obs/slo/health.h"
-#include "obs/slo/slo_engine.h"
 #include "obs/trace.h"
 
 namespace bp::obs::introspect {
@@ -66,16 +66,16 @@ namespace bp::obs::introspect {
 // under a scrape).
 inline constexpr std::size_t kTracezDefaultEvents = 256;
 
-// What the server exposes.  Any pointer may be null — the matching
-// endpoints then answer 404 (/readyz: 503).  /healthz needs none:
-// reaching the handler proves the process is alive.  All referents
-// must outlive the server.
+// What the server exposes.  Any pointer or callable may be null — the
+// matching endpoints then answer 404 (/readyz: 503).  /healthz needs
+// none: reaching the handler proves the process is alive.  All
+// referents must outlive the server.
 struct Sources {
   const MetricsRegistry* metrics = nullptr;
   const TraceSink* trace = nullptr;
   const AuditTrail* audit = nullptr;
-  const slo::HealthModel* health = nullptr;
-  const slo::SloEngine* slo = nullptr;
+  // Pulled on every /readyz and /statusz and folded by obs::fold.
+  std::function<HealthSignals()> health;
   // Continuous profiler (for /profilez and /profilez.json) and the
   // process-wide contention-site registry (for /contentionz).
   const prof::Profiler* profiler = nullptr;

@@ -162,21 +162,6 @@ std::optional<double> MetricsRegistry::read_value(std::string_view name) const {
   return std::nullopt;
 }
 
-std::optional<double> MetricsRegistry::read_histogram_over(
-    std::string_view name, std::uint64_t threshold) const {
-  std::lock_guard lock(mutex_);
-  const auto it = instruments_.find(name);
-  if (it == instruments_.end() || it->second.kind != Kind::kHistogram) {
-    return std::nullopt;
-  }
-  const Histogram::Counts counts = it->second.histogram->bucket_counts();
-  std::uint64_t over = 0;
-  for (std::size_t b = 0; b < hist::kBuckets; ++b) {
-    if (hist::lower(b) > threshold) over += counts[b];
-  }
-  return static_cast<double>(over);
-}
-
 std::size_t MetricsRegistry::size() const {
   std::lock_guard lock(mutex_);
   return instruments_.size();

@@ -181,18 +181,7 @@ class MetricsRegistry {
   // Read one instrument's current value by name: a counter's fold, a
   // stored gauge's last set, a callback gauge's evaluation, or a
   // histogram's cumulative sample count.  nullopt for unknown names.
-  // This is the generic read surface the windowed SLO layer samples
-  // through (obs/slo/time_series.h).
   std::optional<double> read_value(std::string_view name) const;
-
-  // Count of samples recorded above `threshold` in histogram `name`: a
-  // bucket counts as over only when its lowest value exceeds
-  // `threshold`, so samples sharing the threshold's bucket read as not
-  // over (an undercount of at most that one bucket).  nullopt when
-  // `name` is not a histogram.  Lets an SLO rule treat "requests over
-  // the latency budget" as a counter series.
-  std::optional<double> read_histogram_over(std::string_view name,
-                                            std::uint64_t threshold) const;
 
   // Prometheus text exposition format, instruments in name order.
   std::string render_prometheus() const;

@@ -1,6 +1,6 @@
 // Continuous in-process profiling plane.
 //
-// The metrics/SLO/trace planes (PR 4/5/9) say *that* the system is slow;
+// The metrics and trace planes say *that* the system is slow;
 // this subsystem says *where the cycles go* — the attribution the
 // ROADMAP north star ("as fast as the hardware allows") cannot be
 // claimed without.  Three cooperating pieces, all dependency-free and

@@ -1,5 +1,5 @@
 // Fixed-capacity, overwrite-oldest ring: the one event buffer behind
-// TraceSink's spans, AuditTrail's records and every SLO window series.
+// TraceSink's spans and AuditTrail's records.
 //
 // The capacity is allocated once, at construction (0 is raised to 1),
 // so push() never allocates.  Elements are addressed oldest first:

@@ -53,6 +53,38 @@ bool eventually(Fn condition, int deadline_ms = 3000) {
   return condition();
 }
 
+// A raw client socket connected to a listener on 127.0.0.1, with a 5 s
+// receive timeout so a server that never answers fails the test instead
+// of hanging it.  -1 on failure.
+int connect_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  timeval tv{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  return fd;
+}
+
+// Everything the peer sends until it closes.  *closed_cleanly says
+// whether it closed with EOF rather than an error or the timeout.
+std::string read_to_close(int fd, bool* closed_cleanly = nullptr) {
+  std::string out;
+  char buf[1024];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+  if (closed_cleanly != nullptr) *closed_cleanly = n == 0;
+  return out;
+}
+
 // --------------------------------------------------------- socket seam
 
 // The regression the seam was built on top of: an I/O deadline must
@@ -271,28 +303,14 @@ TEST(HttpListenerHardening, SlowLorisIsCutOffAtTheHeaderDeadline) {
   config.io_timeout = 2000ms;
   HttpListener listener(config, echo_handler());
   ASSERT_TRUE(listener.running()) << listener.error();
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = connect_raw(listener.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(listener.port());
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  timeval tv{5, 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 
   const Clock::time_point start = Clock::now();
   const std::string_view partial_head = "GET /slow HTTP/1.1\r\nHos";
   ASSERT_EQ(::send(fd, partial_head.data(), partial_head.size(), 0),
             static_cast<ssize_t>(partial_head.size()));
-  std::string response;
-  char buf[1024];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    response.append(buf, static_cast<std::size_t>(n));
-  }
+  const std::string response = read_to_close(fd);
   ::close(fd);
 
   EXPECT_NE(response.find("408 Request Timeout"), std::string::npos)
@@ -301,6 +319,42 @@ TEST(HttpListenerHardening, SlowLorisIsCutOffAtTheHeaderDeadline) {
   EXPECT_LT(Clock::now() - start, 1500ms);
   EXPECT_EQ(listener.slowloris(), 1u);
   EXPECT_EQ(listener.reaped(), 0u);
+}
+
+// The request deadline covers the body too: a complete head followed by
+// a body trickled one byte per 250 ms keeps every recv well inside
+// io_timeout, yet is cut off 408 at the deadline instead of holding the
+// handler for the ~3 s the body takes.
+TEST(HttpListenerHardening, SlowBodyIsCutOffAtTheRequestDeadline) {
+  ListenerConfig config;
+  config.header_timeout = 300ms;
+  config.io_timeout = 1000ms;
+  HttpListener listener(config, echo_handler());
+  ASSERT_TRUE(listener.running()) << listener.error();
+  const int fd = connect_raw(listener.port());
+  ASSERT_GE(fd, 0);
+
+  const Clock::time_point start = Clock::now();
+  const std::string_view head =
+      "POST /slow HTTP/1.1\r\nContent-Length: 12\r\n\r\n";
+  ASSERT_EQ(::send(fd, head.data(), head.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(head.size()));
+  std::thread trickle([fd] {
+    for (int i = 0; i < 12; ++i) {
+      if (::send(fd, "x", 1, MSG_NOSIGNAL) != 1) return;  // cut off
+      std::this_thread::sleep_for(250ms);
+    }
+  });
+  const std::string response = read_to_close(fd);
+  const auto took = Clock::now() - start;
+  trickle.join();
+  ::close(fd);
+
+  EXPECT_EQ(response.rfind("HTTP/1.1 408 ", 0), 0u) << response;
+  EXPECT_LT(took, 1500ms)
+      << std::chrono::duration_cast<std::chrono::milliseconds>(took).count()
+      << " ms";
+  EXPECT_EQ(listener.slowloris(), 1u);
 }
 
 // An idle keep-alive connection is reaped after io_timeout and counted;
@@ -417,29 +471,49 @@ TEST(HttpListenerHardening, DuplicateContentLengthIsA400AndClose) {
   config.keep_alive = true;
   HttpListener listener(config, echo_handler());
   ASSERT_TRUE(listener.running()) << listener.error();
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = connect_raw(listener.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(listener.port());
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  timeval tv{5, 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   const std::string wire =
       std::string(head) + "\r\nhelloGET /next HTTP/1.1\r\n\r\n";
   ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
             static_cast<ssize_t>(wire.size()));
   // Read to EOF: the connection closes after the one 400.
-  std::string response;
-  char buf[1024];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    response.append(buf, static_cast<std::size_t>(n));
-  }
+  bool closed = false;
+  const std::string response = read_to_close(fd, &closed);
   ::close(fd);
-  EXPECT_EQ(n, 0) << "connection was not closed";
+  EXPECT_TRUE(closed) << "connection was not closed";
+  EXPECT_EQ(response.rfind("HTTP/1.1 400 ", 0), 0u) << response;
+  EXPECT_EQ(response.find("HTTP/1.1", 1), std::string::npos) << response;
+}
+
+// Bodies are framed by Content-Length alone, so a chunked body would be
+// read as the next pipelined request.  Any Transfer-Encoding, with or
+// without a Content-Length beside it, is refused: 400, then close, and
+// the chunk bytes are never served.
+TEST(HttpListenerHardening, TransferEncodingIsRefusedAndClosed) {
+  const std::string_view head =
+      "POST /score HTTP/1.1\r\nTransfer-Encoding: chunked\r\n";
+  HttpRequest request;
+  EXPECT_FALSE(parse_request_head(head, &request));
+  EXPECT_FALSE(parse_request_head(
+      "POST /score HTTP/1.1\r\nContent-Length: 5\r\n"
+      "Transfer-Encoding: chunked\r\n",
+      &request));
+
+  ListenerConfig config;
+  config.keep_alive = true;
+  HttpListener listener(config, echo_handler());
+  ASSERT_TRUE(listener.running()) << listener.error();
+  const int fd = connect_raw(listener.port());
+  ASSERT_GE(fd, 0);
+  const std::string wire =
+      std::string(head) + "\r\n5\r\nhello\r\n0\r\n\r\n";
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
+            static_cast<ssize_t>(wire.size()));
+  bool closed = false;
+  const std::string response = read_to_close(fd, &closed);
+  ::close(fd);
+  EXPECT_TRUE(closed) << "connection was not closed";
   EXPECT_EQ(response.rfind("HTTP/1.1 400 ", 0), 0u) << response;
   EXPECT_EQ(response.find("HTTP/1.1", 1), std::string::npos) << response;
 }

@@ -291,13 +291,17 @@ bool parsed_sanely_or_refused(std::string_view head, HttpRequest* request) {
 
 // Heads as the listener hands them over: through the CRLF that ends the
 // last header line, without the blank line.  The first two are valid;
-// the two after them must be refused.
+// the four after them must be refused.
 constexpr const char* kHeadCorpus[] = {
     "POST /score HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: 42\r\n",
     "GET /metrics?n=1 HTTP/1.0\r\nConnection: keep-alive\r\n",
     // Content-Length overflow and duplication.
     "POST /score HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n",
     "POST /score HTTP/1.1\r\ncontent-length: 5\r\nCONTENT-LENGTH:5\r\n",
+    // Chunked framing, alone and beside a Content-Length.
+    "POST /score HTTP/1.1\r\nTransfer-Encoding: chunked\r\n",
+    "POST /score HTTP/1.1\r\nContent-Length: 5\r\n"
+    "transfer-encoding: chunked\r\n",
     // Stray CR and LF.
     "POST /score HTTP/1.1\r\n\rContent-Length: 5\r\n",
     "POST /score HTTP/1.1\nContent-Length: 5\n",
@@ -309,8 +313,9 @@ TEST(WireFuzz, HttpHeadCorpusSeedsAreJudged) {
   EXPECT_TRUE(parse_request_head(kHeadCorpus[0], &request));
   EXPECT_EQ(request.content_length, 42u);
   EXPECT_TRUE(parse_request_head(kHeadCorpus[1], &request));
-  EXPECT_FALSE(parse_request_head(kHeadCorpus[2], &request));
-  EXPECT_FALSE(parse_request_head(kHeadCorpus[3], &request));
+  for (std::size_t i = 2; i < 6; ++i) {
+    EXPECT_FALSE(parse_request_head(kHeadCorpus[i], &request)) << i;
+  }
 }
 
 TEST(WireFuzz, MutatedHttpHeadsParseOrAreRefused) {

@@ -21,11 +21,9 @@
 #include "core/polygraph.h"
 #include "net/http_common.h"
 #include "obs/audit.h"
+#include "obs/health.h"
 #include "obs/introspect/server.h"
 #include "obs/metrics_registry.h"
-#include "obs/slo/health.h"
-#include "obs/slo/slo_engine.h"
-#include "obs/slo/time_series.h"
 #include "obs/trace.h"
 #include "serve/model_registry.h"
 
@@ -154,21 +152,15 @@ TEST(ObsIntrospect, ServesAllEndpointsOverRealTcp) {
   serve::ModelRegistry models;
   ASSERT_EQ(models.publish(tiny_model()), 1u);
 
-  slo::SloEngine slo({});
-  slo::HealthModel health(
-      [&] {
-        slo::HealthSignals signals;
-        signals.model_version = models.version();
-        return signals;
-      },
-      &slo);
-
   Sources sources;
   sources.metrics = &metrics;
   sources.trace = &trace;
   sources.audit = &audit;
-  sources.health = &health;
-  sources.slo = &slo;
+  sources.health = [&] {
+    HealthSignals signals;
+    signals.model_version = models.version();
+    return signals;
+  };
   sources.statusz_extra = [] { return std::string("example_line: 1\n"); };
 
   IntrospectionServer server(sources);
@@ -270,7 +262,7 @@ TEST(ObsIntrospect, EndpointsWithoutSourcesAnswer404OrBareLiveness) {
   EXPECT_EQ(get("/metrics.json").status, 404);
   EXPECT_EQ(get("/tracez").status, 404);
   EXPECT_EQ(get("/auditz").status, 404);
-  // No health model: reaching the handler is the liveness proof, but
+  // No health signals: reaching the handler is the liveness proof, but
   // nothing can vouch for serving fitness.
   EXPECT_EQ(get("/healthz").status, 200);
   EXPECT_EQ(get("/readyz").status, 503);
@@ -280,15 +272,13 @@ TEST(ObsIntrospect, EndpointsWithoutSourcesAnswer404OrBareLiveness) {
 TEST(ObsIntrospect, ReadyzFlipsWithPublishAndDegradedMode) {
   serve::ModelRegistry models;
   std::atomic<bool> degraded{false};
-  slo::HealthModel health([&] {
-    slo::HealthSignals signals;
+  Sources sources;
+  sources.health = [&] {
+    HealthSignals signals;
     signals.model_version = models.version();
     signals.degraded_active = degraded.load();
     return signals;
-  });
-
-  Sources sources;
-  sources.health = &health;
+  };
   IntrospectionServer server(sources);
   ASSERT_TRUE(server.running()) << server.error();
   const auto readyz = [&] {

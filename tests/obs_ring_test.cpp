@@ -1,7 +1,6 @@
-// Tests for obs::Ring, the overwrite-oldest buffer behind TraceSink,
-// AuditTrail and the SLO window series: capacity edge cases, the
-// overwrite report, oldest-first order across wraps, newest(), and
-// reuse after clear().
+// Tests for obs::Ring, the overwrite-oldest buffer behind TraceSink and
+// AuditTrail: capacity edge cases, the overwrite report, oldest-first
+// order across wraps, newest(), and reuse after clear().
 #include <gtest/gtest.h>
 
 #include <vector>
