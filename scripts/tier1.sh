@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification: full build + test suite + live HTTP/scoring and
-# chaos smokes, plus an optional sanitizer pass over the concurrency
-# tests (serving tier and the parallel training substrate).
+# Tier-1 verification: full build + test suite + a one-second benchmark
+# run + live HTTP/scoring and chaos smokes, plus an optional sanitizer
+# pass over the concurrency tests (serving tier and the parallel
+# training substrate).
 #
 #   ./scripts/tier1.sh                  # standard build + ctest + smokes
 #   BP_SANITIZE=thread ./scripts/tier1.sh   # ... + TSan concurrency pass
@@ -20,6 +21,17 @@ esac
 cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
+
+echo "== benchmark smoke (perfbench built against src/, one short run) =="
+# perfbench compiles the library sources into its own Release tree, so
+# a change that breaks an API the benchmark names fails here.  The last
+# stdout line is the result JSON; a wrong verdict makes it correct:false.
+bench_line=$(python3 perfbench/run.py --workload engine_bulk --seed 1 \
+             --seconds 1 --trace 0 | tail -n 1 || true)
+case "${bench_line}" in
+  '{"correct": true,'* ) echo "benchmark smoke ok" ;;
+  * ) echo "FAIL: perfbench engine_bulk -> '${bench_line}'" >&2; exit 1 ;;
+esac
 
 echo "== live introspection + scoring smoke (HTTP over ephemeral ports) =="
 smoke_log=/tmp/bp_introspect_smoke.log

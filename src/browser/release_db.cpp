@@ -114,15 +114,6 @@ const ReleaseDatabase& ReleaseDatabase::instance() {
   return db;
 }
 
-std::vector<const BrowserRelease*> ReleaseDatabase::available_on(
-    Date date) const {
-  std::vector<const BrowserRelease*> out;
-  for (const auto& r : releases_) {
-    if (r.release_date <= date) out.push_back(&r);
-  }
-  return out;
-}
-
 const BrowserRelease* ReleaseDatabase::find(ua::Vendor vendor,
                                             int version) const {
   for (const auto& r : releases_) {

@@ -50,10 +50,6 @@ class ReleaseDatabase {
     return releases_;
   }
 
-  // Releases published on or before `date` (the set a live user could be
-  // running at that date).
-  std::vector<const BrowserRelease*> available_on(bp::util::Date date) const;
-
   // Lookup by vendor + major version; nullptr when absent.
   const BrowserRelease* find(ua::Vendor vendor, int version) const;
   const BrowserRelease* find(const ua::UserAgent& ua) const {

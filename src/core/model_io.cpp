@@ -5,8 +5,8 @@
 #include <charconv>
 #include <cstdio>
 
-#include "util/csv.h"
 #include "util/fault.h"
+#include "util/file.h"
 #include "util/rng.h"
 #include "util/strings.h"
 

@@ -54,26 +54,4 @@ ClusterAccuracy clustering_accuracy(const std::vector<std::uint32_t>& labels,
   return out;
 }
 
-std::map<std::uint32_t, LabelAccuracy> per_label_accuracy(
-    const std::vector<std::uint32_t>& labels,
-    const std::vector<std::size_t>& clusters) {
-  std::map<std::uint32_t, LabelAccuracy> out;
-  for (const auto& [label, per_cluster] : tally(labels, clusters)) {
-    LabelAccuracy acc;
-    std::size_t best_count = 0;
-    for (const auto& [cluster, count] : per_cluster) {
-      acc.count += count;
-      if (count > best_count) {
-        best_count = count;
-        acc.cluster = cluster;
-      }
-    }
-    acc.accuracy = acc.count > 0 ? static_cast<double>(best_count) /
-                                       static_cast<double>(acc.count)
-                                 : 0.0;
-    out[label] = acc;
-  }
-  return out;
-}
-
 }  // namespace bp::ml

@@ -30,16 +30,4 @@ struct ClusterAccuracy {
 ClusterAccuracy clustering_accuracy(const std::vector<std::uint32_t>& labels,
                                     const std::vector<std::size_t>& clusters);
 
-// Per-label accuracy: the fraction of a single label's rows assigned to
-// that label's majority cluster (used by the drift analysis, Table 6).
-struct LabelAccuracy {
-  std::size_t cluster = 0;   // the majority cluster
-  double accuracy = 0.0;     // fraction of rows in it
-  std::size_t count = 0;     // rows carrying the label
-};
-
-std::map<std::uint32_t, LabelAccuracy> per_label_accuracy(
-    const std::vector<std::uint32_t>& labels,
-    const std::vector<std::size_t>& clusters);
-
 }  // namespace bp::ml

@@ -198,17 +198,6 @@ Pca Pca::from_params(std::vector<double> mean, std::vector<double> eigenvalues,
   return pca;
 }
 
-std::vector<double> Pca::explained_variance_ratio() const {
-  double total = 0.0;
-  for (double ev : eigenvalues_) total += std::max(ev, 0.0);
-  std::vector<double> out(n_components_, 0.0);
-  if (total <= 0.0) return out;
-  for (std::size_t i = 0; i < n_components_; ++i) {
-    out[i] = std::max(eigenvalues_[i], 0.0) / total;
-  }
-  return out;
-}
-
 std::vector<double> Pca::cumulative_variance_ratio() const {
   double total = 0.0;
   for (double ev : eigenvalues_) total += std::max(ev, 0.0);

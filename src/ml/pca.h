@@ -45,10 +45,9 @@ class Pca {
   bool fitted() const noexcept { return !eigenvalues_.empty(); }
   std::size_t n_components() const noexcept { return n_components_; }
 
-  // Variance explained by each retained component, as a fraction of total
-  // variance; and the cumulative sum over the first k components for any
-  // k up to the feature count (used to reproduce Figure 2).
-  std::vector<double> explained_variance_ratio() const;
+  // Cumulative fraction of total variance explained by the first k
+  // components, for every k up to the feature count (used to reproduce
+  // Figure 2).
   std::vector<double> cumulative_variance_ratio() const;
 
   const std::vector<double>& eigenvalues() const noexcept {

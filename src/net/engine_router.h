@@ -1,14 +1,14 @@
 // Sharded multi-engine router: N ScoringEngines behind one front door.
 //
 // One ScoringEngine already pools workers over one queue, but at
-// ingress scale a single queue is a contention point and a single
-// shard's caches are churned by every session in the process.  The
-// router owns N engines ("shards") and routes each request by a hash
-// of its *session id*, so one session's requests always land on the
-// same shard — per-shard state (the worker's scoring scratch, the
-// model tables in that core's caches, and the shard's verdict cache
-// when EngineConfig::cache_capacity is set) stays hot, and queue
-// contention divides by N.
+// ingress scale a single queue is a contention point.  The router owns
+// N engines ("shards") and routes each request by a hash of its
+// *session id*, so one session's requests always land on the same
+// shard, and queue contention divides by N.  Session affinity does not
+// concentrate the verdict cache (EngineConfig::cache_capacity): a cache
+// entry is keyed by content, the (fingerprint, claimed UA) pair, and
+// many sessions share popular content, so every shard ends up caching
+// the same popular entries.
 //
 // What the router coordinates, and what it deliberately does not:
 //
@@ -109,9 +109,10 @@ class EngineRouter {
   serve::MetricsSnapshot metrics() const;
 
   // Verdict-cache counters folded across shards (all-zero when
-  // engine.cache_capacity is 0).  Each shard owns an independent cache —
-  // the splitmix64 session affinity is what keeps a session's entries
-  // resident on the shard that will see its next request.
+  // engine.cache_capacity is 0).  Each shard owns an independent cache
+  // keyed by (fingerprint, UA) content, while routing is by session, so
+  // a popular content's entry is held, and first missed, on every shard
+  // that its sessions hash to.
   serve::CacheStats cache_stats() const;
 
   std::uint64_t model_version() const noexcept { return registry_.version(); }

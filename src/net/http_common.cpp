@@ -152,29 +152,6 @@ void serialize_response(const HttpResponse& response, std::string& out) {
   out += response.body;
 }
 
-std::uint64_t query_uint(std::string_view query, std::string_view key,
-                         std::uint64_t fallback) noexcept {
-  std::size_t pos = 0;
-  while (pos < query.size()) {
-    std::size_t amp = query.find('&', pos);
-    if (amp == std::string_view::npos) amp = query.size();
-    const std::string_view pair = query.substr(pos, amp - pos);
-    const std::size_t eq = pair.find('=');
-    if (eq != std::string_view::npos && pair.substr(0, eq) == key) {
-      const std::string_view value = pair.substr(eq + 1);
-      if (value.empty()) return fallback;
-      std::uint64_t parsed = 0;
-      for (char c : value) {
-        if (c < '0' || c > '9') return fallback;
-        parsed = parsed * 10 + static_cast<std::uint64_t>(c - '0');
-      }
-      return parsed;
-    }
-    pos = amp + 1;
-  }
-  return fallback;
-}
-
 QueryParam query_uint_checked(std::string_view query, std::string_view key,
                               std::uint64_t* out) noexcept {
   std::size_t pos = 0;
@@ -277,7 +254,7 @@ void HttpListener::acceptor_loop() {
     sockops::set_nodelay(fd);
     {
       std::lock_guard lock(queue_mutex_);
-      if (pending_.size() >= config_.max_pending) {
+      if (pending_.size() >= kMaxPendingConnections) {
         // Shed at accept: better to drop a connection than to queue
         // unboundedly — the client retries (a scraper on its next
         // cadence, the load generator counting the loss).
@@ -600,23 +577,39 @@ bool HttpClient::send_all(std::string_view data) {
   return true;
 }
 
-bool HttpClient::send_request(std::string_view method,
-                              const std::string& target,
-                              std::string_view body,
-                              const std::string& content_type) {
-  if (!connect()) return false;
+namespace {
+
+// The request text both client paths send.  A body, or any POST,
+// carries Content-Type and Content-Length; `close_connection` adds
+// Connection: close.
+std::string render_request(std::string_view method, const std::string& target,
+                           const std::string& host, std::string_view body,
+                           const std::string& content_type,
+                           bool close_connection) {
   std::string request;
-  request.reserve(128 + target.size() + body.size());
+  request.reserve(160 + target.size() + body.size());
   request.append(method).append(" ").append(target).append(" HTTP/1.1\r\n");
-  request.append("Host: ").append(host_).append("\r\n");
+  request.append("Host: ").append(host).append("\r\n");
   if (!body.empty() || method == "POST") {
     request.append("Content-Type: ").append(content_type).append("\r\n");
     request.append("Content-Length: ")
         .append(std::to_string(body.size()))
         .append("\r\n");
   }
+  if (close_connection) request.append("Connection: close\r\n");
   request.append("\r\n").append(body);
-  return send_all(request);
+  return request;
+}
+
+}  // namespace
+
+bool HttpClient::send_request(std::string_view method,
+                              const std::string& target,
+                              std::string_view body,
+                              const std::string& content_type) {
+  if (!connect()) return false;
+  return send_all(render_request(method, target, host_, body, content_type,
+                                 /*close_connection=*/false));
 }
 
 HttpResult HttpClient::read_response() {
@@ -716,18 +709,8 @@ HttpResult HttpClient::exchange(std::string_view method,
                                 bool close_connection) {
   const bool had_connection = fd_ >= 0;
   if (!connect()) return {-1, "", error_};
-  std::string request;
-  request.reserve(160 + target.size() + body.size());
-  request.append(method).append(" ").append(target).append(" HTTP/1.1\r\n");
-  request.append("Host: ").append(host_).append("\r\n");
-  if (!body.empty() || method == "POST") {
-    request.append("Content-Type: ").append(content_type).append("\r\n");
-    request.append("Content-Length: ")
-        .append(std::to_string(body.size()))
-        .append("\r\n");
-  }
-  if (close_connection) request.append("Connection: close\r\n");
-  request.append("\r\n").append(body);
+  const std::string request = render_request(method, target, host_, body,
+                                             content_type, close_connection);
 
   if (!send_all(request)) {
     // A reused keep-alive connection may have been closed by the

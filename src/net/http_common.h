@@ -12,21 +12,23 @@
 //
 // Three pieces:
 //
-//   * vocabulary — HttpRequest/HttpResponse, parse_request_head (now
-//     header-aware: Content-Length and Connection), serialize_response
-//     (keep-alive aware), status_reason, query_uint;
+//   * vocabulary — HttpRequest/HttpResponse, parse_request_head
+//     (header-aware: Content-Length, Connection, and Transfer-Encoding,
+//     which it refuses), serialize_response (keep-alive aware),
+//     status_reason, query_uint_checked;
 //   * HttpListener — the socket/accept/read-request loop both servers
-//     share: one acceptor thread, a handler pool draining a bounded
-//     queue of accepted connections, shed-at-accept when that queue is
-//     full, optional keep-alive with pipelining (a request already
-//     buffered behind the current one is served without another recv),
-//     a per-request deadline from first byte to last (the slow-loris
-//     cutoff) and keep-alive reaper caps on requests-per-
-//     connection and connection lifetime (DESIGN.md §15);
-//   * HttpClient — the blocking test/bench client, now with keep-alive
+//     share: one acceptor thread, a handler pool draining a queue of at
+//     most kMaxPendingConnections accepted connections, shed-at-accept
+//     when that queue is full, optional keep-alive with pipelining (a
+//     request already buffered behind the current one is served
+//     without another recv), a per-request deadline from first byte
+//     to last (the slow-loris cutoff) and keep-alive reaper caps on
+//     requests-per-connection and connection lifetime (DESIGN.md §15);
+//   * HttpClient — the blocking test/bench client, with keep-alive
 //     connection reuse and POST.  The split send_request/read_response
 //     halves let the open-loop load generator pipeline requests from a
-//     sender thread while a reader thread drains responses in order.
+//     sender thread while a reader thread drains responses in order;
+//     both halves and the one-shot exchange send the same request text.
 #pragma once
 
 #include <atomic>
@@ -104,15 +106,11 @@ bool parse_request_head(std::string_view head, HttpRequest* out);
 // connection reuse one buffer for every response it sends.
 void serialize_response(const HttpResponse& response, std::string& out);
 
-// Value of `key` in a query string ("n=50&x=1"), or `fallback` when
-// absent/unparseable.  Only non-negative integers are supported.
-std::uint64_t query_uint(std::string_view query, std::string_view key,
-                         std::uint64_t fallback) noexcept;
-
-// Like query_uint, but distinguishes the three cases an endpoint that
-// must 400 on malformed input needs to tell apart: key absent (kAbsent,
-// *out untouched), present and a valid non-negative integer (kOk, *out
-// set), present but empty/non-numeric/overflowing (kMalformed).
+// Value of `key` in a query string ("n=50&x=1") as a non-negative
+// integer, telling apart the three cases an endpoint that must 400 on
+// malformed input needs: key absent (kAbsent, *out untouched), present
+// and a valid non-negative integer (kOk, *out set), present but
+// empty/non-numeric/overflowing (kMalformed).
 enum class QueryParam : std::uint8_t { kAbsent, kOk, kMalformed };
 QueryParam query_uint_checked(std::string_view query, std::string_view key,
                               std::uint64_t* out) noexcept;
@@ -123,11 +121,14 @@ QueryParam query_uint_checked(std::string_view query, std::string_view key,
 // answered 431.
 inline constexpr std::size_t kMaxHeadBytes = 8192;
 
+// Accepted connections waiting for a free handler thread.  One more is
+// shed at accept: closed at once and counted in overloaded().
+inline constexpr std::size_t kMaxPendingConnections = 64;
+
 struct ListenerConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  // 0 = ephemeral; read the choice via port()
   std::size_t handler_threads = 2;
-  std::size_t max_pending = 64;  // accepted connections awaiting a handler
   std::chrono::milliseconds io_timeout{2000};  // per-connection recv/send
   // Slow-loris cutoff, distinct from io_timeout: once the first byte
   // of a request arrives, the whole request — head and body — must

@@ -149,18 +149,12 @@ class BoundedQueue {
     not_full_.notify_all();
   }
 
-  bool closed() const {
-    std::lock_guard lock(mutex_);
-    return closed_;
-  }
-
   std::size_t size() const {
     std::lock_guard lock(mutex_);
     return count_;
   }
 
   std::size_t capacity() const noexcept { return slots_.size(); }
-  OverflowPolicy policy() const noexcept { return policy_; }
 
   // Attribute blocking waits to named contention sites (/contentionz).
   // Null (the default) skips the clock reads entirely.  Call before the

@@ -1,9 +1,9 @@
 #include "serve/retrain_supervisor.h"
 
 #include <algorithm>
+#include <thread>
 #include <utility>
 
-#include "obs/prof/prof.h"
 #include "util/rng.h"
 
 namespace bp::serve {
@@ -36,8 +36,6 @@ RetrainSupervisor::RetrainSupervisor(ModelRegistry& registry,
     };
   }
 }
-
-RetrainSupervisor::~RetrainSupervisor() { stop(); }
 
 CycleResult RetrainSupervisor::run_cycle() {
   std::unique_lock lock(mutex_);
@@ -186,36 +184,6 @@ SupervisorStatus RetrainSupervisor::status() const {
   status.breaker_open = breaker_.open();
   status.consecutive_failures = breaker_.consecutive_failures();
   return status;
-}
-
-void RetrainSupervisor::start(std::chrono::milliseconds period) {
-  stop();  // at most one loop
-  {
-    std::lock_guard lock(loop_mutex_);
-    loop_stop_ = false;
-  }
-  loop_ = std::thread([this, period] {
-    obs::prof::ThreadHandle prof_handle("serve.retrain", 0);
-    std::unique_lock lock(loop_mutex_);
-    while (!loop_stop_) {
-      lock.unlock();
-      {
-        PROF_SCOPE("train.retrain_cycle");
-        run_cycle();
-      }
-      lock.lock();
-      loop_cv_.wait_for(lock, period, [&] { return loop_stop_; });
-    }
-  });
-}
-
-void RetrainSupervisor::stop() {
-  {
-    std::lock_guard lock(loop_mutex_);
-    loop_stop_ = true;
-  }
-  loop_cv_.notify_all();
-  if (loop_.joinable()) loop_.join();
 }
 
 }  // namespace bp::serve

@@ -10,10 +10,16 @@
 // deterministic jitter (util::backoff, seeded, so chaos runs replay
 // exactly), and a circuit breaker (util::Breaker) opens after N
 // consecutive failed *cycles* so a persistently broken training
-// pipeline cannot hammer the data tier forever — it cools down while serving continues on the last-good
-// model.  A model-staleness gauge (cycles since the last successful
-// publish) is what an operator alarms on: staleness rising while the
-// breaker is open is the "we are serving an old model" signal.
+// pipeline cannot hammer the data tier forever — it cools down while
+// serving continues on the last-good model.  A model-staleness gauge
+// (cycles since the last successful publish) is what an operator
+// alarms on: staleness rising while the breaker is open is the "we are
+// serving an old model" signal.
+//
+// The supervisor owns no thread.  The caller decides when a cycle runs
+// and calls run_cycle() itself: fraud_detection_service runs one after
+// its drift detector fires, on a thread of its own while serving
+// continues.
 //
 // The three stages are injected as callables so the supervisor is
 // test-drivable without a real training pipeline, and so callers
@@ -21,12 +27,10 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <optional>
-#include <thread>
 
 #include "core/polygraph.h"
 #include "obs/metrics_registry.h"
@@ -100,7 +104,6 @@ class RetrainSupervisor {
   RetrainSupervisor(ModelRegistry& registry, RetrainConfig config,
                     DriftCheck drift_check, TrainFn train, ValidateFn validate,
                     SleepFn sleep = {});
-  ~RetrainSupervisor();
 
   RetrainSupervisor(const RetrainSupervisor&) = delete;
   RetrainSupervisor& operator=(const RetrainSupervisor&) = delete;
@@ -113,11 +116,6 @@ class RetrainSupervisor {
   void reset_breaker();
 
   SupervisorStatus status() const;
-
-  // Background mode: run_cycle() every `period` until stop().  The
-  // destructor stops the loop.
-  void start(std::chrono::milliseconds period);
-  void stop();
 
  private:
   CycleResult run_cycle_locked(std::unique_lock<std::mutex>& lock);
@@ -134,11 +132,6 @@ class RetrainSupervisor {
   SupervisorStatus status_;  // breaker fields are read from breaker_
   util::Breaker breaker_;
   std::uint64_t jitter_state_;
-
-  std::mutex loop_mutex_;
-  std::condition_variable loop_cv_;
-  bool loop_stop_ = false;
-  std::thread loop_;
 };
 
 }  // namespace bp::serve

@@ -6,6 +6,10 @@
 // SessionID — plus the evaluation-only security tags (Untrusted_IP,
 // Untrusted_Cookie, ATO) and, because this is a simulation, the
 // ground-truth provenance that a real deployment would not have.
+//
+// Datasets live only in memory: SessionGenerator builds them and the
+// training and evaluation code reads them in the same process, so there
+// is no file format.  A trained model is what persists (core/model_io).
 #pragma once
 
 #include <cstdint>
@@ -15,7 +19,6 @@
 #include "browser/extractor.h"
 #include "ml/matrix.h"
 #include "ua/user_agent.h"
-#include "util/csv.h"
 #include "util/date.h"
 
 namespace bp::traffic {
@@ -74,15 +77,8 @@ class Dataset {
   // Per-row claimed-UA keys (for the accuracy metrics).
   std::vector<std::uint32_t> ua_keys() const;
 
-  // Concatenated feature-value string per row (anonymity-set analysis).
-  std::vector<std::string> fingerprint_strings() const;
-
   // Rows restricted to a date range [from, to] (inclusive).
   Dataset slice(bp::util::Date from, bp::util::Date to) const;
-
-  // CSV round-trip (feature columns named by catalog index).
-  bp::util::CsvTable to_csv_table() const;
-  static Dataset from_csv_table(const bp::util::CsvTable& table);
 
  private:
   std::vector<std::size_t> stored_indices_;

@@ -66,12 +66,6 @@ bool FaultRegistry::arm_from_spec(std::string_view spec) {
   return true;
 }
 
-bool FaultRegistry::arm_from_env() {
-  const char* env = std::getenv("BP_FAULTS");
-  if (env == nullptr) return false;
-  return arm_from_spec(env);
-}
-
 void FaultRegistry::disarm(std::string_view point) {
   std::lock_guard lock(mutex_);
   const auto it = points_.find(point);

@@ -53,9 +53,6 @@ class FaultRegistry {
   // further) on the first malformed entry.
   bool arm_from_spec(std::string_view spec);
 
-  // Re-read BP_FAULTS; returns false when unset or malformed.
-  bool arm_from_env();
-
   void disarm(std::string_view point);
   void disarm_all();
 

@@ -50,13 +50,6 @@ double Rng::exponential(double lambda) noexcept {
   return -std::log(u) / lambda;
 }
 
-int Rng::integer_noise(double p, double decay) noexcept {
-  if (!chance(p)) return 0;
-  int magnitude = 1;
-  while (chance(decay)) ++magnitude;
-  return chance(0.5) ? magnitude : -magnitude;
-}
-
 std::size_t Rng::weighted(std::span<const double> weights) noexcept {
   double total = 0.0;
   for (double w : weights) total += (w > 0.0 ? w : 0.0);

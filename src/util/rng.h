@@ -107,11 +107,6 @@ class Rng {
   // Exponential with rate lambda.
   double exponential(double lambda) noexcept;
 
-  // Geometric-ish integer noise: 0 with prob 1-p, else +/-1, +/-2 ... with
-  // geometrically decaying magnitude.  Models small integer perturbations
-  // of property counts caused by user configuration.
-  int integer_noise(double p, double decay = 0.5) noexcept;
-
   // Sample an index from a discrete distribution given non-negative
   // weights (need not be normalized).  Returns weights.size() only when
   // all weights are zero or the span is empty.

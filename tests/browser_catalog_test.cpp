@@ -161,15 +161,6 @@ TEST(ReleaseDb, EdgeTracksChromeWithLag) {
   }
 }
 
-TEST(ReleaseDb, AvailableOnFiltersByDate) {
-  const auto& db = ReleaseDatabase::instance();
-  const auto available = db.available_on(bp::util::Date::from_ymd(2018, 1, 1));
-  for (const auto* r : available) {
-    EXPECT_LE(r->release_date, bp::util::Date::from_ymd(2018, 1, 1));
-  }
-  EXPECT_FALSE(available.empty());
-}
-
 TEST(ReleaseDb, LatestPicksNewestAvailable) {
   const auto& db = ReleaseDatabase::instance();
   const auto* latest =

@@ -1,10 +1,10 @@
 // Chaos soak for the fault-tolerant model lifecycle.
 //
 // Two layers:
-//   1. Determinism: the same BP_FAULTS spec replays the exact same
-//      injected-fault trace over a fixed single-threaded lifecycle
-//      (save -> publish_from_file -> rollback), so a failing soak can
-//      be re-run under a debugger with identical faults.
+//   1. Determinism: the same fault spec (BP_FAULTS grammar) replays
+//      the exact same injected-fault trace over a fixed single-threaded
+//      lifecycle (save -> publish_from_file -> rollback), so a failing
+//      soak can be re-run under a debugger with identical faults.
 //   2. The soak proper: producers hammer a live engine while a
 //      lifecycle thread saves/publishes/rolls back models with write,
 //      torn-write, read and validation faults armed.  Invariants:
@@ -17,7 +17,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,10 +59,7 @@ core::Polygraph make_model(bool swapped_table) {
 class ChaosSoakTest : public ::testing::Test {
  protected:
   void SetUp() override { bp::util::FaultRegistry::instance().disarm_all(); }
-  void TearDown() override {
-    bp::util::FaultRegistry::instance().disarm_all();
-    ::unsetenv("BP_FAULTS");
-  }
+  void TearDown() override { bp::util::FaultRegistry::instance().disarm_all(); }
 };
 
 // A fixed, fault-dependent but otherwise deterministic model lifecycle.
@@ -92,11 +88,9 @@ std::string run_lifecycle(const std::string& path) {
 
 TEST_F(ChaosSoakTest, SameFaultSpecReplaysSameTraceAndBehaviour) {
   auto& faults = bp::util::FaultRegistry::instance();
-  ::setenv("BP_FAULTS",
-           "model_io.write:0.3:7,model_io.torn_write:0.25:11,"
-           "model_io.read:0.15:13,registry.publish_validate:0.2:17",
-           1);
-  ASSERT_TRUE(faults.arm_from_env());
+  ASSERT_TRUE(faults.arm_from_spec(
+      "model_io.write:0.3:7,model_io.torn_write:0.25:11,"
+      "model_io.read:0.15:13,registry.publish_validate:0.2:17"));
 
   const std::string first_log = run_lifecycle("/tmp/bp_chaos_replay.model");
   const auto first_trace = faults.trace();

@@ -206,15 +206,5 @@ TEST(Metrics, EmptyInput) {
   EXPECT_EQ(acc.total_rows, 0u);
 }
 
-TEST(Metrics, PerLabelAccuracy) {
-  const std::vector<std::uint32_t> labels = {7, 7, 7, 7, 9};
-  const std::vector<std::size_t> clusters = {2, 2, 2, 4, 5};
-  const auto per_label = per_label_accuracy(labels, clusters);
-  EXPECT_EQ(per_label.at(7).cluster, 2u);
-  EXPECT_DOUBLE_EQ(per_label.at(7).accuracy, 0.75);
-  EXPECT_EQ(per_label.at(7).count, 4u);
-  EXPECT_DOUBLE_EQ(per_label.at(9).accuracy, 1.0);
-}
-
 }  // namespace
 }  // namespace bp::ml

@@ -165,7 +165,7 @@ TEST(Pca, CapturesDominantDirection) {
   }
   Pca pca;
   pca.fit(data, 2);
-  const auto ratio = pca.explained_variance_ratio();
+  const auto ratio = pca.cumulative_variance_ratio();
   EXPECT_GT(ratio[0], 0.999);
 }
 

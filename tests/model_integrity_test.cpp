@@ -10,8 +10,8 @@
 
 #include "core/model_io.h"
 #include "serve/model_registry.h"
-#include "util/csv.h"
 #include "util/fault.h"
+#include "util/file.h"
 
 namespace bp::core {
 namespace {

@@ -16,6 +16,7 @@
 #include <string>
 #include <thread>
 #include <type_traits>
+#include <vector>
 
 #include "net/http_common.h"
 #include "net/socket_ops.h"
@@ -431,6 +432,48 @@ TEST(HttpListenerHardening, LifetimeCapReapsBetweenRequests) {
   EXPECT_EQ(listener.reaped(), 1u);
   ASSERT_EQ(client.get("/c").status, 200);
   EXPECT_EQ(client.connects(), 2u);
+}
+
+// More connections than the listener can hold: the one handler is
+// pinned by a keep-alive peer, kMaxPendingConnections more wait for it,
+// and each one past those is closed at accept and counted, so an excess
+// peer sees EOF at once instead of waiting on a queue.
+TEST(HttpListenerHardening, ExcessConnectionsAreShedAtAccept) {
+  ListenerConfig config;
+  config.handler_threads = 1;
+  config.keep_alive = true;
+  config.io_timeout = 10s;  // the pinned peer is not reaped mid-test
+  HttpListener listener(config, echo_handler());
+  ASSERT_TRUE(listener.running()) << listener.error();
+
+  HttpClient pinned("127.0.0.1", listener.port());
+  ASSERT_EQ(pinned.get("/pin").status, 200);
+
+  std::vector<int> queued;
+  for (std::size_t i = 0; i < kMaxPendingConnections; ++i) {
+    queued.push_back(connect_raw(listener.port()));
+    ASSERT_GE(queued.back(), 0);
+  }
+  // The acceptor takes connections in arrival order, so these three
+  // find the pending queue full.
+  int shed[3];
+  for (int& fd : shed) {
+    fd = connect_raw(listener.port());
+    ASSERT_GE(fd, 0);
+  }
+  EXPECT_TRUE(eventually([&] { return listener.overloaded() == 3; }))
+      << listener.overloaded();
+  for (const int fd : shed) {
+    const timeval tv{0, 500'000};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    char byte;
+    const Clock::time_point start = Clock::now();
+    EXPECT_EQ(::recv(fd, &byte, 1, 0), 0) << "shed connection was not closed";
+    EXPECT_LT(Clock::now() - start, 500ms);
+    ::close(fd);
+  }
+  EXPECT_EQ(listener.overloaded(), 3u);
+  for (const int fd : queued) ::close(fd);
 }
 
 // A response's Content-Type is a view, so it may only be made from a

@@ -107,15 +107,6 @@ TEST(ObsIntrospectHttp, ParsesRequestHead) {
                                   &request));
 }
 
-TEST(ObsIntrospectHttp, QueryUint) {
-  EXPECT_EQ(net::query_uint("n=50", "n", 7), 50u);
-  EXPECT_EQ(net::query_uint("a=1&n=50&b=2", "n", 7), 50u);
-  EXPECT_EQ(net::query_uint("a=1", "n", 7), 7u);
-  EXPECT_EQ(net::query_uint("", "n", 7), 7u);
-  EXPECT_EQ(net::query_uint("n=abc", "n", 7), 7u);
-  EXPECT_EQ(net::query_uint("n=", "n", 7), 7u);
-}
-
 TEST(ObsIntrospectHttp, QueryUintChecked) {
   std::uint64_t value = 99;
   EXPECT_EQ(net::query_uint_checked("n=50", "n", &value),

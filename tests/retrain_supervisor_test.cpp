@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <thread>
 #include <vector>
 
 #include "serve/retrain_supervisor.h"
@@ -249,27 +248,6 @@ TEST(RetrainSupervisor, ResetBreakerRestoresTraining) {
   train_healthy.store(true);
   supervisor.reset_breaker();  // operator fixed the pipeline
   EXPECT_EQ(supervisor.run_cycle(), CycleResult::kPublished);
-}
-
-TEST(RetrainSupervisor, BackgroundLoopRunsCyclesUntilStopped) {
-  ModelRegistry registry;
-  std::atomic<int> checks{0};
-  RetrainSupervisor supervisor(
-      registry, RetrainConfig{},
-      [&] {
-        ++checks;
-        return false;
-      },
-      []() -> std::optional<core::Polygraph> { return std::nullopt; }, {});
-  supervisor.start(std::chrono::milliseconds(1));
-  while (checks.load() < 3) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  supervisor.stop();
-  const auto after = supervisor.status().cycles;
-  EXPECT_GE(after, 3u);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(supervisor.status().cycles, after);  // really stopped
 }
 
 }  // namespace

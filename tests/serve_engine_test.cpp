@@ -488,20 +488,34 @@ TEST(EngineQueueAllocBudget, QueuedVerdictsAllocateNothing) {
   config.max_batch = 64;
   config.overflow_policy = OverflowPolicy::kBlock;
   std::atomic<std::uint64_t> answered{0};
+  std::atomic<std::uint32_t> workers_seen{0};  // one bit per worker index
   ScoringEngine engine(registry, config, [&](const ScoreResponse& response) {
     if (response.status == ResponseStatus::kScored) {
       answered.fetch_add(1, std::memory_order_relaxed);
     }
+    workers_seen.fetch_or(1u << response.worker, std::memory_order_relaxed);
   });
   const ScoreRequest request = request_at_origin(1);
 
-  // Warm-up: two full laps of the queue, so every ring slot has taken a
-  // request and each worker has staged its first batch.
-  const std::size_t warm = 2 * engine.config().queue_capacity;
-  for (std::size_t i = 0; i < warm; ++i) {
-    ASSERT_EQ(engine.submit(request), SubmitResult::kAdmitted);
+  // Warm-up: at least two full laps of the queue, so every ring slot
+  // has taken a request, and more laps until every worker has answered.
+  // A worker's first pop_batch grows its batch vector to max_batch
+  // request copies, so a worker whose first batch fell inside the
+  // counted window would allocate there.
+  const std::uint32_t all_workers = (1u << config.workers) - 1;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  std::size_t warm = 0;
+  for (int lap = 0; lap < 2 || workers_seen.load() != all_workers; ++lap) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+        << "a worker never took a batch (seen mask " << workers_seen.load()
+        << ")";
+    for (std::size_t i = 0; i < engine.config().queue_capacity; ++i) {
+      ASSERT_EQ(engine.submit(request), SubmitResult::kAdmitted);
+    }
+    warm += engine.config().queue_capacity;
+    engine.drain();
   }
-  engine.drain();
   ASSERT_EQ(answered.load(), warm);
 
   constexpr std::size_t kCounted = 10'000;

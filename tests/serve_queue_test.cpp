@@ -81,7 +81,6 @@ TEST(BoundedQueue, CloseUnblocksBlockedProducer) {
   queue.close();
   blocked_producer.join();
   EXPECT_EQ(queue.push(7), PushResult::kClosed);
-  EXPECT_TRUE(queue.closed());
 }
 
 TEST(BoundedQueue, CloseUnblocksConsumerAfterDraining) {

@@ -221,35 +221,5 @@ TEST(Dataset, SliceFiltersByDate) {
   for (const auto& r : early.records()) EXPECT_LE(r.date, mid);
 }
 
-TEST(Dataset, CsvRoundTrip) {
-  SessionGenerator gen(small_config(60));
-  const Dataset data = gen.generate(experiment_feature_indices());
-  const Dataset parsed = Dataset::from_csv_table(data.to_csv_table());
-  ASSERT_EQ(parsed.size(), data.size());
-  EXPECT_EQ(parsed.stored_indices(), data.stored_indices());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const auto& a = data.records()[i];
-    const auto& b = parsed.records()[i];
-    EXPECT_EQ(a.session_id, b.session_id);
-    EXPECT_EQ(a.date, b.date);
-    EXPECT_EQ(a.user_agent, b.user_agent);
-    EXPECT_EQ(a.features, b.features);
-    EXPECT_EQ(a.untrusted_ip, b.untrusted_ip);
-    EXPECT_EQ(a.ato, b.ato);
-    EXPECT_EQ(a.kind, b.kind);
-    EXPECT_EQ(a.origin, b.origin);
-  }
-}
-
-TEST(Dataset, FingerprintStringsAreStable) {
-  SessionGenerator gen(small_config(50));
-  const Dataset data = gen.generate(experiment_feature_indices());
-  const auto strings = data.fingerprint_strings();
-  ASSERT_EQ(strings.size(), 50u);
-  // Two rows with identical features serialize identically.
-  EXPECT_EQ(strings[0], strings[0]);
-  EXPECT_FALSE(strings[0].empty());
-}
-
 }  // namespace
 }  // namespace bp::traffic

@@ -3,7 +3,6 @@
 // spec parsing, and thread-safety of concurrent evaluations.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -100,17 +99,6 @@ TEST_F(FaultTest, SpecParsing) {
   EXPECT_FALSE(registry.arm_from_spec("bad:2.0"));  // probability > 1
   EXPECT_FALSE(registry.arm_from_spec(":0.5"));     // empty name
   EXPECT_FALSE(registry.arm_from_spec("a:1:2:3"));  // too many fields
-}
-
-TEST_F(FaultTest, ArmFromEnvironment) {
-  ::setenv("BP_FAULTS", "env.point:1:3", 1);
-  auto& registry = FaultRegistry::instance();
-  EXPECT_TRUE(registry.arm_from_env());
-  EXPECT_TRUE(registry.armed("env.point"));
-  EXPECT_TRUE(FAULT_POINT("env.point"));
-  ::unsetenv("BP_FAULTS");
-  registry.disarm_all();
-  EXPECT_FALSE(registry.arm_from_env());
 }
 
 TEST_F(FaultTest, DisarmRestoresZeroCostPath) {

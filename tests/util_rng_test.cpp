@@ -162,16 +162,6 @@ TEST(Rng, ExponentialMeanMatchesRate) {
   EXPECT_NEAR(sum / kDraws, 0.5, 0.03);
 }
 
-TEST(Rng, IntegerNoiseZeroProbability) {
-  Rng rng(10);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.integer_noise(0.0), 0);
-}
-
-TEST(Rng, IntegerNoiseAlwaysNonZeroAtFullProbability) {
-  Rng rng(11);
-  for (int i = 0; i < 100; ++i) EXPECT_NE(rng.integer_noise(1.0), 0);
-}
-
 TEST(Rng, WeightedHonorsZeroWeights) {
   Rng rng(12);
   const double weights[] = {0.0, 1.0, 0.0};
