@@ -242,6 +242,15 @@ for i in $(seq 1 600); do
 done
 [[ -n "${scored}" ]] || chaos_fail "no scored verdict ever survived the relay"
 
+# The resilient client through the same armed relay: 50 calls, hedged
+# at 50 ms with up to 8 attempts each, must all end with a verdict for
+# their session, so real resets, truncations and corruption drive its
+# retries, hedges and pooled-connection resends against the service.
+chaos_client_log=/tmp/bp_chaos_client.log
+timeout 120 ./build/examples/score_client \
+  --connect "127.0.0.1:${proxy_port}" --calls 50 > "${chaos_client_log}" 2>&1 \
+  || chaos_fail "score_client through the armed relay failed (${chaos_client_log})"
+
 stop_pid "${chaos_proxy_pid}" 60 || chaos_fail "chaos proxy exited non-zero"
 grep -q '^chaos ledger:' "${chaos_log}" \
   || chaos_fail "chaos proxy never printed its fault ledger"

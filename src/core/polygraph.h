@@ -280,7 +280,7 @@ class Polygraph {
   // the faster form there makes the observability planes' fixed cost
   // per verdict exceed ServeOverhead's 3% bound.  Choosing the form
   // from rows.size() inside score_batch_impl waits until the planes
-  // are cheaper (ROADMAP item 4).
+  // are cheaper (ROADMAP item 2).
   template <std::size_t kRows, typename T>
   void nearest_block(const T* const* row_ptr, std::size_t n,
                      BatchScratch& scratch) const;

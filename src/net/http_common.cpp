@@ -519,22 +519,11 @@ HttpClient::HttpClient(std::string host, std::uint16_t port,
 HttpClient::~HttpClient() { close(); }
 
 void HttpClient::close() {
-  {
-    std::lock_guard<std::mutex> lock(fd_mutex_);
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
   }
   rx_.clear();
-}
-
-void HttpClient::abort_connection() {
-  // shutdown() under the same lock that guards close(): an abort can
-  // never land on a descriptor number the owner already released (and
-  // the kernel may have reassigned).
-  std::lock_guard<std::mutex> lock(fd_mutex_);
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 bool HttpClient::connect() {
@@ -560,10 +549,7 @@ bool HttpClient::connect() {
     ::close(fd);
     return false;
   }
-  {
-    std::lock_guard<std::mutex> lock(fd_mutex_);
-    fd_ = fd;
-  }
+  fd_ = fd;
   rx_.clear();
   ++connects_;
   return true;
@@ -664,40 +650,31 @@ HttpResult HttpClient::read_response() {
   const bool server_closes =
       util::iequals(find_header(headers, "Connection"), "close");
 
+  // Every server here frames its body with Content-Length; without one
+  // the body could only end at EOF, and a peer holding the socket open
+  // would hold this read for io_timeout.
   std::size_t content_length = 0;
-  if (!length_text.empty() && !parse_size(length_text, &content_length)) {
+  if (!parse_size(length_text, &content_length)) {
     result.status = -1;
-    result.error = "malformed Content-Length";
+    result.error = length_text.empty() ? "response without Content-Length"
+                                       : "malformed Content-Length";
     close();
     return result;
   }
-
-  if (!length_text.empty()) {
-    const std::size_t frame_end = head_end + 4 + content_length;
-    while (rx_.size() < frame_end) {
-      const ssize_t n = sockops::recv_some(fd_, chunk, sizeof(chunk));
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        result.status = -1;
-        result.error = "connection closed mid-body";
-        close();
-        return result;
-      }
-      rx_.append(chunk, static_cast<std::size_t>(n));
+  const std::size_t frame_end = head_end + 4 + content_length;
+  while (rx_.size() < frame_end) {
+    const ssize_t n = sockops::recv_some(fd_, chunk, sizeof(chunk));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      result.status = -1;
+      result.error = "connection closed mid-body";
+      close();
+      return result;
     }
-    result.body = rx_.substr(head_end + 4, content_length);
-    rx_.erase(0, frame_end);  // keep pipelined bytes behind this response
-  } else {
-    // No Content-Length: the body runs to EOF (HTTP/1.0 style).
-    ssize_t n;
-    while ((n = sockops::recv_some(fd_, chunk, sizeof(chunk))) > 0 ||
-           (n < 0 && errno == EINTR)) {
-      if (n > 0) rx_.append(chunk, static_cast<std::size_t>(n));
-    }
-    result.body = rx_.substr(head_end + 4);
-    close();
-    return result;
+    rx_.append(chunk, static_cast<std::size_t>(n));
   }
+  result.body = rx_.substr(head_end + 4, content_length);
+  rx_.erase(0, frame_end);  // keep pipelined bytes behind this response
   if (server_closes) close();
   return result;
 }

@@ -268,9 +268,9 @@ struct HttpResult {
 // use, exactly one thread may call send_request() while exactly one
 // other thread calls read_response() — sends and receives touch
 // disjoint state on one socket.  connect() must happen-before either.
-// abort_connection() is the one cross-thread entry point: any thread
-// may call it to wake a blocked exchange (the hedging client cancels
-// its losing request this way).
+// Nothing interrupts a blocked exchange from another thread: a caller
+// racing several connections (the hedging client) polls their fd()s
+// and reads only a readable one.
 class HttpClient {
  public:
   HttpClient(std::string host, std::uint16_t port,
@@ -285,12 +285,8 @@ class HttpClient {
   bool connect();
   bool connected() const noexcept { return fd_ >= 0; }
   void close();
-  // Shut the live connection down (both directions) without closing
-  // the descriptor, forcing any blocked send/recv on it to return.
-  // Safe to call from another thread while the owning thread is inside
-  // an exchange; the owner then observes a transport error and closes.
-  // The connection is unusable afterwards until the next connect().
-  void abort_connection();
+  // The live connection's descriptor (-1 when none), for poll().
+  int fd() const noexcept { return fd_; }
   std::string error() const { return error_; }
 
   // One request-response exchange, reusing the live connection when
@@ -304,9 +300,11 @@ class HttpClient {
 
   // Pipelined halves.  send_request writes one full request and
   // returns without waiting; read_response blocks for the next
-  // response in order.  No transparent reconnect in this mode — a
-  // transport error surfaces to the caller, because resending on a
-  // fresh connection would reorder the pipeline.
+  // response in order, and refuses one without Content-Length as a
+  // transport error (status -1) rather than read its body to EOF.  No
+  // transparent reconnect in this mode — a transport error surfaces to
+  // the caller, because resending on a fresh connection would reorder
+  // the pipeline.
   bool send_request(std::string_view method, const std::string& target,
                     std::string_view body, const std::string& content_type);
   HttpResult read_response();
@@ -324,10 +322,6 @@ class HttpClient {
   std::string host_;
   std::uint16_t port_;
   std::chrono::milliseconds timeout_;
-  // fd lifecycle (connect/close/abort_connection) is serialized by
-  // fd_mutex_ so a cross-thread abort can never race a close into a
-  // reused descriptor; plain reads stay on the owning thread.
-  mutable std::mutex fd_mutex_;
   int fd_ = -1;
   std::string rx_;  // bytes received beyond the last parsed response
   std::string error_;

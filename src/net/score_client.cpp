@@ -1,7 +1,10 @@
 #include "net/score_client.h"
 
+#include <poll.h>
+#include <sys/socket.h>
+
 #include <algorithm>
-#include <condition_variable>
+#include <cerrno>
 #include <thread>
 #include <utility>
 
@@ -15,6 +18,14 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kPoolCapacity = 4;  // idle connections kept for reuse
 constexpr std::uint64_t kTraceSeed = 0x51ace;
+
+// True when a readable socket holds no response byte but EOF or a
+// reset: the server closed the connection before answering.
+bool closed_before_response(int fd) {
+  char byte;
+  const ssize_t n = ::recv(fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
+  return n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
+}
 
 }  // namespace
 
@@ -31,91 +42,81 @@ std::string_view score_client_outcome_name(ScoreClientOutcome o) noexcept {
   return "unknown";
 }
 
-// The race an attempt runs when hedging is on: primary (and maybe a
-// hedge) settle the shared state; a *definitive* server answer settles
-// immediately, a transport-level failure only settles once no runner
-// is left — a fast-failing primary must not steal the race from a
-// hedge that would have succeeded.
-struct ScoreClient::RaceState {
-  std::mutex mutex;
-  std::condition_variable cv;
-  int outstanding = 1;  // primary; +1 when a hedge launches
-  bool settled = false;
-  bool winner_is_hedge = false;
-  AttemptResult winner;
-
-  void settle(AttemptResult result, bool is_hedge) {
-    std::lock_guard<std::mutex> lock(mutex);
-    if (settled) return;
-    --outstanding;
-    const bool is_definitive =
-        result.kind == AttemptResult::Kind::kOk ||
-        result.kind == AttemptResult::Kind::kShed ||
-        result.kind == AttemptResult::Kind::kRejected;
-    if (!is_definitive && outstanding > 0) {
-      return;  // let the other runner finish the race
-    }
-    settled = true;
-    winner = std::move(result);
-    winner_is_hedge = is_hedge;
-    cv.notify_all();
-  }
+// One request of an attempt, the primary or its hedged twin, from
+// its send to its verdict.
+struct ScoreClient::Runner {
+  std::uint32_t span_id = 0;
+  // The base frame plus this runner's own t: segment (parent = its
+  // span id), so the server-side spans parent under the exact request
+  // that reached the ingress.
+  std::string frame;
+  std::unique_ptr<HttpClient> connection;
+  // The connection came live from the pool, so the server may have
+  // closed it while it sat idle: a failed send, or EOF or a reset
+  // before any response byte, earns one resend on a fresh connection.
+  bool reused = false;
+  bool live = false;  // sent, awaiting its response
+  Clock::time_point silent_until;  // sent + io_timeout
+  std::int64_t start_us = 0;
+  std::int64_t end_us = 0;
+  AttemptResult result;
 };
 
 ScoreClient::ScoreClient(ScoreClientConfig config)
     : config_(std::move(config)),
       breaker_(config_.breaker_threshold, config_.breaker_cooldown) {
-  if (config_.registry != nullptr) {
-    obs::MetricsRegistry& r = *config_.registry;
-    const std::string& p = config_.metrics_prefix;
-    m_calls_ = &r.counter(p + "_calls_total", "score() calls");
-    m_attempts_ = &r.counter(p + "_attempts_total", "network attempts");
-    m_retries_ = &r.counter(p + "_retries_total", "backoff retries");
-    m_hedges_ = &r.counter(p + "_hedges_total", "hedged second requests");
-    m_hedge_wins_ = &r.counter(p + "_hedge_wins_total",
-                               "races settled by the hedge");
-    m_ok_ = &r.counter(p + "_ok_total", "calls answered with a verdict");
-    m_shed_ = &r.counter(p + "_shed_total", "calls shed by the server (503)");
-    m_rejected_ = &r.counter(p + "_rejected_total", "calls refused (4xx)");
-    m_transport_ = &r.counter(p + "_transport_errors_total",
-                              "calls failed at the transport");
-    m_corrupt_ = &r.counter(p + "_corrupt_responses_total",
-                            "calls answered with an invalid frame");
-    m_deadline_ = &r.counter(p + "_deadline_exhausted_total",
-                             "calls that ran out of budget");
-    m_short_circuits_ = &r.counter(p + "_breaker_short_circuits_total",
-                                   "calls short-circuited by the breaker");
-    m_breaker_opens_ = &r.counter(p + "_breaker_opens_total",
-                                  "breaker open transitions");
-    m_trace_propagated_ = &r.counter(
-        "bp_trace_propagated_total",
-        "frames sent carrying a t: trace context (primaries and hedges)");
-    r.gauge_callback(
-        p + "_breaker_open",
-        [this] { return breaker_open() ? 1.0 : 0.0; },
-        "1 while the circuit breaker is open");
-    gauge_registered_ = true;
+  if (config_.registry == nullptr) {
+    owned_registry_ = std::make_unique<obs::MetricsRegistry>();
+    config_.registry = owned_registry_.get();
   }
+  obs::MetricsRegistry& r = *config_.registry;
+  const std::string& p = config_.metrics_prefix;
+  m_calls_ = &r.counter(p + "_calls_total", "score() calls");
+  m_attempts_ = &r.counter(p + "_attempts_total", "network attempts");
+  m_retries_ = &r.counter(p + "_retries_total", "backoff retries");
+  m_hedges_ = &r.counter(p + "_hedges_total", "hedged second requests");
+  m_hedge_wins_ = &r.counter(p + "_hedge_wins_total",
+                             "races settled by the hedge");
+  m_ok_ = &r.counter(p + "_ok_total", "calls answered with a verdict");
+  m_shed_ = &r.counter(p + "_shed_total", "calls shed by the server (503)");
+  m_rejected_ = &r.counter(p + "_rejected_total", "calls refused (4xx)");
+  m_transport_ = &r.counter(p + "_transport_errors_total",
+                            "calls failed at the transport");
+  m_corrupt_ = &r.counter(p + "_corrupt_responses_total",
+                          "calls answered with an invalid frame");
+  m_deadline_ = &r.counter(p + "_deadline_exhausted_total",
+                           "calls that ran out of budget");
+  m_short_circuits_ = &r.counter(p + "_breaker_short_circuits_total",
+                                 "calls short-circuited by the breaker");
+  m_breaker_opens_ = &r.counter(p + "_breaker_opens_total",
+                                "breaker open transitions");
+  m_trace_propagated_ = &r.counter(
+      "bp_trace_propagated_total",
+      "frames sent carrying a t: trace context (primaries and hedges)");
+  r.gauge_callback(
+      p + "_breaker_open", [this] { return breaker_open() ? 1.0 : 0.0; },
+      "1 while the circuit breaker is open");
 }
 
 ScoreClient::~ScoreClient() {
-  if (gauge_registered_ && config_.registry != nullptr) {
-    config_.registry->remove(config_.metrics_prefix + "_breaker_open");
-  }
-}
-
-void ScoreClient::bump(std::uint64_t ScoreClientStats::* field,
-                       obs::Counter* counter) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++(stats_.*field);
-  }
-  if (counter != nullptr) counter->increment();
+  config_.registry->remove(config_.metrics_prefix + "_breaker_open");
 }
 
 ScoreClientStats ScoreClient::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
+  return {.calls = m_calls_->value(),
+          .attempts = m_attempts_->value(),
+          .retries = m_retries_->value(),
+          .hedges = m_hedges_->value(),
+          .hedge_wins = m_hedge_wins_->value(),
+          .ok = m_ok_->value(),
+          .shed = m_shed_->value(),
+          .rejected = m_rejected_->value(),
+          .transport_errors = m_transport_->value(),
+          .corrupt = m_corrupt_->value(),
+          .deadline_exhausted = m_deadline_->value(),
+          .breaker_short_circuits = m_short_circuits_->value(),
+          .breaker_opens = m_breaker_opens_->value(),
+          .trace_propagated = m_trace_propagated_->value()};
 }
 
 bool ScoreClient::breaker_open() const {
@@ -143,7 +144,6 @@ std::unique_ptr<HttpClient> ScoreClient::acquire_connection() {
 
 void ScoreClient::release_connection(std::unique_ptr<HttpClient> connection,
                                      bool healthy) {
-  if (!connection) return;
   if (!healthy) connection->close();
   std::lock_guard<std::mutex> lock(pool_mutex_);
   if (pool_.size() < kPoolCapacity) {
@@ -152,75 +152,59 @@ void ScoreClient::release_connection(std::unique_ptr<HttpClient> connection,
   // else: dropped; its destructor closes the socket.
 }
 
-ScoreClient::AttemptResult ScoreClient::exchange_once(
-    HttpClient& connection, const std::string& frame,
-    std::uint64_t session_id) {
-  AttemptResult result;
-  const bool reused = connection.connected();
-  if (!reused && !connection.connect()) {
-    result.kind = AttemptResult::Kind::kTransport;
-    result.error = connection.error();
-    result.poison_connection = true;
-    return result;
-  }
-  if (!connection.send_request("POST", "/score", frame,
-                               "application/x-bpwire")) {
-    // A reused keep-alive connection may have been closed (or reaped)
-    // by the server between calls; one reconnect retry, send-side only
-    // — the request was never read, so resending cannot duplicate it
-    // mid-pipeline.
-    connection.close();
-    if (!reused || !connection.connect() ||
-        !connection.send_request("POST", "/score", frame,
-                                 "application/x-bpwire")) {
-      result.kind = AttemptResult::Kind::kTransport;
-      result.error = connection.error();
-      result.poison_connection = true;
-      return result;
+bool ScoreClient::send(Runner& runner) {
+  HttpClient& connection = *runner.connection;
+  while (!connection.send_request("POST", "/score", runner.frame,
+                                  "application/x-bpwire")) {
+    if (!runner.reused) {
+      runner.result = {.kind = Kind::kTransport, .error = connection.error(),
+                       .poison_connection = true};
+      return false;
     }
+    // Closed by the server while pooled: the request was never read,
+    // so resending it on a fresh connection cannot duplicate it.
+    connection.close();
+    runner.reused = false;
   }
+  runner.live = true;
+  runner.silent_until = Clock::now() + config_.io_timeout;
+  return true;
+}
+
+ScoreClient::AttemptResult ScoreClient::read_verdict(
+    HttpClient& connection, std::uint64_t session_id) {
   const HttpResult http = connection.read_response();
   if (http.status < 0) {
-    result.kind = AttemptResult::Kind::kTransport;
-    result.error = http.error;
-    result.poison_connection = true;
-    return result;
+    return {.kind = Kind::kTransport, .error = http.error,
+            .poison_connection = true};
   }
   if (http.status == 503) {
-    result.kind = AttemptResult::Kind::kShed;
-    result.error = "server shed the request (503)";
-    return result;
+    return {.kind = Kind::kShed, .error = "server shed the request (503)"};
   }
   if (http.status >= 400 && http.status < 500) {
-    result.kind = AttemptResult::Kind::kRejected;
-    result.error = "server refused (" + std::to_string(http.status) + "): " +
-                   http.body;
-    return result;
+    return {.kind = Kind::kRejected,
+            .error = "server refused (" + std::to_string(http.status) +
+                     "): " + http.body};
   }
   if (http.status != 200) {
-    result.kind = AttemptResult::Kind::kCorrupt;
-    result.error = "unexpected status " + std::to_string(http.status);
-    result.poison_connection = true;
-    return result;
+    return {.kind = Kind::kCorrupt,
+            .error = "unexpected status " + std::to_string(http.status),
+            .poison_connection = true};
   }
   WireScoreResponse response;
   const WireError wire = parse_score_response(http.body, &response);
   if (wire != WireError::kOk) {
-    result.kind = AttemptResult::Kind::kCorrupt;
-    result.error = "invalid response frame: ";
-    result.error.append(wire_error_name(wire));
-    result.poison_connection = true;  // framing may be desynchronized
-    return result;
+    // The framing may be desynchronized: the connection is closed.
+    return {.kind = Kind::kCorrupt,
+            .error = "invalid response frame: " +
+                     std::string(wire_error_name(wire)),
+            .poison_connection = true};
   }
   if (response.session_id != session_id) {
-    result.kind = AttemptResult::Kind::kCorrupt;
-    result.error = "session echo mismatch";
-    result.poison_connection = true;
-    return result;
+    return {.kind = Kind::kCorrupt, .error = "session echo mismatch",
+            .poison_connection = true};
   }
-  result.kind = AttemptResult::Kind::kOk;
-  result.response = response;
-  return result;
+  return {.kind = Kind::kOk, .response = response, .error = {}};
 }
 
 ScoreClient::AttemptResult ScoreClient::attempt(
@@ -228,153 +212,133 @@ ScoreClient::AttemptResult ScoreClient::attempt(
     bool trace_sampled, int attempt_index, Clock::time_point deadline,
     ScoreCallResult* call) {
   const bool tracing = trace_id != 0;
-  const std::uint32_t primary_span =
-      8u * static_cast<std::uint32_t>(attempt_index) + 2;
-  const std::uint32_t hedge_span = primary_span + 1;
-
-  // Each runner sends the base frame plus its *own* t: segment (parent
-  // = that runner's span id), so the server-side spans parent under the
-  // exact attempt — primary or hedged twin — that reached the ingress.
-  std::string primary_frame_storage;
-  const std::string* primary_frame = &frame;
-  if (tracing) {
-    primary_frame_storage = frame;
-    append_trace_context({trace_id, primary_span, trace_sampled},
-                         &primary_frame_storage);
-    primary_frame = &primary_frame_storage;
-    bump(&ScoreClientStats::trace_propagated, m_trace_propagated_);
-  }
-
-  std::unique_ptr<HttpClient> primary = acquire_connection();
-
-  if (config_.hedge_delay.count() == 0) {
-    const std::int64_t start_us = tracing ? obs::steady_now_us() : 0;
-    AttemptResult result = exchange_once(*primary, *primary_frame, session_id);
-    release_connection(std::move(primary), !result.poison_connection);
-    if (tracing && trace_sampled) {
-      // A lone runner wins its attempt when it settled the call with a
-      // definitive server answer a retry will not supersede.
-      const bool winner = result.kind == AttemptResult::Kind::kOk ||
-                          result.kind == AttemptResult::Kind::kRejected;
-      config_.trace->record_forced({trace_id, primary_span, 1,
-                             winner ? "attempt_winner" : "attempt", start_us,
-                             obs::steady_now_us()});
+  Runner runners[2];  // the primary, then the hedge
+  int launched = 0;
+  int winner = -1;  // the runner that settled the attempt
+  const auto finish = [&](int i) {
+    Runner& runner = runners[i];
+    runner.live = false;
+    if (tracing) runner.end_us = obs::steady_now_us();
+    // A definitive server answer settles at once; a transport or
+    // corrupt result only once no runner is left, so a fast-failing
+    // primary cannot steal the attempt from a hedge that would answer.
+    const Kind kind = runner.result.kind;
+    if (kind == Kind::kOk || kind == Kind::kShed || kind == Kind::kRejected ||
+        !(runners[0].live || runners[1].live)) {
+      winner = i;
     }
-    return result;
-  }
+  };
+  const auto launch = [&] {
+    const int i = launched++;
+    Runner& runner = runners[i];
+    runner.span_id = static_cast<std::uint32_t>(8 * attempt_index + 2 + i);
+    runner.frame = frame;
+    if (tracing) {
+      runner.start_us = obs::steady_now_us();
+      append_trace_context({trace_id, runner.span_id, trace_sampled},
+                           &runner.frame);
+      m_trace_propagated_->increment();
+    }
+    runner.connection = acquire_connection();
+    runner.reused = runner.connection->connected();
+    if (!send(runner)) finish(i);
+  };
 
-  RaceState state;
-  std::int64_t primary_start_us = 0;
-  std::int64_t primary_end_us = 0;
-  std::thread primary_thread([&] {
-    if (tracing) primary_start_us = obs::steady_now_us();
-    AttemptResult result = exchange_once(*primary, *primary_frame, session_id);
-    if (tracing) primary_end_us = obs::steady_now_us();
-    state.settle(std::move(result), /*is_hedge=*/false);
-  });
-
-  std::unique_ptr<HttpClient> hedge;
-  std::thread hedge_thread;
-  std::string hedge_frame_storage;
-  const std::string* hedge_frame = &frame;
-  std::int64_t hedge_start_us = 0;
-  std::int64_t hedge_end_us = 0;
-  bool launched_hedge = false;
-  AttemptResult winner;
-  bool hedge_won = false;
-  {
-    std::unique_lock<std::mutex> lock(state.mutex);
-    const Clock::time_point hedge_at =
-        std::min(deadline, Clock::now() + config_.hedge_delay);
-    if (!state.cv.wait_until(lock, hedge_at,
-                             [&] { return state.settled; }) &&
-        Clock::now() < deadline) {
-      ++state.outstanding;
-      lock.unlock();
-      hedge = acquire_connection();
-      if (tracing) {
-        hedge_frame_storage = frame;
-        append_trace_context({trace_id, hedge_span, trace_sampled},
-                             &hedge_frame_storage);
-        hedge_frame = &hedge_frame_storage;
-        bump(&ScoreClientStats::trace_propagated, m_trace_propagated_);
-      }
-      launched_hedge = true;
+  const bool hedging = config_.hedge_delay.count() > 0;
+  const Clock::time_point hedge_at =
+      std::min(deadline, Clock::now() + config_.hedge_delay);
+  launch();
+  while (winner < 0) {
+    const Clock::time_point now = Clock::now();
+    if (now >= deadline) break;  // settles as kTimedOut below
+    const bool hedge_pending = hedging && launched == 1;
+    if (hedge_pending && now >= hedge_at) {
       call->hedged = true;
-      bump(&ScoreClientStats::hedges, m_hedges_);
-      hedge_thread = std::thread([&] {
-        if (tracing) hedge_start_us = obs::steady_now_us();
-        AttemptResult result = exchange_once(*hedge, *hedge_frame, session_id);
-        if (tracing) hedge_end_us = obs::steady_now_us();
-        state.settle(std::move(result), /*is_hedge=*/true);
-      });
-      lock.lock();
+      m_hedges_->increment();
+      launch();
+      continue;
     }
-    if (!state.cv.wait_until(lock, deadline,
-                             [&] { return state.settled; })) {
-      // Budget exhausted with requests still in flight: settle the
-      // race ourselves so late finishers discard their results.
-      state.settled = true;
-      state.winner.kind = AttemptResult::Kind::kTimedOut;
-      state.winner.error = "deadline exceeded with request in flight";
+    pollfd fds[2];
+    int owner[2];
+    nfds_t watched = 0;
+    Clock::time_point wake = hedge_pending ? hedge_at : deadline;
+    for (int i = 0; i < launched && winner < 0; ++i) {
+      Runner& runner = runners[i];
+      if (!runner.live) continue;
+      if (now >= runner.silent_until) {
+        // What the socket's own receive timeout reports, checked here
+        // because the wait happens in poll().
+        runner.result = {.kind = Kind::kTransport,
+                         .error = "recv: no response within io_timeout",
+                         .poison_connection = true};
+        finish(i);
+        continue;
+      }
+      fds[watched] = {runner.connection->fd(), POLLIN, 0};
+      owner[watched++] = i;
+      wake = std::min(wake, runner.silent_until);
     }
-    winner = state.winner;
-    hedge_won = state.winner_is_hedge;
+    if (winner >= 0) break;
+    const auto wait = std::chrono::ceil<std::chrono::milliseconds>(wake - now);
+    if (::poll(fds, watched, static_cast<int>(wait.count())) <= 0) {
+      continue;  // a timer came due (or EINTR): recheck the clocks
+    }
+    for (nfds_t k = 0; k < watched && winner < 0; ++k) {
+      if (fds[k].revents == 0) continue;
+      Runner& runner = runners[owner[k]];
+      if (runner.reused && closed_before_response(fds[k].fd)) {
+        runner.connection->close();
+        runner.reused = false;
+        if (!send(runner)) finish(owner[k]);
+        continue;
+      }
+      // The response has begun; reading the rest may block for up to
+      // io_timeout per recv, the call deadline's one io_timeout of slack.
+      runner.result = read_verdict(*runner.connection, session_id);
+      finish(owner[k]);
+    }
   }
 
-  // Cancel the losers: shutting their sockets down unblocks whatever
-  // they are waiting on, so the joins below are prompt.
-  if (winner.kind == AttemptResult::Kind::kTimedOut) {
-    primary->abort_connection();
-    if (launched_hedge) hedge->abort_connection();
-  } else if (hedge_won) {
-    primary->abort_connection();
-  } else if (launched_hedge) {
-    hedge->abort_connection();
-  }
-  primary_thread.join();
-  if (hedge_thread.joinable()) hedge_thread.join();
-
-  const bool timed_out = winner.kind == AttemptResult::Kind::kTimedOut;
+  AttemptResult result =
+      winner < 0 ? AttemptResult{.kind = Kind::kTimedOut,
+                                 .error = "deadline exceeded with request "
+                                          "in flight"}
+                 : std::move(runners[winner].result);
   // The winner's connection survives if its exchange left it healthy;
-  // every aborted loser is poisoned by construction.
-  const bool primary_healthy =
-      !timed_out && !hedge_won && !winner.poison_connection;
-  const bool hedge_healthy =
-      !timed_out && hedge_won && !winner.poison_connection;
-  release_connection(std::move(primary), primary_healthy);
-  if (launched_hedge) release_connection(std::move(hedge), hedge_healthy);
-
-  if (hedge_won && !timed_out) {
+  // every loser, answered or still in flight, is closed.
+  for (int i = 0; i < launched; ++i) {
+    Runner& runner = runners[i];
+    if (tracing && runner.live) runner.end_us = obs::steady_now_us();
+    release_connection(std::move(runner.connection),
+                       i == winner && !result.poison_connection);
+  }
+  if (winner == 1) {  // the hedge settled the attempt
     call->hedge_won = true;
-    bump(&ScoreClientStats::hedge_wins, m_hedge_wins_);
+    m_hedge_wins_->increment();
   }
 
   if (tracing && trace_sampled) {
-    // Both runners are joined, so their timestamps are final; exactly
-    // the race-settling runner — and only on a definitive answer —
-    // carries the *_winner name.
+    // Exactly the settling runner, and only on a definitive answer a
+    // retry will not supersede, carries the *_winner name.
     const bool definitive_win =
-        !timed_out && (winner.kind == AttemptResult::Kind::kOk ||
-                       winner.kind == AttemptResult::Kind::kRejected);
-    obs::TraceSink* sink = config_.trace;
-    sink->record_forced({trace_id, primary_span, 1,
-                  definitive_win && !hedge_won ? "attempt_winner" : "attempt",
-                  primary_start_us, primary_end_us});
-    if (launched_hedge) {
-      sink->record_forced({trace_id, hedge_span, 1,
-                    definitive_win && hedge_won ? "hedge_winner" : "hedge",
-                    hedge_start_us, hedge_end_us});
+        result.kind == Kind::kOk || result.kind == Kind::kRejected;
+    for (int i = 0; i < launched; ++i) {
+      const char* name = i == 0 ? "attempt" : "hedge";
+      if (definitive_win && i == winner) {
+        name = i == 0 ? "attempt_winner" : "hedge_winner";
+      }
+      config_.trace->record_forced({trace_id, runners[i].span_id, 1, name,
+                                    runners[i].start_us, runners[i].end_us});
     }
   }
-  return winner;
+  return result;
 }
 
 ScoreCallResult ScoreClient::score(std::uint64_t session_id,
                                    std::string_view claimed_ua,
                                    std::span<const std::int32_t> features) {
   ScoreCallResult call;
-  bump(&ScoreClientStats::calls, m_calls_);
+  m_calls_->increment();
 
   bool admitted;
   {
@@ -384,7 +348,7 @@ ScoreCallResult ScoreClient::score(std::uint64_t session_id,
   if (!admitted) {
     call.outcome = ScoreClientOutcome::kBreakerOpen;
     call.error = "circuit breaker open";
-    bump(&ScoreClientStats::breaker_short_circuits, m_short_circuits_);
+    m_short_circuits_->increment();
     return call;
   }
 
@@ -403,12 +367,6 @@ ScoreCallResult ScoreClient::score(std::uint64_t session_id,
     call.trace_sampled = sink->sampled(call.trace_id);
     call_start_us = obs::steady_now_us();
   }
-  const auto finish_trace = [&] {
-    if (sink != nullptr && call.trace_sampled) {
-      sink->record_forced({call.trace_id, 1, 0, "client_call", call_start_us,
-                    obs::steady_now_us()});
-    }
-  };
 
   const Clock::time_point deadline = Clock::now() + config_.deadline;
   const int max_attempts = std::max(config_.max_attempts, 1);
@@ -442,65 +400,65 @@ ScoreCallResult ScoreClient::score(std::uint64_t session_id,
           std::this_thread::sleep_for(backoff);
         }
       }
-      bump(&ScoreClientStats::retries, m_retries_);
+      m_retries_->increment();
       if (Clock::now() >= deadline) {
         out_of_budget = true;
         break;
       }
     }
     ++call.attempts;
-    bump(&ScoreClientStats::attempts, m_attempts_);
+    m_attempts_->increment();
     last = attempt(frame, session_id, call.trace_id, call.trace_sampled, a + 1,
                    deadline, &call);
     // A 4xx means the plane is up and answering: this caller's bug, not
     // a reason to retry or to open the breaker.
-    if (last.kind == AttemptResult::Kind::kOk ||
-        last.kind == AttemptResult::Kind::kRejected) {
+    if (last.kind == Kind::kOk || last.kind == Kind::kRejected) {
       break;
     }
-    if (last.kind == AttemptResult::Kind::kTimedOut) {
+    if (last.kind == Kind::kTimedOut) {
       out_of_budget = true;
       break;
     }
   }
 
   // (Running out of budget always follows a failed attempt.)
-  const bool answered = last.kind == AttemptResult::Kind::kOk ||
-                        last.kind == AttemptResult::Kind::kRejected;
-  bool opened = false;
+  const bool answered =
+      last.kind == Kind::kOk || last.kind == Kind::kRejected;
   {
     std::lock_guard<std::mutex> lock(breaker_mutex_);
     if (answered) {
       breaker_.on_success();
-    } else {
-      opened = breaker_.on_failure();
+    } else if (breaker_.on_failure()) {
+      m_breaker_opens_->increment();
     }
   }
-  if (opened) bump(&ScoreClientStats::breaker_opens, m_breaker_opens_);
 
   call.error = last.error;
   if (out_of_budget) {
     call.outcome = ScoreClientOutcome::kDeadlineExhausted;
     if (call.error.empty()) call.error = "deadline exhausted";
-    bump(&ScoreClientStats::deadline_exhausted, m_deadline_);
-  } else if (last.kind == AttemptResult::Kind::kOk) {
+    m_deadline_->increment();
+  } else if (last.kind == Kind::kOk) {
     call.outcome = ScoreClientOutcome::kOk;
     call.response = last.response;
-    bump(&ScoreClientStats::ok, m_ok_);
-  } else if (last.kind == AttemptResult::Kind::kRejected) {
+    m_ok_->increment();
+  } else if (last.kind == Kind::kRejected) {
     call.outcome = ScoreClientOutcome::kRejected;
-    bump(&ScoreClientStats::rejected, m_rejected_);
-  } else if (last.kind == AttemptResult::Kind::kShed) {
+    m_rejected_->increment();
+  } else if (last.kind == Kind::kShed) {
     call.outcome = ScoreClientOutcome::kShed;
-    bump(&ScoreClientStats::shed, m_shed_);
-  } else if (last.kind == AttemptResult::Kind::kCorrupt) {
+    m_shed_->increment();
+  } else if (last.kind == Kind::kCorrupt) {
     call.outcome = ScoreClientOutcome::kCorruptResponse;
-    bump(&ScoreClientStats::corrupt, m_corrupt_);
+    m_corrupt_->increment();
   } else {
     call.outcome = ScoreClientOutcome::kTransportError;
-    bump(&ScoreClientStats::transport_errors, m_transport_);
+    m_transport_->increment();
   }
-  finish_trace();
+  if (call.trace_sampled) {
+    sink->record_forced({call.trace_id, 1, 0, "client_call", call_start_us,
+                         obs::steady_now_us()});
+  }
   return call;
 }
 

@@ -22,8 +22,9 @@
 //   3. hedging           — optionally, a second request is launched on
 //                          a different pooled connection once the
 //                          primary has been quiet for hedge_delay; the
-//                          first response wins and the loser's
-//                          connection is aborted (the classic
+//                          caller's thread poll()s both sockets, the
+//                          first definitive response wins and the
+//                          loser's connection is closed (the classic
 //                          tail-at-scale move: a 1% stall tax becomes
 //                          a ~0.01% one);
 //   4. circuit breaker   — consecutive call failures open a per-host
@@ -37,15 +38,18 @@
 // Connections are keep-alive and pooled; any connection that saw a
 // transport error or an unparseable frame is closed before it returns
 // to the pool, so a desynchronized HTTP stream can never leak bytes
-// into a later exchange.
+// into a later exchange.  A pooled connection the server closed while
+// it sat idle is resent once, on a fresh connection, in the same
+// attempt.
 //
 // Thread model: score() is thread-safe (the pool and breaker are
-// internally locked; backoff jitter and trace ids are pure per-call
-// functions needing no lock at all); each in-flight call owns the
-// connections it acquired.
+// internally locked and the counters are registry atomics; backoff
+// jitter and trace ids are pure per-call functions).  A call runs on
+// its caller's thread and starts no other: each attempt sends its
+// primary, then poll()s its live sockets until the hedge time or the
+// deadline, and owns the connections it acquired.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -81,15 +85,17 @@ struct ScoreClientConfig {
   std::uint64_t jitter_seed = 0x9d2c5680;
   // Hedge: if the primary request of an attempt has not answered
   // within this window, race a second request on another connection.
-  // 0 disables hedging (attempts then run inline on the caller's
-  // thread, with no per-request thread spawn).
+  // 0 disables hedging.
   std::chrono::milliseconds hedge_delay{0};
   // Circuit breaker: consecutive failed score() calls before it opens,
   // and how many subsequent calls short-circuit before one half-open
   // probe is allowed through.
   int breaker_threshold = 5;
   int breaker_cooldown = 8;
-  // Counters additionally land here when set ("<metrics_prefix>_*").
+  // The client's counters ("<metrics_prefix>_*", and the unprefixed
+  // bp_trace_propagated_total) land here; when null the client keeps
+  // them in a registry of its own.  stats() reads them back, so
+  // clients sharing a registry and prefix share counts.
   obs::MetricsRegistry* registry = nullptr;
   std::string metrics_prefix = "bp_client";
   // Injectable backoff sleep (tests assert schedules without waiting).
@@ -187,13 +193,17 @@ class ScoreClient {
     std::string error;
     bool poison_connection = false;  // close before returning to pool
   };
-  struct RaceState;
+  using Kind = AttemptResult::Kind;
+  struct Runner;
 
   std::unique_ptr<HttpClient> acquire_connection();
   void release_connection(std::unique_ptr<HttpClient> connection,
                           bool healthy);
-  AttemptResult exchange_once(HttpClient& connection, const std::string& frame,
-                              std::uint64_t session_id);
+  // Sends the runner's frame (connecting first if need be) and marks it
+  // live; false, with runner.result set, when it cannot be sent.
+  bool send(Runner& runner);
+  // Reads the response on a readable connection and judges it.
+  AttemptResult read_verdict(HttpClient& connection, std::uint64_t session_id);
   // One attempt of the retry loop.  `attempt_index` is 1-based — it
   // fixes the attempt's span ids (8k+2 primary, 8k+3 hedge) and
   // `trace_id` (0 = tracing off for this call) rides every frame as a
@@ -203,7 +213,6 @@ class ScoreClient {
                         int attempt_index,
                         std::chrono::steady_clock::time_point deadline,
                         ScoreCallResult* call);
-  void bump(std::uint64_t ScoreClientStats::* field, obs::Counter* counter);
 
   ScoreClientConfig config_;
 
@@ -213,10 +222,9 @@ class ScoreClient {
   mutable std::mutex breaker_mutex_;
   util::Breaker breaker_;
 
-  mutable std::mutex stats_mutex_;
-  ScoreClientStats stats_;
-
-  // Registry counters (null when config_.registry is null).
+  // The client's one counter store: config_.registry, which points at
+  // owned_registry_ when the config named none.  stats() folds it.
+  std::unique_ptr<obs::MetricsRegistry> owned_registry_;
   obs::Counter* m_calls_ = nullptr;
   obs::Counter* m_attempts_ = nullptr;
   obs::Counter* m_retries_ = nullptr;
@@ -234,7 +242,6 @@ class ScoreClient {
   // (one per primary and per hedge) — the client half of the server's
   // bp_trace_adopted_total.
   obs::Counter* m_trace_propagated_ = nullptr;
-  bool gauge_registered_ = false;
 };
 
 }  // namespace bp::net

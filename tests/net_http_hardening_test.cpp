@@ -294,6 +294,50 @@ TEST(SockOps, InjectedResetSurfacesAsTransportError) {
   EXPECT_LT(Clock::now() - start, 3s);  // typed failure, not a hang
 }
 
+// A response without Content-Length could only end at EOF, so a peer
+// that answers and then holds the socket open would hold the read for
+// a whole io_timeout.  The client refuses it as soon as the head is in.
+TEST(HttpClient, ResponseWithoutContentLengthIsRefusedPromptly) {
+  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(listen_fd, 1), 0);
+  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  std::thread server([listen_fd] {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd < 0) return;
+    timeval tv{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    std::string head;
+    char buf[512];
+    ssize_t n;
+    while (head.find("\r\n\r\n") == std::string::npos &&
+           (n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+      head.append(buf, static_cast<std::size_t>(n));
+    }
+    sockops::send_all(fd, "HTTP/1.1 200 OK\r\n\r\nhello");
+    read_to_close(fd);  // hold the socket open until the client leaves
+    ::close(fd);
+  });
+
+  HttpClient client("127.0.0.1", ntohs(addr.sin_port), 1000ms);
+  const Clock::time_point start = Clock::now();
+  const HttpResult result = client.get("/");
+  const auto elapsed = Clock::now() - start;
+  client.close();
+  server.join();
+  ::close(listen_fd);
+  EXPECT_EQ(result.status, -1);
+  EXPECT_NE(result.error.find("Content-Length"), std::string::npos)
+      << result.error;
+  EXPECT_LT(elapsed, 300ms);  // not the 1000 ms io_timeout
+}
+
 // ------------------------------------------------- listener hardening
 
 // A peer that sends half a request head and goes quiet is cut off at

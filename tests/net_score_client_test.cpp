@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <functional>
 #include <future>
 #include <memory>
@@ -445,6 +446,69 @@ TEST(ScoreClient, HedgeWinsOverAStalledPrimary) {
   EXPECT_EQ(client.stats().hedges, 1u);
   EXPECT_EQ(client.stats().hedge_wins, 1u);
   listener->stop();  // joins the stalled handler before `served` dies
+}
+
+// The hedge runs on the caller's thread: while it is in flight the
+// process has exactly the threads it had before the call.
+std::size_t thread_count() {
+  std::size_t threads = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++threads;
+  }
+  return threads;
+}
+
+TEST(ScoreClient, HedgedCallStartsNoThread) {
+  std::atomic<int> served{0};
+  std::atomic<std::size_t> threads_during_hedge{0};
+  auto listener = scripted_listener([&](const HttpRequest& r) {
+    if (served.fetch_add(1) == 0) {
+      std::this_thread::sleep_for(400ms);
+    } else {
+      threads_during_hedge = thread_count();
+    }
+    return healthy_verdict(r);
+  });
+  ScoreClientConfig config = client_config(listener->port());
+  config.hedge_delay = 20ms;
+  config.max_attempts = 1;
+  ScoreClient client(config);
+  const std::int32_t features[] = {1, 2};
+
+  const std::size_t threads_before = thread_count();
+  const ScoreCallResult result = client.score(9, "Chrome 100", features);
+  ASSERT_EQ(result.outcome, ScoreClientOutcome::kOk) << result.error;
+  EXPECT_TRUE(result.hedge_won);
+  EXPECT_EQ(threads_during_hedge.load(), threads_before);
+  listener->stop();
+}
+
+// The listener reaps an idle keep-alive connection after its
+// io_timeout while the client's pool still holds it.  The next call's
+// request meets EOF or a reset before any response byte and is resent
+// once on a fresh connection, inside the same attempt.
+TEST(ScoreClient, ReusedConnectionReapedWhileIdleIsResent) {
+  ListenerConfig listener_config;
+  listener_config.keep_alive = true;
+  listener_config.io_timeout = 100ms;
+  HttpListener listener(listener_config,
+                        [](const HttpRequest& request, HttpResponse& response) {
+                          response = healthy_verdict(request);
+                        });
+  ASSERT_TRUE(listener.running()) << listener.error();
+  ScoreClientConfig config = client_config(listener.port());
+  config.max_attempts = 1;
+  ScoreClient client(config);
+  const std::int32_t features[] = {1, 2};
+
+  ASSERT_EQ(client.score(1, "Chrome 100", features).outcome,
+            ScoreClientOutcome::kOk);
+  std::this_thread::sleep_for(300ms);
+  ASSERT_EQ(listener.reaped(), 1u);  // the pooled connection is gone
+  const ScoreCallResult second = client.score(2, "Chrome 100", features);
+  EXPECT_EQ(second.outcome, ScoreClientOutcome::kOk) << second.error;
+  EXPECT_EQ(second.attempts, 1);
 }
 
 // When every request stalls past the budget, the call returns a typed
