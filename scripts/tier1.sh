@@ -32,6 +32,15 @@ case "${bench_line}" in
   '{"correct": true,'* ) echo "benchmark smoke ok" ;;
   * ) echo "FAIL: perfbench engine_bulk -> '${bench_line}'" >&2; exit 1 ;;
 esac
+# The wire workload runs the load generator's codec-checked path: every
+# response frame is parsed and its verdict checked, so a change to the
+# wire vocabulary that the server and the codec disagree on fails here.
+bench_line=$(python3 perfbench/run.py --workload wire_popular --seed 1 \
+             --seconds 2 --trace 0 | tail -n 1 || true)
+case "${bench_line}" in
+  '{"correct": true,'* ) echo "wire benchmark smoke ok" ;;
+  * ) echo "FAIL: perfbench wire_popular -> '${bench_line}'" >&2; exit 1 ;;
+esac
 
 echo "== live introspection + scoring smoke (HTTP over ephemeral ports) =="
 smoke_log=/tmp/bp_introspect_smoke.log
@@ -211,19 +220,35 @@ for _ in $(seq 1 100); do
 done
 [[ -n "${score_port}" ]] || chaos_fail "service never announced its score port"
 
-./build/examples/chaos_proxy --upstream "${score_port}" --seed 7 \
-  --response-only --delay 0.05 --delay-ms 20 \
-  --reset 0.02 --truncate 0.02 --corrupt 0.02 \
-  > "${chaos_log}" 2>&1 &
-chaos_proxy_pid=$!
-proxy_port=""
-for _ in $(seq 1 100); do
-  proxy_port=$(sed -n 's/^chaos proxy listening on 127\.0\.0\.1:\([0-9]*\) .*$/\1/p' \
-         "${chaos_log}" | head -n 1)
-  [[ -n "${proxy_port}" ]] && break
-  sleep 0.2
-done
-[[ -n "${proxy_port}" ]] || chaos_fail "chaos proxy never announced its port"
+# start_relay <log> <chaos_proxy flags...>: a relay in front of the
+# service; sets chaos_proxy_pid and proxy_port.
+start_relay() {
+  local log=$1
+  shift
+  ./build/examples/chaos_proxy --upstream "${score_port}" "$@" \
+    > "${log}" 2>&1 &
+  chaos_proxy_pid=$!
+  proxy_port=""
+  for _ in $(seq 1 100); do
+    proxy_port=$(sed -n 's/^chaos proxy listening on 127\.0\.0\.1:\([0-9]*\) .*$/\1/p' \
+           "${log}" | head -n 1)
+    [[ -n "${proxy_port}" ]] && break
+    sleep 0.2
+  done
+  [[ -n "${proxy_port}" ]] || chaos_fail "chaos proxy never announced its port"
+}
+# stop_relay <log>: stops the relay, which must exit clean and print its
+# fault ledger.
+stop_relay() {
+  local pid=${chaos_proxy_pid}
+  chaos_proxy_pid=""
+  stop_pid "${pid}" 60 || chaos_fail "chaos proxy exited non-zero"
+  grep -q '^chaos ledger:' "$1" \
+    || chaos_fail "chaos proxy never printed its fault ledger"
+}
+
+start_relay "${chaos_log}" --seed 7 --response-only --delay 0.05 \
+  --delay-ms 20 --reset 0.02 --truncate 0.02 --corrupt 0.02
 
 # Post sessions through the relay until a *scored* verdict echoing its
 # session comes back (the model publishes partway through the demo
@@ -241,19 +266,29 @@ for i in $(seq 1 600); do
   sleep 0.5
 done
 [[ -n "${scored}" ]] || chaos_fail "no scored verdict ever survived the relay"
+stop_relay "${chaos_log}"
 
-# The resilient client through the same armed relay: 50 calls, hedged
-# at 50 ms with up to 8 attempts each, must all end with a verdict for
-# their session, so real resets, truncations and corruption drive its
-# retries, hedges and pooled-connection resends against the service.
+# The resilient client through a relay of its own, seeded so that real
+# resets, truncations and corruption (not only delays) reach it: 50
+# calls, hedged at 50 ms with up to 8 attempts each, must all end with
+# a verdict for their session, so those faults drive its retries,
+# hedges and pooled-connection resends against the service.
+chaos_client_relay_log=/tmp/bp_chaos_client_proxy.log
 chaos_client_log=/tmp/bp_chaos_client.log
+rm -f "${chaos_client_relay_log}"
+start_relay "${chaos_client_relay_log}" --seed 9 --response-only \
+  --reset 0.05 --truncate 0.05 --corrupt 0.05 --delay 0.05 --delay-ms 20
 timeout 120 ./build/examples/score_client \
   --connect "127.0.0.1:${proxy_port}" --calls 50 > "${chaos_client_log}" 2>&1 \
   || chaos_fail "score_client through the armed relay failed (${chaos_client_log})"
-
-stop_pid "${chaos_proxy_pid}" 60 || chaos_fail "chaos proxy exited non-zero"
-grep -q '^chaos ledger:' "${chaos_log}" \
-  || chaos_fail "chaos proxy never printed its fault ledger"
+stop_relay "${chaos_client_relay_log}"
+ledger=$(grep '^chaos ledger:' "${chaos_client_relay_log}" | tail -n 1)
+ledger_re='truncates=([0-9]+) corrupts=([0-9]+) resets=([0-9]+)'
+[[ "${ledger}" =~ ${ledger_re} ]] \
+  || chaos_fail "unreadable chaos ledger: '${ledger}'"
+(( BASH_REMATCH[1] + BASH_REMATCH[2] + BASH_REMATCH[3] >= 1 )) \
+  || chaos_fail "the client's relay injected no fault that breaks a response: '${ledger}'"
+echo "client relay: ${ledger}"
 stop_pid "${chaos_svc_pid}" 60 || chaos_fail "service exited non-zero under BP_FAULTS"
 echo "network chaos smoke ok (scored verdicts through an armed relay)"
 

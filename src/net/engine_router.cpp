@@ -65,7 +65,6 @@ serve::MetricsSnapshot EngineRouter::metrics() const {
     const serve::MetricsSnapshot shard = engine->metrics();
     total.scored += shard.scored;
     total.flagged += shard.flagged;
-    total.shed += shard.shed;
     total.rejected += shard.rejected;
     total.batches += shard.batches;
     total.cached += shard.cached;

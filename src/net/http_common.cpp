@@ -298,27 +298,14 @@ void HttpListener::serve_connection(int fd) {
   HttpResponse response;  // every handler-built response on this connection
   std::string reply;      // every response on this connection, serialized
   char chunk[4096];
-  const Clock::time_point opened = Clock::now();
   // Renders one response into `reply` and sends it.
   const auto send_response = [&](const HttpResponse& response) {
     reply.clear();
     serialize_response(response, reply);
     return sockops::send_all(fd, reply);
   };
-  std::size_t served = 0;
-  const auto lifetime_expired = [&] {
-    return config_.max_connection_lifetime.count() > 0 &&
-           Clock::now() - opened >= config_.max_connection_lifetime;
-  };
+  bool served = false;  // a timeout after a response is idle keep-alive
   while (true) {
-    // Reap a keep-alive connection that outlived its cap between
-    // requests (a pipelined request already buffered is dropped with
-    // the connection; clients treat the close as a retryable EOF).
-    if (served > 0 && lifetime_expired()) {
-      reaped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-
     // ---- assemble one full request (pipelined data may already be here) ----
     //
     // The request deadline starts at the first byte of this request and
@@ -363,7 +350,7 @@ void HttpListener::serve_connection(int fd) {
         }
         if (n < 0 && errno == EINTR) continue;  // signal: retry the recv
         if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-          if (buffer.empty() && served > 0) return Read::kIdle;
+          if (buffer.empty() && served) return Read::kIdle;
           // A clamped recv timing out IS the deadline firing: loop so
           // the check above answers it.
           if (timed) continue;
@@ -442,23 +429,11 @@ void HttpListener::serve_connection(int fd) {
       PROF_SCOPE("net.handle");
       handler_(request, response);
     }
-    ++served;
-    const bool request_capped =
-        config_.max_requests_per_connection > 0 &&
-        served >= config_.max_requests_per_connection;
-    const bool client_keep_alive = config_.keep_alive && request.keep_alive &&
-                                   response.status < 400 &&
-                                   !stopping_.load(std::memory_order_acquire);
-    response.keep_alive =
-        client_keep_alive && !request_capped && !lifetime_expired();
+    served = true;
+    response.keep_alive = config_.keep_alive && request.keep_alive &&
+                          response.status < 400 &&
+                          !stopping_.load(std::memory_order_acquire);
     requests_.fetch_add(1, std::memory_order_relaxed);
-    // A close forced by a reaper cap (not by the client, an error, or
-    // shutdown) is a reap: the client is told via Connection: close and
-    // reconnects at its leisure.  Counted *before* the response goes
-    // out so an observer that has read the response also sees the reap.
-    if (client_keep_alive && !response.keep_alive) {
-      reaped_.fetch_add(1, std::memory_order_relaxed);
-    }
     bool sent;
     {
       PROF_SCOPE("net.serialize");

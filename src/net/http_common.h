@@ -22,8 +22,8 @@
 //     when that queue is full, optional keep-alive with pipelining (a
 //     request already buffered behind the current one is served
 //     without another recv), a per-request deadline from first byte
-//     to last (the slow-loris cutoff) and keep-alive reaper caps on
-//     requests-per-connection and connection lifetime (DESIGN.md §15);
+//     to last (the slow-loris cutoff) and an idle keep-alive reaper
+//     (DESIGN.md §15);
 //   * HttpClient — the blocking test/bench client, with keep-alive
 //     connection reuse and POST.  The split send_request/read_response
 //     halves let the open-loop load generator pipeline requests from a
@@ -139,14 +139,6 @@ struct ListenerConfig {
   // request to *begin* (an idle keep-alive connection) is governed by
   // io_timeout, not this.  0 disables the cutoff.
   std::chrono::milliseconds header_timeout{1000};
-  // Keep-alive reaper caps (0 = uncapped).  A connection that has
-  // served this many requests, or lived this long, is closed after its
-  // current response (Connection: close, so the client knows) and
-  // counted in reaped() — bounding how long any one peer can pin a
-  // handler thread and letting a rebalancing ingress shed old
-  // connections gracefully.
-  std::size_t max_requests_per_connection = 0;
-  std::chrono::milliseconds max_connection_lifetime{0};
   std::size_t max_body_bytes = 1 << 20;
   // Serve multiple requests per connection (HTTP keep-alive, honoring
   // the client's Connection header), including requests the client
@@ -194,8 +186,8 @@ class HttpListener {
   std::uint64_t overloaded() const noexcept {
     return overloaded_.load(std::memory_order_relaxed);
   }
-  // Connections closed by policy: idle keep-alive recv timeout, the
-  // max-requests-per-connection cap, or the lifetime cap.
+  // Idle keep-alive connections closed by policy: no next request
+  // began within io_timeout.
   std::uint64_t reaped() const noexcept {
     return reaped_.load(std::memory_order_relaxed);
   }

@@ -281,7 +281,6 @@ void append_trace_context(const WireTraceContext& trace, std::string* frame) {
 std::string_view wire_status_token(serve::ResponseStatus status) noexcept {
   switch (status) {
     case serve::ResponseStatus::kScored: return "scored";
-    case serve::ResponseStatus::kShed: return "shed";
     case serve::ResponseStatus::kDegraded: return "degraded";
   }
   return "unknown";
@@ -332,8 +331,6 @@ WireError parse_score_response(std::string_view frame,
   if (!next_field(&frame, &field)) return WireError::kTruncated;
   if (field == "scored") {
     out->status = serve::ResponseStatus::kScored;
-  } else if (field == "shed") {
-    out->status = serve::ResponseStatus::kShed;
   } else if (field == "degraded") {
     out->status = serve::ResponseStatus::kDegraded;
   } else {

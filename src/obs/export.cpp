@@ -36,7 +36,7 @@ void register_http_listener_metrics(MetricsRegistry& registry,
   registry.gauge_callback(
       prefix + "_reaped_total",
       [&listener] { return static_cast<double>(listener.reaped()); },
-      "keep-alive connections closed by the idle/lifetime/request reaper");
+      "idle keep-alive connections closed by the reaper");
   registry.gauge_callback(
       prefix + "_slowloris_total",
       [&listener] { return static_cast<double>(listener.slowloris()); },

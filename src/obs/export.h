@@ -31,8 +31,8 @@ void register_fault_metrics(MetricsRegistry& registry);
 // Export an HttpListener's serving + hardening counters through
 // `registry` as callback gauges: "<prefix>_requests_total",
 // "<prefix>_overloaded_total" (connections shed at accept),
-// "<prefix>_reaped_total" (keep-alive connections closed by the idle /
-// lifetime / request-cap reaper) and "<prefix>_slowloris_total"
+// "<prefix>_reaped_total" (idle keep-alive connections the reaper
+// closed) and "<prefix>_slowloris_total"
 // (requests cut off 408 at the request deadline).  The listener must
 // outlive the registration — call remove_http_listener_metrics before
 // it dies.

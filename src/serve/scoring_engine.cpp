@@ -110,8 +110,24 @@ bool ScoringEngine::try_cached_submit(const ScoreRequest& request,
   return true;
 }
 
-SubmitResult ScoringEngine::submit(const ScoreRequest& request) {
+SubmitResult ScoringEngine::admission() {
   if (stopping_.load(std::memory_order_acquire)) return SubmitResult::kStopped;
+  // The registry never goes back to empty (versions only grow, and the
+  // snapshot is stored before its version), so a request admitted past
+  // this check finds a model or the degraded scorer wherever it is
+  // scored: nothing ever waits for a publish.
+  if (!config_.degrade_without_model && registry_.version() == 0) {
+    metrics_.record_rejected();
+    return SubmitResult::kRejected;
+  }
+  return SubmitResult::kAdmitted;
+}
+
+SubmitResult ScoringEngine::submit(const ScoreRequest& request) {
+  if (const SubmitResult refused = admission();
+      refused != SubmitResult::kAdmitted) {
+    return refused;
+  }
   // Hashed once: the submit-side probe uses it, and so do the worker's
   // re-check against its batch's snapshot version and the post-score
   // insert.
@@ -150,7 +166,10 @@ SubmitResult ScoringEngine::score_now(std::span<ScoreRequest> requests,
                                       std::span<ScoreResponse> responses,
                                       ScoreScratch& scratch) {
   assert(requests.size() == responses.size());
-  if (stopping_.load(std::memory_order_acquire)) return SubmitResult::kStopped;
+  if (const SubmitResult refused = admission();
+      refused != SubmitResult::kAdmitted) {
+    return refused;
+  }
   const auto now = std::chrono::steady_clock::now();
   for (ScoreRequest& request : requests) {
     request.admitted_at = now;
@@ -159,13 +178,12 @@ SubmitResult ScoringEngine::score_now(std::span<ScoreRequest> requests,
           VerdictCache::key_of(request.features, request.claimed);
     }
   }
-  return score_span(registry_.current(), requests, responses, scratch, now,
-                    /*deliver=*/false)
-             ? SubmitResult::kAdmitted
-             : SubmitResult::kRejected;
+  score_span(registry_.current(), requests, responses, scratch, now,
+             /*deliver=*/false);
+  return SubmitResult::kAdmitted;
 }
 
-bool ScoringEngine::score_span(const ModelSnapshot& snapshot,
+void ScoringEngine::score_span(const ModelSnapshot& snapshot,
                                std::span<const ScoreRequest> requests,
                                std::span<ScoreResponse> responses,
                                ScoreScratch& scratch,
@@ -177,8 +195,8 @@ bool ScoringEngine::score_span(const ModelSnapshot& snapshot,
     if (deliver && on_response_) on_response_(responses[i]);
   };
   if (!snapshot) {
-    if (!config_.degrade_without_model) return false;
-    // Degraded mode: no model, but the engine still answers — the
+    // Admission let this span in without a model only in degraded mode
+    // (admission()).  The engine still answers — the
     // UA-prior fallback judges the claimed UA alone, and the status
     // tells the caller no fingerprint evidence was used.
     PROF_SCOPE("serve.degraded");
@@ -190,7 +208,7 @@ bool ScoringEngine::score_span(const ModelSnapshot& snapshot,
           {request.admitted_at, picked_up, std::chrono::steady_clock::now()});
       emit(i);
     }
-    return true;
+    return;
   }
   PROF_SCOPE("serve.batch");
   // Repeat sessions are replayed from the cache — checked against
@@ -212,7 +230,7 @@ bool ScoringEngine::score_span(const ModelSnapshot& snapshot,
     }
     scratch.pending.push_back(i);
   }
-  if (scratch.pending.empty()) return true;
+  if (scratch.pending.empty()) return;
   scratch.rows.clear();
   scratch.claims.clear();
   for (const std::size_t i : scratch.pending) {
@@ -244,7 +262,6 @@ bool ScoringEngine::score_span(const ModelSnapshot& snapshot,
                      scratch.lane);
     }
   }
-  return true;
 }
 
 ScoreResponse ScoringEngine::answer(const ScoreRequest& request,
@@ -320,10 +337,6 @@ void ScoringEngine::record_audit(const ScoreRequest& request,
                                  const ScoreResponse& response) {
   obs::AuditTrail* audit = config_.audit;
   if (audit == nullptr) return;
-  if (response.status != ResponseStatus::kScored &&
-      response.status != ResponseStatus::kDegraded) {
-    return;  // sheds carry no verdict to audit
-  }
   const bool flagged = response.detection.flagged;
   if (!flagged && !audit->sample_unflagged(request.id)) return;
   obs::AuditRecord record;
@@ -386,46 +399,14 @@ void ScoringEngine::worker_loop(std::uint32_t worker_index) {
     }
     // One snapshot per batch: the whole batch is attributed to a single
     // published model version, and a concurrent publish() never tears a
-    // batch across two models.  Without a model (and without the
-    // degraded fallback) the batch waits for the first publish.
-    ModelSnapshot snapshot = registry_.current();
-    while (!snapshot && !config_.degrade_without_model &&
-           !stopping_.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      snapshot = registry_.current();
-    }
-    if (!snapshot && !config_.degrade_without_model) {
-      // Stopped before any model was ever published: complete the batch
-      // as shed so no admitted request is left without a response.
-      for (const ScoreRequest& request : ready) {
-        deliver_shed(request, worker_index);
-      }
-      continue;
-    }
+    // batch across two models.  Empty only in degraded mode.
+    const ModelSnapshot snapshot = registry_.current();
     if (snapshot) metrics_.record_batch(worker_index, n);
     responses.resize(n);
     score_span(snapshot, ready, responses, scratch,
                std::chrono::steady_clock::now(), /*deliver=*/true);
     note_completed(n);
   }
-}
-
-void ScoringEngine::deliver_shed(const ScoreRequest& request,
-                                 std::uint32_t worker_index) {
-  ScoreResponse response;
-  response.id = request.id;
-  response.status = ResponseStatus::kShed;
-  response.worker = worker_index;
-  const auto done = std::chrono::steady_clock::now();
-  response.latency = std::chrono::duration_cast<std::chrono::microseconds>(
-      done - request.admitted_at);
-  metrics_.record_shed(worker_index);
-  if (on_response_) on_response_(response);
-  if (trace_sampled(request)) {
-    record_request_trace(request, "shed", to_us(request.admitted_at),
-                         to_us(done), to_us(done));
-  }
-  note_completed(1);
 }
 
 void ScoringEngine::note_completed(std::uint64_t n) {

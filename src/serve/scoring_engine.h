@@ -14,15 +14,15 @@
 // pinned by EngineQueueAllocBudget.QueuedVerdictsAllocateNothing.
 //
 // Invariants the tests pin down:
+//   * one admission rule for both ways in: with nothing published and
+//     degrade_without_model off, a request is refused at once
+//     (kRejected, counted in `<prefix>_rejected_total`), never parked;
 //   * every admitted request produces exactly one response — a score
-//     (kScored), an explicit shed (kShed: the engine stopped before any
-//     model was published) or a model-less fallback verdict
-//     (kDegraded); a rejected submission produces none and is reported
-//     synchronously;
+//     (kScored) or a model-less fallback verdict (kDegraded); a
+//     refused submission produces none and is reported synchronously;
 //   * a span is scored by exactly one published model version (the
 //     snapshot is taken once per batch or inline call), and every
-//     response names the version that produced it (0 for
-//     sheds/degraded);
+//     response names the version that produced it (0 for degraded);
 //   * the scoring path performs no per-session allocation: each span
 //     is scored in one fused pass through Polygraph::score_batch (a
 //     reused ScoreScratch holds the SoA panels) — bit-identical to
@@ -35,12 +35,12 @@
 //     produced the verdict, and a hot swap atomically invalidates every
 //     older entry (version-keyed lookups — see serve/verdict_cache.h).
 //
-// Failure posture: `degrade_without_model` keeps the engine answering
-// when nothing is published — the UA-prior fallback (serve/degraded.h)
-// scores the claimed UA alone and the response is marked kDegraded,
-// instead of requests queueing unboundedly behind a model that may
-// never come.  Overload is bounded at admission by the queue's
-// OverflowPolicy (kBlock or kReject).
+// Failure posture: with nothing published, submit() and score_now()
+// refuse at once, unless `degrade_without_model` keeps the engine
+// answering — the UA-prior fallback (serve/degraded.h) scores the
+// claimed UA alone and the response is marked kDegraded.  Overload is
+// bounded at admission by the queue's OverflowPolicy (kBlock or
+// kReject).
 //
 // The engine starts exactly `workers` threads.  The callback runs on
 // them (and, for submit-side cache hits, on the submitting thread); it
@@ -102,14 +102,13 @@ inline constexpr std::uint32_t adopted_span_base(
 
 enum class ResponseStatus : std::uint8_t {
   kScored,
-  kShed,      // stopped before any model was published; detection empty
   kDegraded,  // no model published; UA-prior fallback verdict in detection
 };
 
 struct ScoreResponse {
   std::uint64_t id = 0;
   ResponseStatus status = ResponseStatus::kScored;
-  core::Detection detection;        // valid iff kScored or kDegraded
+  core::Detection detection;
   std::uint64_t model_version = 0;  // publishing version that scored it
   std::uint32_t worker = 0;  // worker or ScoreScratch::lane (0: submit)
   std::chrono::microseconds latency{0};  // admission -> response
@@ -121,7 +120,8 @@ struct ScoreResponse {
 
 enum class SubmitResult : std::uint8_t {
   kAdmitted,  // a response will follow (score_now: was written)
-  kRejected,  // queue full under kReject (score_now: no model); none follows
+  kRejected,  // nothing to score with (no model, no degraded mode), or
+              // submit()'s queue full under kReject; none follows
   kStopped,   // engine stopped; no response follows
 };
 
@@ -160,7 +160,8 @@ struct EngineConfig {
   std::size_t cache_capacity = 0;
 
   // Answer with the UA-prior fallback (kDegraded) when no model is
-  // published, instead of parking requests until one appears.
+  // published.  Off, both submit() and score_now() refuse with
+  // kRejected until the first publish.
   bool degrade_without_model = false;
 
   // ---- observability (all optional; null = that plane disabled) ----
@@ -180,8 +181,7 @@ struct EngineConfig {
   // decided deterministically by the sink) the engine records spans:
   //   1 "request"    admission -> response          (root)
   //   2 "queue_wait" admission -> batch pickup      (parent 1)
-  //   3 terminal     "score" | "cache_hit" | "degrade" | "shed"
-  //                                                   (parent 1)
+  //   3 terminal     "score" | "cache_hit" | "degrade"  (parent 1)
   // An inline score_now() call records the same spans; its queue_wait
   // is zero-length.
   // A request carrying an adopted cross-hop context (trace_id != 0)
@@ -200,8 +200,8 @@ class ScoringEngine {
   using ResponseCallback = std::function<void(const ScoreResponse&)>;
 
   // Starts the worker pool immediately.  `registry` must outlive the
-  // engine; scoring waits (requests queue up) until the registry has a
-  // published model, unless degrade_without_model answers them first.
+  // engine; until it has a published model, requests are refused
+  // (kRejected) unless degrade_without_model answers them.
   ScoringEngine(const ModelRegistry& registry, EngineConfig config,
                 ResponseCallback on_response);
   ~ScoringEngine();
@@ -220,9 +220,9 @@ class ScoringEngine {
   // Inline scoring on the calling thread through the workers' span
   // scorer, against the current snapshot: responses[i] answers
   // requests[i] (sizes must match; admitted_at and cache_key are
-  // stamped here).  kRejected: nothing published and no degraded
-  // fallback.  Refusals write nothing; the callback never runs and
-  // drain() never waits on these calls.
+  // stamped here).  Refused as submit() is (kRejected: nothing
+  // published and no degraded fallback).  Refusals write nothing; the
+  // callback never runs and drain() never waits on these calls.
   SubmitResult score_now(std::span<ScoreRequest> requests,
                          std::span<ScoreResponse> responses,
                          ScoreScratch& scratch);
@@ -253,13 +253,16 @@ class ScoringEngine {
     std::chrono::steady_clock::time_point admitted, picked_up, done;
   };
 
+  // The one admission check submit() and score_now() start with:
+  // kAdmitted when this engine can answer now, else the refusal (a
+  // kRejected is counted).
+  SubmitResult admission();
   void worker_loop(std::uint32_t worker_index);
   // The one scoring path: cache probe against the snapshot's version,
   // the SoA kernel for the misses, cache insert, answer() per request
-  // (handed to the callback when `deliver`).  An empty snapshot answers
-  // kDegraded under degrade_without_model, else returns false having
-  // done nothing.
-  bool score_span(const ModelSnapshot& snapshot,
+  // (handed to the callback when `deliver`).  An empty snapshot (degraded
+  // mode only) answers kDegraded.
+  void score_span(const ModelSnapshot& snapshot,
                   std::span<const ScoreRequest> requests,
                   std::span<ScoreResponse> responses, ScoreScratch& scratch,
                   std::chrono::steady_clock::time_point picked_up,
@@ -279,8 +282,6 @@ class ScoringEngine {
                             std::int64_t picked_up_us,
                             std::int64_t done_us) const;
   void record_audit(const ScoreRequest& request, const ScoreResponse& response);
-  // Completes a request without a verdict, as kShed.
-  void deliver_shed(const ScoreRequest& request, std::uint32_t worker_index);
   // Submit-side cache fast path (cache enabled; `key` is the request's
   // content address); true = answered, request not admitted.
   bool try_cached_submit(const ScoreRequest& request,

@@ -8,13 +8,12 @@ std::string MetricsSnapshot::summary() const {
   char buf[320];
   std::snprintf(
       buf, sizeof(buf),
-      "scored=%llu cached=%llu flagged=%llu (%.2f%%) shed=%llu "
+      "scored=%llu cached=%llu flagged=%llu (%.2f%%) "
       "rejected=%llu degraded=%llu depth=%llu "
       "model=v%llu p50=%.0fus p95=%.0fus p99=%.0fus%s",
       static_cast<unsigned long long>(scored),
       static_cast<unsigned long long>(cached),
       static_cast<unsigned long long>(flagged), 100.0 * flag_rate(),
-      static_cast<unsigned long long>(shed),
       static_cast<unsigned long long>(rejected),
       static_cast<unsigned long long>(degraded),
       static_cast<unsigned long long>(queue_depth),
@@ -36,8 +35,6 @@ ServeMetrics::ServeMetrics(obs::MetricsRegistry* registry,
                                 "responses delivered with a detection");
   flagged_ = &registry_->counter(p + "_flagged_total",
                                  "scored responses with detection.flagged");
-  shed_ = &registry_->counter(p + "_shed_total",
-                              "responses delivered as shed");
   rejected_ = &registry_->counter(p + "_rejected_total",
                                   "submissions refused at admission");
   batches_ = &registry_->counter(p + "_batches_total",
@@ -70,10 +67,6 @@ void ServeMetrics::record_cached(std::size_t stripe, bool flagged,
   latency_->observe_exemplar(latency_micros, exemplar_trace_id, stripe);
 }
 
-void ServeMetrics::record_shed(std::size_t worker) noexcept {
-  shed_->increment(worker);
-}
-
 void ServeMetrics::record_degraded(std::size_t worker, bool flagged,
                                    std::uint64_t latency_micros,
                                    std::uint64_t exemplar_trace_id) noexcept {
@@ -94,7 +87,6 @@ MetricsSnapshot ServeMetrics::snapshot() const {
   MetricsSnapshot out;
   out.scored = scored_->value();
   out.flagged = flagged_->value();
-  out.shed = shed_->value();
   out.rejected = rejected_->value();
   out.batches = batches_->value();
   out.cached = cached_->value();

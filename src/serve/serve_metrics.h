@@ -50,8 +50,7 @@ inline constexpr std::uint64_t kLatencyBudgetMicros = 100'000;
 struct MetricsSnapshot {
   std::uint64_t scored = 0;    // responses delivered with a detection
   std::uint64_t flagged = 0;   // scored responses with detection.flagged
-  std::uint64_t shed = 0;      // responses delivered as shed
-  std::uint64_t rejected = 0;  // submissions refused at admission (Reject)
+  std::uint64_t rejected = 0;  // submissions refused at admission
   std::uint64_t batches = 0;   // worker batch iterations
   std::uint64_t cached = 0;    // scored responses answered by the
                                // verdict cache (subset of `scored`)
@@ -109,7 +108,6 @@ class ServeMetrics {
   void record_cached(std::size_t stripe, bool flagged,
                      std::uint64_t latency_micros,
                      std::uint64_t exemplar_trace_id = 0) noexcept;
-  void record_shed(std::size_t worker) noexcept;
   // One worker drain of `batch_size` requests (feeds the batch-size
   // histogram, so /statusz can show how full the SoA kernel runs).
   void record_batch(std::size_t worker, std::uint64_t batch_size) noexcept;
@@ -136,7 +134,6 @@ class ServeMetrics {
 
   obs::Counter* scored_;
   obs::Counter* flagged_;
-  obs::Counter* shed_;
   obs::Counter* rejected_;
   obs::Counter* batches_;
   obs::Counter* cached_;

@@ -439,45 +439,6 @@ TEST(HttpListenerHardening, StopIsPromptWithAnIdleKeepAlivePeer) {
   EXPECT_EQ(listener.reaped(), 0u);
 }
 
-TEST(HttpListenerHardening, MaxRequestsPerConnectionCapsReuse) {
-  ListenerConfig config;
-  config.keep_alive = true;
-  config.max_requests_per_connection = 2;
-  HttpListener listener(config, echo_handler());
-  ASSERT_TRUE(listener.running()) << listener.error();
-
-  HttpClient client("127.0.0.1", listener.port());
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_EQ(client.get("/r").status, 200) << "request " << i;
-  }
-  // Six requests at two per connection: three connections, and each
-  // cap-closed connection counts as a policy reap.
-  EXPECT_EQ(client.connects(), 3u);
-  EXPECT_EQ(listener.requests(), 6u);
-  EXPECT_GE(listener.reaped(), 2u);
-}
-
-TEST(HttpListenerHardening, LifetimeCapReapsBetweenRequests) {
-  ListenerConfig config;
-  config.keep_alive = true;
-  // Generous cap: under a sanitizer, serving /a alone can cost tens of
-  // milliseconds, and a connection that expires *before* /a's response
-  // would throw the connect/reap counts off by one.
-  config.max_connection_lifetime = 400ms;
-  HttpListener listener(config, echo_handler());
-  ASSERT_TRUE(listener.running()) << listener.error();
-
-  HttpClient client("127.0.0.1", listener.port());
-  ASSERT_EQ(client.get("/a").status, 200);
-  std::this_thread::sleep_for(500ms);
-  // /b arrives past the lifetime cap: it is still answered, but with
-  // Connection: close (counted as a reap); /c then reconnects.
-  ASSERT_EQ(client.get("/b").status, 200);
-  EXPECT_EQ(listener.reaped(), 1u);
-  ASSERT_EQ(client.get("/c").status, 200);
-  EXPECT_EQ(client.connects(), 2u);
-}
-
 // More connections than the listener can hold: the one handler is
 // pinned by a keep-alive peer, kMaxPendingConnections more wait for it,
 // and each one past those is closed at accept and counted, so an excess

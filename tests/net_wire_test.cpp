@@ -87,8 +87,7 @@ TEST(NetWire, ResponseRoundTrip) {
 
 TEST(NetWire, ResponseRoundTripsEveryStatus) {
   for (const serve::ResponseStatus status :
-       {serve::ResponseStatus::kScored, serve::ResponseStatus::kShed,
-        serve::ResponseStatus::kDegraded}) {
+       {serve::ResponseStatus::kScored, serve::ResponseStatus::kDegraded}) {
     WireScoreResponse response;
     response.session_id = 1;
     response.status = status;
@@ -99,6 +98,14 @@ TEST(NetWire, ResponseRoundTripsEveryStatus) {
         << "status token: " << wire_status_token(status);
     EXPECT_EQ(parsed.status, status);
   }
+}
+
+// `shed` is not a status: the engine refuses at admission instead, so
+// a frame carrying it is refused like any other unknown token.
+TEST(NetWire, ResponseRefusesShedStatus) {
+  WireScoreResponse response;
+  EXPECT_EQ(parse_score_response("bp1|1|shed|0|0|0|0|10", &response),
+            WireError::kBadStatus);
 }
 
 // --------------------------- every typed error ---------------------------

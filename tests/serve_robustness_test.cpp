@@ -1,6 +1,6 @@
 // Robustness tests for the scoring engine's failure posture: degraded
-// (UA-prior) scoring when no model is published, requests queued before
-// the first publish, an injected worker stall, and the stop()/drain()
+// (UA-prior) scoring when no model is published, refusal before the
+// first publish, an injected worker stall, and the stop()/drain()
 // admission race — an admitted request must never be dropped without a
 // response.
 #include <gtest/gtest.h>
@@ -120,21 +120,27 @@ TEST(ServeRobustness, DegradedModeEndsWhenModelArrives) {
   EXPECT_EQ(scored.load(), 1u);
 }
 
-// ------------------------ queued before publish ------------------------
+// ---------------------- before the first publish ----------------------
 
-TEST(ServeRobustness, ZeroDeadlineMeansNoDeadline) {
+// Nothing waits for a publish: a request submitted before the first
+// one is refused at once, and the first publish opens admission for
+// every request after it (the registry never goes back to empty).
+TEST(ServeRobustness, FirstPublishOpensAdmission) {
   ModelRegistry registry;
-  std::atomic<std::uint64_t> scored{0};
+  std::atomic<std::uint64_t> responses{0}, scored{0};
   EngineConfig config;
-  config.workers = 1;  // deadline stays the 0 default
+  config.workers = 1;
   ScoringEngine engine(registry, config, [&](const ScoreResponse& r) {
+    ++responses;
     if (r.status == ResponseStatus::kScored) ++scored;
   });
-  ASSERT_EQ(engine.submit(request_at_origin(0)), SubmitResult::kAdmitted);
-  std::this_thread::sleep_for(milliseconds(20));
+  EXPECT_EQ(engine.submit(request_at_origin(0)), SubmitResult::kRejected);
   registry.publish(make_model(false));
+  ASSERT_EQ(engine.submit(request_at_origin(1)), SubmitResult::kAdmitted);
   engine.drain();
+  EXPECT_EQ(responses.load(), 1u);
   EXPECT_EQ(scored.load(), 1u);
+  EXPECT_EQ(engine.metrics().rejected, 1u);
 }
 
 // ----------------------- injected worker stall -----------------------
@@ -262,7 +268,10 @@ TEST(ServeRobustness, StopDrainStressLosesNoAdmittedRequest) {
 // Same race under kBlock: producers block on a full queue until stop()
 // closes it; the refused pushes must retract their admissions.
 TEST(ServeRobustness, StopWhileProducersBlockOnFullQueue) {
-  ModelRegistry registry;  // no model: workers park, queue stays full
+  // The one worker stalls on every batch, so the queue stays full.
+  const bp::util::ScopedFaults faults("engine.worker_stall:1.0:1");
+  ModelRegistry registry;
+  registry.publish(make_model(false));
   std::atomic<std::uint64_t> responses{0};
   EngineConfig config;
   config.workers = 1;
@@ -285,9 +294,10 @@ TEST(ServeRobustness, StopWhileProducersBlockOnFullQueue) {
     });
   }
   std::this_thread::sleep_for(milliseconds(5));
-  engine.stop();  // unblocks producers; queued requests answered as shed
+  engine.stop();  // unblocks producers; queued requests are still scored
   for (auto& t : producers) t.join();
   engine.drain();
+  EXPECT_LT(admitted.load(), 150u);  // some producer did block
   EXPECT_EQ(responses.load(), admitted.load());
 }
 
