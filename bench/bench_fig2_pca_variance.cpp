@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::pair<std::string, double>> series;
   for (std::size_t i = 0; i < cumulative.size(); ++i) {
-    char label[16];
+    char label[21];  // room for any size_t: 20 digits and the NUL
     std::snprintf(label, sizeof(label), "%2zu", i + 1);
     series.emplace_back(label, 100.0 * cumulative[i]);
   }

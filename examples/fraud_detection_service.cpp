@@ -28,12 +28,11 @@
 //   fraud_detection_service --score-listen 127.0.0.1:0
 //     Additionally starts the network scoring plane (src/net): a
 //     POST /score ingress in front of a sharded EngineRouter, up
-//     before the first publish (early frames get explicit degraded
-//     verdicts; watch them flip to scored on v1).  Prints "score
-//     server listening on <addr>:<port>".  Try:
-//       curl -s -X POST --data-binary \
-//         'bp1|7|Chrome 112|0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0' \
-//         http://<addr>:<port>/score
+//     before the first publish (early frames are refused at once with
+//     503 "no model published"; they are scored from v1 on).  Prints
+//     "score server listening on <addr>:<port>".  Try (one line):
+//       curl -s --data-binary 'bp1|7|Chrome 112|0 0 0 0 0 0 0 0 0 0 0 0 0
+//         0 0 0 0 0 0 0 0 0 0 0 0 0 0 0' http://<addr>:<port>/score
 //
 // Shutdown on SIGINT/SIGTERM is graceful and ordered: stop the score
 // ingress (stop intake -> join handlers -> stop shards), stop the
@@ -251,8 +250,6 @@ int main(int argc, char** argv) {
     obs::HealthSignals s;
     const serve::SupervisorStatus st = supervisor.status();
     s.model_version = registry.version();
-    s.degraded_active =
-        engine_config.degrade_without_model && registry.version() == 0;
     s.breaker_open = st.breaker_open;
     s.staleness_cycles = st.staleness_cycles;
     s.quarantined = registry.quarantined();
@@ -363,8 +360,8 @@ int main(int argc, char** argv) {
   // ---- network scoring plane (--score-listen): POST /score over TCP ----
   // Sharded EngineRouter behind the shared HTTP listener, sharing the
   // demo's ModelRegistry — a hot swap lands on both planes atomically.
-  // Up before the first publish: degrade_without_model answers early
-  // frames with explicit degraded verdicts instead of hanging them.
+  // Up before the first publish: until then every frame is refused at
+  // once with 503 "no model published", never hung.
   if (score_listen.enabled) {
     net::ScoreServerConfig score_config;
     score_config.listener.bind_address = score_listen.address;
@@ -375,7 +372,6 @@ int main(int argc, char** argv) {
     // only serve in-process submit(), which the ingress never calls.
     score_config.router.engine.workers = 1;
     score_config.router.engine.cache_capacity = 4096;  // per shard
-    score_config.router.engine.degrade_without_model = true;
     score_config.router.engine.registry = &metrics;
     score_config.router.engine.metrics_prefix = "bp_net";
     // Cross-hop tracing: frames arriving with a t: trace context get

@@ -19,7 +19,16 @@ case "${BP_SANITIZE:-}" in
 esac
 
 cmake -B build -S .
-cmake --build build -j
+# The tree builds warning-free (-Wall -Wextra, set in CMakeLists.txt):
+# any compiler diagnostic in the build's output fails the run.  Only
+# what this build recompiles is seen, so a clean tree checks it all.
+build_log=/tmp/bp_build.log
+cmake --build build -j 2>&1 | tee "${build_log}"
+if grep -q ': warning:' "${build_log}"; then
+  echo "FAIL: the build printed compiler warnings:" >&2
+  grep ': warning:' "${build_log}" >&2
+  exit 1
+fi
 ctest --test-dir build --output-on-failure -j
 
 echo "== benchmark smoke (perfbench built against src/, one short run) =="
@@ -91,6 +100,20 @@ fetch() {  # fetch <path> <want_status>: asserts status and non-empty body
 
 fetch /healthz 200
 fetch /metrics 200
+# The score ingress is up before the first publish, and a frame posted
+# then is refused at once (503 "no model published"), never held.
+# Training is quick, so the first publish may already have landed; a
+# scored frame also passes.
+features=$(printf '0 %.0s' $(seq 1 28)); features=${features% }
+code=$(curl -s --max-time 2 -o /tmp/bp_prepublish_body -w '%{http_code}' \
+       --data-binary "bp1|1|Chrome 112|${features}" \
+       "http://127.0.0.1:${score_port}/score" || true)
+body=$(cat /tmp/bp_prepublish_body 2>/dev/null || true)
+case "${code}:${body}" in
+  "503:no model published" ) echo "pre-publish frame: 503 no model published" ;;
+  "200:bp1|1|scored|"* ) echo "pre-publish frame: scored (the publish had landed)" ;;
+  * ) smoke_fail "pre-publish POST /score -> '${code}' '${body}' (want 503 'no model published' or a scored frame within 2 s)" ;;
+esac
 # /readyz answers 503 until offline training publishes the first model,
 # then flips to 200; poll it across the flip.
 ready=""
@@ -128,7 +151,6 @@ done
 
 # POST one session over the scoring plane; after /readyz the model is
 # published, so the verdict must be a scored frame echoing the session.
-features=$(printf '0 %.0s' $(seq 1 28)); features=${features% }
 verdict=$(curl -s --data-binary "bp1|1|Chrome 112|${features}" \
           "http://127.0.0.1:${score_port}/score" || true)
 case "${verdict}" in
@@ -252,8 +274,9 @@ start_relay "${chaos_log}" --seed 7 --response-only --delay 0.05 \
 
 # Post sessions through the relay until a *scored* verdict echoing its
 # session comes back (the model publishes partway through the demo
-# pipeline; early frames are explicitly degraded, and some posts die to
-# injected resets/truncations — raw curl has no retry machinery).
+# pipeline; early frames are refused 503 "no model published", and some
+# posts die to injected resets/truncations — raw curl has no retry
+# machinery).
 features=$(printf '0 %.0s' $(seq 1 28)); features=${features% }
 scored=""
 for i in $(seq 1 600); do

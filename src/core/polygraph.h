@@ -101,7 +101,7 @@ struct Detection {
   int risk_factor = 0;
   // Squared distance (in PCA space) between the session's projection
   // and the predicted centroid — how deep inside its cluster the
-  // fingerprint sits.  0 for the degraded UA-prior scorer.
+  // fingerprint sits.
   double centroid_distance2 = 0.0;
 };
 

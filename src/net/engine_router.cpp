@@ -68,7 +68,6 @@ serve::MetricsSnapshot EngineRouter::metrics() const {
     total.rejected += shard.rejected;
     total.batches += shard.batches;
     total.cached += shard.cached;
-    total.degraded += shard.degraded;
     total.queue_depth += shard.queue_depth;
     for (std::size_t b = 0; b < total.latency_histogram.size(); ++b) {
       total.latency_histogram[b] += shard.latency_histogram[b];

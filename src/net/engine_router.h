@@ -53,8 +53,8 @@ struct RouterConfig {
   std::size_t shards = 0;
   // Per-shard template.  `workers` and `queue_capacity` apply to each
   // shard; `metrics_prefix` is the base the per-shard "_shard<i>"
-  // suffix is appended to.  trace/audit planes and
-  // degrade_without_model pass through unchanged.
+  // suffix is appended to.  The trace and audit planes pass through
+  // unchanged.
   serve::EngineConfig engine;
 };
 

@@ -27,7 +27,11 @@ ScoreServer::ScoreServer(const serve::ModelRegistry& models,
     config_.registry->gauge_callback(
         config_.metrics_prefix + "_inflight",
         [this] { return static_cast<std::int64_t>(inflight()); });
-    gauge_registered_ = true;
+    config_.registry->gauge_callback(
+        config_.metrics_prefix + "_ingress_malformed_total",
+        [this] { return static_cast<double>(malformed()); },
+        "frames refused 400 by the wire parser or the feature-length "
+        "check");
     trace_adopted_ = &config_.registry->counter(
         "bp_trace_adopted_total",
         "request frames whose t: trace context this ingress adopted");
@@ -49,10 +53,10 @@ ScoreServer::ScoreServer(const serve::ModelRegistry& models,
 
 ScoreServer::~ScoreServer() {
   stop();
-  if (gauge_registered_ && config_.registry != nullptr) {
-    config_.registry->remove(config_.metrics_prefix + "_inflight");
-  }
   if (config_.registry != nullptr) {
+    config_.registry->remove(config_.metrics_prefix + "_inflight");
+    config_.registry->remove(config_.metrics_prefix +
+                             "_ingress_malformed_total");
     obs::remove_http_listener_metrics(*config_.registry,
                                       config_.metrics_prefix + "_http");
   }

@@ -27,9 +27,8 @@
 //
 // Explicit 503s (counted in admission_rejected()), never a hang:
 // "shutting down" once stop() has begun or the shards are stopped, and
-// "no model published" while nothing is published and
-// EngineConfig::degrade_without_model is off (with it on, the answer is
-// a degraded verdict naming version 0).  The shard queues and their
+// "no model published" while nothing is published; the caller falls
+// back to its own UA-only risk path.  The shard queues and their
 // overflow policy serve in-process EngineRouter::submit() callers only.
 //
 // Ordered teardown (stop()): mark stopping (frames read from now on
@@ -63,11 +62,13 @@ struct ScoreServerConfig {
   // (only for tests that control every client).
   std::size_t expected_features = 0;
 
-  // Ingress counters land here when set ("<metrics_prefix>_ingress_*",
-  // plus an "<metrics_prefix>_inflight" callback gauge and the
-  // listener's "<metrics_prefix>_http_*" hardening gauges via
-  // obs/export.h); the router's per-shard instruments are configured
-  // via router.engine.registry.
+  // When set, the ingress registers here two callback gauges,
+  // "<metrics_prefix>_inflight" (inflight()) and
+  // "<metrics_prefix>_ingress_malformed_total" (malformed()), the
+  // listener's "<metrics_prefix>_http_*" gauges (obs/export.h) and the
+  // "bp_trace_adopted_total" counter; all but the counter are removed
+  // again by the destructor.  The router's per-shard instruments are
+  // configured via router.engine.registry.
   obs::MetricsRegistry* registry = nullptr;
   std::string metrics_prefix = "bp_net";
 };
@@ -104,7 +105,7 @@ class ScoreServer {
     return malformed_.load(std::memory_order_relaxed);
   }
   // Frames refused 503: shutting down / shards stopped, or no model
-  // published without the degraded fallback.
+  // published.
   std::uint64_t admission_rejected() const noexcept {
     return admission_rejected_.load(std::memory_order_relaxed);
   }
@@ -132,7 +133,6 @@ class ScoreServer {
   std::atomic<std::uint64_t> admission_rejected_{0};
   std::atomic<std::uint64_t> responses_{0};
   std::atomic<std::size_t> inflight_{0};
-  bool gauge_registered_ = false;
   // bp_trace_adopted_total: request frames carrying a t: trace context
   // this ingress adopted (the server half of the client's
   // bp_trace_propagated_total).  Null when no registry is configured.

@@ -281,7 +281,6 @@ void append_trace_context(const WireTraceContext& trace, std::string* frame) {
 std::string_view wire_status_token(serve::ResponseStatus status) noexcept {
   switch (status) {
     case serve::ResponseStatus::kScored: return "scored";
-    case serve::ResponseStatus::kDegraded: return "degraded";
   }
   return "unknown";
 }
@@ -329,13 +328,8 @@ WireError parse_score_response(std::string_view frame,
   if (!parse_u64(field, &out->session_id)) return WireError::kBadSessionId;
 
   if (!next_field(&frame, &field)) return WireError::kTruncated;
-  if (field == "scored") {
-    out->status = serve::ResponseStatus::kScored;
-  } else if (field == "degraded") {
-    out->status = serve::ResponseStatus::kDegraded;
-  } else {
-    return WireError::kBadStatus;
-  }
+  if (field != "scored") return WireError::kBadStatus;
+  out->status = serve::ResponseStatus::kScored;
 
   if (!next_field(&frame, &field)) return WireError::kTruncated;
   if (field != "0" && field != "1") return WireError::kBadStatus;

@@ -43,13 +43,12 @@ std::string AuditTrail::render_jsonl(bool include_timing,
         "{\"session_id\": %llu, \"model_version\": %llu, "
         "\"claimed\": \"%s\", \"predicted_cluster\": %u, "
         "\"expected_cluster\": %d, \"risk_factor\": %d, "
-        "\"centroid_distance2\": %.17g, \"flagged\": %s, "
-        "\"degraded\": %s%s}\n",
+        "\"centroid_distance2\": %.17g, \"flagged\": %s%s}\n",
         static_cast<unsigned long long>(r.session_id),
         static_cast<unsigned long long>(r.model_version),
         r.claimed.label().c_str(), r.predicted_cluster, r.expected_cluster,
         r.risk_factor, r.centroid_distance2, r.flagged() ? "true" : "false",
-        r.degraded() ? "true" : "false", timing);
+        timing);
     out += line;
   }
   return out;

@@ -36,9 +36,8 @@
 namespace bp::obs {
 
 struct AuditRecord {
-  // Tag bits.
+  // Tag bits (bit 1 is unused).
   static constexpr std::uint8_t kFlagged = 1u << 0;
-  static constexpr std::uint8_t kDegraded = 1u << 1;  // UA-prior fallback
   static constexpr std::uint8_t kSampledUnflagged = 1u << 2;
   // Verdict replayed from the serving tier's content-addressed cache.
   // The evidence fields are byte-identical to the original scoring
@@ -47,7 +46,7 @@ struct AuditRecord {
   static constexpr std::uint8_t kCached = 1u << 3;
 
   std::uint64_t session_id = 0;
-  std::uint64_t model_version = 0;  // 0 = degraded (no model involved)
+  std::uint64_t model_version = 0;  // the published version that scored it
   ua::UserAgent claimed{};
   std::uint32_t predicted_cluster = 0;
   std::int32_t expected_cluster = -1;  // -1 = claimed UA absent from table
@@ -57,7 +56,6 @@ struct AuditRecord {
   std::int64_t recorded_at_us = 0;  // steady clock; diagnostic only
 
   bool flagged() const noexcept { return (tags & kFlagged) != 0; }
-  bool degraded() const noexcept { return (tags & kDegraded) != 0; }
   bool cached() const noexcept { return (tags & kCached) != 0; }
 };
 

@@ -6,18 +6,17 @@ namespace bp::obs {
 
 HealthReport fold(const HealthSignals& signals) {
   HealthReport report;
-  report.ready = signals.model_version != 0 && !signals.degraded_active;
+  report.ready = signals.model_version != 0;
 
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
-      "ready: %s\nmodel_version: %llu%s\ndegraded_active: %s\n"
+      "ready: %s\nmodel_version: %llu%s\n"
       "retrain_breaker: %s\nstaleness_cycles: %llu\nquarantined_models: "
       "%llu\nqueue_depth: %llu/%llu\narmed_faults: %llu\n",
       report.ready ? "true" : "false",
       static_cast<unsigned long long>(signals.model_version),
       signals.model_version == 0 ? " (nothing published)" : "",
-      signals.degraded_active ? "true" : "false",
       signals.breaker_open ? "OPEN" : "closed",
       static_cast<unsigned long long>(signals.staleness_cycles),
       static_cast<unsigned long long>(signals.quarantined),

@@ -1,8 +1,7 @@
 // Readiness: the verdict a load balancer reads from /readyz, and the
 // health block of /statusz.
 //
-//   ready  <=>  a model is published (ModelRegistry::version() != 0)
-//               and degraded mode is off.
+//   ready  <=>  a model is published (ModelRegistry::version() != 0).
 //
 // This is the check an operator runs before and after a hot swap:
 // readiness is false while nothing is published and flips the moment a
@@ -27,7 +26,6 @@ namespace bp::obs {
 // "nothing published, nothing wrong".
 struct HealthSignals {
   std::uint64_t model_version = 0;     // ModelRegistry::version(); 0 = none
-  bool degraded_active = false;        // engine answering via the UA prior
   bool breaker_open = false;           // RetrainSupervisor breaker
   std::uint64_t staleness_cycles = 0;  // cycles since the last publish
   std::uint64_t quarantined = 0;       // ModelRegistry::quarantined()

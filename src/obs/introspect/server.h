@@ -16,9 +16,8 @@
 //   /healthz       liveness: 200 `ok` whenever the server answers
 //   /readyz        serving-fitness verdict (200/503) — obs::fold over
 //                  the health signals (obs/health.h): 503 while no
-//                  model is published or degraded mode is active, 200
-//                  after a publish; the check to run before and after
-//                  a hot swap
+//                  model is published, 200 after a publish; the check
+//                  to run before and after a hot swap
 //   /statusz       human-readable rollup: build info, the health
 //                  signals, app extras
 //   /tracez        TraceSink render (with timing); ?trace=ID keeps one

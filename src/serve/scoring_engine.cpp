@@ -7,7 +7,6 @@
 
 #include "obs/prof/contention.h"
 #include "obs/prof/prof.h"
-#include "serve/degraded.h"
 #include "util/fault.h"
 
 namespace bp::serve {
@@ -95,7 +94,6 @@ bool ScoringEngine::try_cached_submit(const ScoreRequest& request,
   // clock only read when a trace span needs timestamps (the latency is
   // 0 either way).  A repeat session costs one hash + one seqlock read.
   const std::uint64_t version = registry_.version();
-  if (version == 0) return false;
   core::Detection detection;
   if (!cache_->lookup(key, version, detection, /*stripe_hint=*/0)) {
     return false;
@@ -114,9 +112,9 @@ SubmitResult ScoringEngine::admission() {
   if (stopping_.load(std::memory_order_acquire)) return SubmitResult::kStopped;
   // The registry never goes back to empty (versions only grow, and the
   // snapshot is stored before its version), so a request admitted past
-  // this check finds a model or the degraded scorer wherever it is
-  // scored: nothing ever waits for a publish.
-  if (!config_.degrade_without_model && registry_.version() == 0) {
+  // this check finds a model wherever it is scored: nothing ever waits
+  // for a publish.
+  if (registry_.version() == 0) {
     metrics_.record_rejected();
     return SubmitResult::kRejected;
   }
@@ -194,22 +192,6 @@ void ScoringEngine::score_span(const ModelSnapshot& snapshot,
   const auto emit = [&](std::size_t i) {
     if (deliver && on_response_) on_response_(responses[i]);
   };
-  if (!snapshot) {
-    // Admission let this span in without a model only in degraded mode
-    // (admission()).  The engine still answers — the
-    // UA-prior fallback judges the claimed UA alone, and the status
-    // tells the caller no fingerprint evidence was used.
-    PROF_SCOPE("serve.degraded");
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      const ScoreRequest& request = requests[i];
-      responses[i] = answer(
-          request, degraded_score(request.claimed), /*version=*/0,
-          /*cached=*/false, scratch.lane,
-          {request.admitted_at, picked_up, std::chrono::steady_clock::now()});
-      emit(i);
-    }
-    return;
-  }
   PROF_SCOPE("serve.batch");
   // Repeat sessions are replayed from the cache — checked against
   // *this* snapshot's version, so a hot swap between admission and
@@ -271,8 +253,6 @@ ScoreResponse ScoringEngine::answer(const ScoreRequest& request,
                                     const AnswerTimes& times) {
   ScoreResponse response;
   response.id = request.id;
-  response.status =
-      version == 0 ? ResponseStatus::kDegraded : ResponseStatus::kScored;
   response.detection = detection;
   response.model_version = version;
   response.worker = lane;
@@ -286,10 +266,7 @@ ScoreResponse ScoringEngine::answer(const ScoreRequest& request,
   const std::uint64_t exemplar =
       !traced ? 0 : request.trace_id != 0 ? request.trace_id : request.id;
   const char* terminal = "score";
-  if (version == 0) {
-    metrics_.record_degraded(lane, detection.flagged, latency_us, exemplar);
-    terminal = "degrade";
-  } else if (cached) {
+  if (cached) {
     metrics_.record_cached(lane, detection.flagged, latency_us, exemplar);
     terminal = "cache_hit";
   } else {
@@ -353,9 +330,6 @@ void ScoringEngine::record_audit(const ScoreRequest& request,
   record.centroid_distance2 = response.detection.centroid_distance2;
   record.tags = flagged ? obs::AuditRecord::kFlagged
                         : obs::AuditRecord::kSampledUnflagged;
-  if (response.status == ResponseStatus::kDegraded) {
-    record.tags |= obs::AuditRecord::kDegraded;
-  }
   if (response.cached) {
     // Replayed from the verdict cache: the evidence is byte-identical
     // to the original scoring under the same model_version, so replay
@@ -399,9 +373,9 @@ void ScoringEngine::worker_loop(std::uint32_t worker_index) {
     }
     // One snapshot per batch: the whole batch is attributed to a single
     // published model version, and a concurrent publish() never tears a
-    // batch across two models.  Empty only in degraded mode.
+    // batch across two models.
     const ModelSnapshot snapshot = registry_.current();
-    if (snapshot) metrics_.record_batch(worker_index, n);
+    metrics_.record_batch(worker_index, n);
     responses.resize(n);
     score_span(snapshot, ready, responses, scratch,
                std::chrono::steady_clock::now(), /*deliver=*/true);

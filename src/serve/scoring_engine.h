@@ -14,15 +14,15 @@
 // pinned by EngineQueueAllocBudget.QueuedVerdictsAllocateNothing.
 //
 // Invariants the tests pin down:
-//   * one admission rule for both ways in: with nothing published and
-//     degrade_without_model off, a request is refused at once
-//     (kRejected, counted in `<prefix>_rejected_total`), never parked;
-//   * every admitted request produces exactly one response — a score
-//     (kScored) or a model-less fallback verdict (kDegraded); a
-//     refused submission produces none and is reported synchronously;
+//   * one admission rule for both ways in: with nothing published, a
+//     request is refused at once (kRejected, counted in
+//     `<prefix>_rejected_total`), never parked;
+//   * every admitted request produces exactly one response, a score
+//     (kScored); a refused submission produces none and is reported
+//     synchronously;
 //   * a span is scored by exactly one published model version (the
 //     snapshot is taken once per batch or inline call), and every
-//     response names the version that produced it (0 for degraded);
+//     response names the version that produced it;
 //   * the scoring path performs no per-session allocation: each span
 //     is scored in one fused pass through Polygraph::score_batch (a
 //     reused ScoreScratch holds the SoA panels) — bit-identical to
@@ -36,10 +36,9 @@
 //     older entry (version-keyed lookups — see serve/verdict_cache.h).
 //
 // Failure posture: with nothing published, submit() and score_now()
-// refuse at once, unless `degrade_without_model` keeps the engine
-// answering — the UA-prior fallback (serve/degraded.h) scores the
-// claimed UA alone and the response is marked kDegraded.  Overload is
-// bounded at admission by the queue's OverflowPolicy (kBlock or
+// refuse at once; a fingerprint verdict needs a model, and the
+// caller's fallback (its UA-only risk path) is the caller's.  Overload
+// is bounded at admission by the queue's OverflowPolicy (kBlock or
 // kReject).
 //
 // The engine starts exactly `workers` threads.  The callback runs on
@@ -100,9 +99,10 @@ inline constexpr std::uint32_t adopted_span_base(
   return trace_parent * 16u;
 }
 
+// One value: every response is a fingerprint verdict.  Kept as a type
+// because the wire frame carries it (net/wire.h).
 enum class ResponseStatus : std::uint8_t {
   kScored,
-  kDegraded,  // no model published; UA-prior fallback verdict in detection
 };
 
 struct ScoreResponse {
@@ -120,7 +120,7 @@ struct ScoreResponse {
 
 enum class SubmitResult : std::uint8_t {
   kAdmitted,  // a response will follow (score_now: was written)
-  kRejected,  // nothing to score with (no model, no degraded mode), or
+  kRejected,  // nothing to score with (no model published), or
               // submit()'s queue full under kReject; none follows
   kStopped,   // engine stopped; no response follows
 };
@@ -159,11 +159,6 @@ struct EngineConfig {
   // `<metrics_prefix>_cache_*`.
   std::size_t cache_capacity = 0;
 
-  // Answer with the UA-prior fallback (kDegraded) when no model is
-  // published.  Off, both submit() and score_now() refuse with
-  // kRejected until the first publish.
-  bool degrade_without_model = false;
-
   // ---- observability (all optional; null = that plane disabled) ----
   //
   // Registry to export serving metrics into (alongside drift, retrain,
@@ -181,7 +176,7 @@ struct EngineConfig {
   // decided deterministically by the sink) the engine records spans:
   //   1 "request"    admission -> response          (root)
   //   2 "queue_wait" admission -> batch pickup      (parent 1)
-  //   3 terminal     "score" | "cache_hit" | "degrade"  (parent 1)
+  //   3 terminal     "score" | "cache_hit"         (parent 1)
   // An inline score_now() call records the same spans; its queue_wait
   // is zero-length.
   // A request carrying an adopted cross-hop context (trace_id != 0)
@@ -190,8 +185,8 @@ struct EngineConfig {
   // id, honoring the client's sampling decision over the local sink's.
   obs::TraceSink* trace = nullptr;
 
-  // Decision audit trail: every flagged (and sampled unflagged) scored
-  // or degraded response records its Algorithm-1 evidence.
+  // Decision audit trail: every flagged (and sampled unflagged)
+  // response records its Algorithm-1 evidence.
   obs::AuditTrail* audit = nullptr;
 };
 
@@ -201,7 +196,7 @@ class ScoringEngine {
 
   // Starts the worker pool immediately.  `registry` must outlive the
   // engine; until it has a published model, requests are refused
-  // (kRejected) unless degrade_without_model answers them.
+  // (kRejected).
   ScoringEngine(const ModelRegistry& registry, EngineConfig config,
                 ResponseCallback on_response);
   ~ScoringEngine();
@@ -221,8 +216,8 @@ class ScoringEngine {
   // scorer, against the current snapshot: responses[i] answers
   // requests[i] (sizes must match; admitted_at and cache_key are
   // stamped here).  Refused as submit() is (kRejected: nothing
-  // published and no degraded fallback).  Refusals write nothing; the
-  // callback never runs and drain() never waits on these calls.
+  // published).  Refusals write nothing; the callback never runs and
+  // drain() never waits on these calls.
   SubmitResult score_now(std::span<ScoreRequest> requests,
                          std::span<ScoreResponse> responses,
                          ScoreScratch& scratch);
@@ -260,15 +255,15 @@ class ScoringEngine {
   void worker_loop(std::uint32_t worker_index);
   // The one scoring path: cache probe against the snapshot's version,
   // the SoA kernel for the misses, cache insert, answer() per request
-  // (handed to the callback when `deliver`).  An empty snapshot (degraded
-  // mode only) answers kDegraded.
+  // (handed to the callback when `deliver`).  `snapshot` is never empty:
+  // admission refuses until the first publish.
   void score_span(const ModelSnapshot& snapshot,
                   std::span<const ScoreRequest> requests,
                   std::span<ScoreResponse> responses, ScoreScratch& scratch,
                   std::chrono::steady_clock::time_point picked_up,
                   bool deliver);
-  // The only place a scored, cache-hit (`cached`) or degraded
-  // (`version` 0) response is built; records metrics, audit, trace.
+  // The only place a scored or cache-hit (`cached`) response is built;
+  // records metrics, audit, trace.
   ScoreResponse answer(const ScoreRequest& request,
                        const core::Detection& detection,
                        std::uint64_t version, bool cached, std::uint32_t lane,

@@ -9,13 +9,12 @@ std::string MetricsSnapshot::summary() const {
   std::snprintf(
       buf, sizeof(buf),
       "scored=%llu cached=%llu flagged=%llu (%.2f%%) "
-      "rejected=%llu degraded=%llu depth=%llu "
+      "rejected=%llu depth=%llu "
       "model=v%llu p50=%.0fus p95=%.0fus p99=%.0fus%s",
       static_cast<unsigned long long>(scored),
       static_cast<unsigned long long>(cached),
       static_cast<unsigned long long>(flagged), 100.0 * flag_rate(),
       static_cast<unsigned long long>(rejected),
-      static_cast<unsigned long long>(degraded),
       static_cast<unsigned long long>(queue_depth),
       static_cast<unsigned long long>(model_version), p50_micros(),
       p95_micros(), p99_micros(),
@@ -41,8 +40,6 @@ ServeMetrics::ServeMetrics(obs::MetricsRegistry* registry,
                                  "worker batch iterations");
   cached_ = &registry_->counter(
       p + "_cached_total", "scored responses answered by the verdict cache");
-  degraded_ = &registry_->counter(p + "_degraded_total",
-                                  "responses from the UA-prior fallback");
   latency_ = &registry_->histogram(
       p + "_latency_micros",
       "queue wait + scoring per answered session, microseconds");
@@ -67,14 +64,6 @@ void ServeMetrics::record_cached(std::size_t stripe, bool flagged,
   latency_->observe_exemplar(latency_micros, exemplar_trace_id, stripe);
 }
 
-void ServeMetrics::record_degraded(std::size_t worker, bool flagged,
-                                   std::uint64_t latency_micros,
-                                   std::uint64_t exemplar_trace_id) noexcept {
-  degraded_->increment(worker);
-  if (flagged) flagged_->increment(worker);
-  latency_->observe_exemplar(latency_micros, exemplar_trace_id, worker);
-}
-
 void ServeMetrics::record_batch(std::size_t worker,
                                 std::uint64_t batch_size) noexcept {
   batches_->increment(worker);
@@ -90,7 +79,6 @@ MetricsSnapshot ServeMetrics::snapshot() const {
   out.rejected = rejected_->value();
   out.batches = batches_->value();
   out.cached = cached_->value();
-  out.degraded = degraded_->value();
   out.latency_histogram = latency_->bucket_counts();
   out.batch_size_histogram = batch_size_->bucket_counts();
   return out;

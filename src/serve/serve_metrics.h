@@ -54,18 +54,15 @@ struct MetricsSnapshot {
   std::uint64_t batches = 0;   // worker batch iterations
   std::uint64_t cached = 0;    // scored responses answered by the
                                // verdict cache (subset of `scored`)
-  std::uint64_t degraded = 0;  // answered by the UA-prior fallback scorer
   std::uint64_t queue_depth = 0;  // instantaneous, at snapshot time
   std::uint64_t model_version = 0;  // latest published at snapshot time
   // Both in the obs::hist layout.  Latency: queue wait + scoring per
-  // answered session (model-scored and degraded).  Batch size: requests
-  // drained per worker batch.
+  // answered session.  Batch size: requests drained per worker batch.
   obs::Histogram::Counts latency_histogram{};
   obs::Histogram::Counts batch_size_histogram{};
 
   double flag_rate() const noexcept {
-    const std::uint64_t answered = scored + degraded;
-    return answered == 0 ? 0.0 : static_cast<double>(flagged) / answered;
+    return scored == 0 ? 0.0 : static_cast<double>(flagged) / scored;
   }
   // obs::hist::quantile of the latency histogram (linear interpolation
   // inside a bucket).  q is clamped to [0, 1]; NaN is treated as 0.
@@ -111,9 +108,6 @@ class ServeMetrics {
   // One worker drain of `batch_size` requests (feeds the batch-size
   // histogram, so /statusz can show how full the SoA kernel runs).
   void record_batch(std::size_t worker, std::uint64_t batch_size) noexcept;
-  void record_degraded(std::size_t worker, bool flagged,
-                       std::uint64_t latency_micros,
-                       std::uint64_t exemplar_trace_id = 0) noexcept;
 
   // Admission-side event (any thread).
   void record_rejected() noexcept;
@@ -137,7 +131,6 @@ class ServeMetrics {
   obs::Counter* rejected_;
   obs::Counter* batches_;
   obs::Counter* cached_;
-  obs::Counter* degraded_;
   obs::Histogram* latency_;
   obs::Histogram* batch_size_;
 };

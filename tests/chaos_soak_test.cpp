@@ -222,7 +222,6 @@ void run_soak(std::size_t cache_capacity, const std::string& path) {
   }
   const MetricsSnapshot metrics = engine.metrics();
   EXPECT_EQ(metrics.scored, static_cast<std::uint64_t>(kTotal));
-  EXPECT_EQ(metrics.degraded, 0u);
 
   // --- never a corrupt model: every response's version was really ---
   // --- published, and its flag matches that version's table        ---

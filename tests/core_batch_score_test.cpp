@@ -8,8 +8,7 @@
 //
 // Engine-level coverage lives at the bottom: a ScoringEngine whose
 // workers drain through the SoA kernel must answer with the same bits
-// as the scalar reference, and the degraded path must be
-// unaffected by the batch rewrite.
+// as the scalar reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "core/polygraph.h"
-#include "serve/degraded.h"
 #include "serve/model_registry.h"
 #include "serve/scoring_engine.h"
 #include "traffic/session_generator.h"
@@ -314,36 +312,6 @@ TEST(BatchScore, EngineBatchPathMatchesScalarReference) {
     EXPECT_FALSE(response.cached);
     expect_bit_identical(response.detection, scalar[response.id],
                          response.id);
-  }
-}
-
-TEST(BatchScore, DegradedPathUnchangedByBatchRewrite) {
-  serve::ModelRegistry registry;  // never published
-  std::mutex mutex;
-  std::vector<serve::ScoreResponse> responses;
-  serve::EngineConfig config;
-  config.workers = 1;
-  config.degrade_without_model = true;
-  serve::ScoringEngine engine(registry, config,
-                              [&](const serve::ScoreResponse& response) {
-                                std::lock_guard lock(mutex);
-                                responses.push_back(response);
-                              });
-  for (std::uint64_t i = 0; i < 32; ++i) {
-    serve::ScoreRequest request;
-    request.id = i;
-    request.features = {0, 0};
-    request.claimed = kChrome100;
-    ASSERT_EQ(engine.submit(std::move(request)),
-              serve::SubmitResult::kAdmitted);
-  }
-  engine.drain();
-  engine.stop();
-  const Detection expected = serve::degraded_score(kChrome100);
-  ASSERT_EQ(responses.size(), 32u);
-  for (const auto& response : responses) {
-    ASSERT_EQ(response.status, serve::ResponseStatus::kDegraded);
-    expect_bit_identical(response.detection, expected, response.id);
   }
 }
 

@@ -114,6 +114,9 @@ class NetScoreServerTest : public ::testing::Test {
   }
 
   serve::ModelRegistry models_;
+  // Declared before server_, so a server registered into it is gone
+  // before the registry is.
+  obs::MetricsRegistry metrics_;
   std::unique_ptr<ScoreServer> server_;
 };
 
@@ -150,22 +153,7 @@ TEST_F(NetScoreServerTest, ScoresOverRealTcp) {
   EXPECT_EQ(server_->responses(), 2u);
 }
 
-TEST_F(NetScoreServerTest, DegradedVerdictBeforeFirstPublish) {
-  ScoreServerConfig config = small_config();
-  config.router.engine.degrade_without_model = true;
-  StartServer(std::move(config), /*publish=*/false);
-  HttpResult result =
-      HttpClient("127.0.0.1", server_->port())
-          .post("/score", request_frame(1, "Chrome 100", {0, 0}),
-                "application/x-bpwire", /*close_connection=*/true);
-  ASSERT_EQ(result.status, 200) << result.error;
-  WireScoreResponse verdict;
-  ASSERT_EQ(parse_score_response(result.body, &verdict), WireError::kOk);
-  EXPECT_EQ(verdict.status, serve::ResponseStatus::kDegraded);
-  EXPECT_EQ(verdict.model_version, 0u);
-}
-
-// No model and no degraded fallback: the ingress says so at once with
+// No model published: the ingress says so at once with
 // an explicit 503 — it never parks the request waiting for a publish —
 // and scores normally once a model lands.
 TEST_F(NetScoreServerTest, NoModelWithoutDegradeIsAnImmediateFiveOhThree) {
@@ -241,6 +229,22 @@ TEST_F(NetScoreServerTest, MalformedFramesGetTypedFourHundreds) {
   EXPECT_NE(mismatch.body.find("expected 2 features"), std::string::npos);
   EXPECT_EQ(server_->malformed(), 9u);
   EXPECT_EQ(server_->responses(), 0u);
+}
+
+// A 400 refusal is visible to a scrape, not only to malformed().
+TEST_F(NetScoreServerTest, MalformedFrameReachesTheMetricsRegistry) {
+  ScoreServerConfig config = small_config();
+  config.registry = &metrics_;
+  StartServer(std::move(config));
+  HttpResult result =
+      HttpClient("127.0.0.1", server_->port())
+          .post("/score", "garbage", "application/x-bpwire",
+                /*close_connection=*/true);
+  EXPECT_EQ(result.status, 400) << result.error;
+  const std::string rendered = metrics_.render_prometheus();
+  EXPECT_NE(rendered.find("\nbp_net_ingress_malformed_total 1\n"),
+            std::string::npos)
+      << rendered;
 }
 
 TEST_F(NetScoreServerTest, OversizedBodyIsRefused) {

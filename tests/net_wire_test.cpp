@@ -86,8 +86,7 @@ TEST(NetWire, ResponseRoundTrip) {
 }
 
 TEST(NetWire, ResponseRoundTripsEveryStatus) {
-  for (const serve::ResponseStatus status :
-       {serve::ResponseStatus::kScored, serve::ResponseStatus::kDegraded}) {
+  for (const serve::ResponseStatus status : {serve::ResponseStatus::kScored}) {
     WireScoreResponse response;
     response.session_id = 1;
     response.status = status;
@@ -105,6 +104,14 @@ TEST(NetWire, ResponseRoundTripsEveryStatus) {
 TEST(NetWire, ResponseRefusesShedStatus) {
   WireScoreResponse response;
   EXPECT_EQ(parse_score_response("bp1|1|shed|0|0|0|0|10", &response),
+            WireError::kBadStatus);
+}
+
+// Nor is `degraded`: with no model published the ingress answers 503,
+// so no frame carries a model-less verdict.
+TEST(NetWire, ResponseRefusesDegradedStatus) {
+  WireScoreResponse response;
+  EXPECT_EQ(parse_score_response("bp1|1|degraded|0|0|0|0|10", &response),
             WireError::kBadStatus);
 }
 

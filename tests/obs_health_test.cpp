@@ -1,6 +1,6 @@
 // Tests for the readiness fold (obs/health.h): readiness is "a model is
-// published and degraded mode is off"; every other signal is shown in
-// the detail and never gates.
+// published"; every other signal is shown in the detail and never
+// gates.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -19,8 +19,6 @@ TEST(ObsHealth, FoldVerdicts) {
   };
   const Case cases[] = {
       {"no model", {}, false, "model_version: 0 (nothing published)\n"},
-      {"degraded", {.model_version = 3, .degraded_active = true}, false,
-       "degraded_active: true\n"},
       {"published", {.model_version = 3}, true, "model_version: 3\n"},
       {"breaker open", {.model_version = 3, .breaker_open = true}, true,
        "retrain_breaker: OPEN\n"},

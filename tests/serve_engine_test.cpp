@@ -294,7 +294,7 @@ TEST(ServeEngine, RejectPolicyRefusesOverloadSynchronously) {
   EXPECT_EQ(metrics.scored, admitted);
 }
 
-// No model and no degraded fallback: submit() refuses at once, as
+// No model published: submit() refuses at once, as
 // score_now() does, under either overflow policy — nothing is admitted
 // to wait for a publish, so a kBlock producer never blocks and drain()
 // has nothing to wait for.  The submits and the drain run on a helper
@@ -419,34 +419,26 @@ TEST(ServeInline, ScoresMatchDirectModelCallsWithoutTheQueue) {
   engine.stop();
 }
 
-TEST(ServeInline, RefusesWithoutModelUnlessDegradedAndWhenStopped) {
+TEST(ServeInline, RefusesWithoutModelAndWhenStopped) {
   ModelRegistry registry;
   ScoreScratch scratch;
   ScoreRequest request = request_at_origin(5);
   ScoreResponse response;
   response.id = 99;  // a refusal must leave it untouched
-  {
-    EngineConfig config;
-    config.workers = 1;
-    ScoringEngine engine(registry, config, nullptr);
-    EXPECT_EQ(engine.score_now({&request, 1}, {&response, 1}, scratch),
-              SubmitResult::kRejected);
-    EXPECT_EQ(response.id, 99u);
-    EXPECT_EQ(engine.metrics().scored + engine.metrics().degraded, 0u);
-  }
   EngineConfig config;
   config.workers = 1;
-  config.degrade_without_model = true;
   ScoringEngine engine(registry, config, nullptr);
-  ASSERT_EQ(engine.score_now({&request, 1}, {&response, 1}, scratch),
-            SubmitResult::kAdmitted);
-  EXPECT_EQ(response.id, 5u);
-  EXPECT_EQ(response.status, ResponseStatus::kDegraded);
-  EXPECT_EQ(response.model_version, 0u);
-  EXPECT_EQ(engine.metrics().degraded, 1u);
+  EXPECT_EQ(engine.score_now({&request, 1}, {&response, 1}, scratch),
+            SubmitResult::kRejected);
+  EXPECT_EQ(response.id, 99u);
+  EXPECT_EQ(engine.metrics().scored, 0u);
+  EXPECT_EQ(engine.metrics().rejected, 1u);
+  // Published, then stopped: a stopped engine refuses even with a model.
+  registry.publish(make_model(false));
   engine.stop();
   EXPECT_EQ(engine.score_now({&request, 1}, {&response, 1}, scratch),
             SubmitResult::kStopped);
+  EXPECT_EQ(response.id, 99u);
 }
 
 // "Allocation-free steady state" as a gate: after warm-up, inline calls

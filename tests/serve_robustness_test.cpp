@@ -1,6 +1,5 @@
-// Robustness tests for the scoring engine's failure posture: degraded
-// (UA-prior) scoring when no model is published, refusal before the
-// first publish, an injected worker stall, and the stop()/drain()
+// Robustness tests for the scoring engine's failure posture: refusal
+// before the first publish, an injected worker stall, and the stop()/drain()
 // admission race — an admitted request must never be dropped without a
 // response.
 #include <gtest/gtest.h>
@@ -11,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "serve/degraded.h"
 #include "serve/model_registry.h"
 #include "serve/scoring_engine.h"
 #include "util/fault.h"
@@ -23,7 +21,6 @@ using std::chrono::milliseconds;
 
 const ua::UserAgent kChrome100{ua::Vendor::kChrome, 100, ua::Os::kWindows10};
 const ua::UserAgent kFirefox100{ua::Vendor::kFirefox, 100, ua::Os::kWindows10};
-const ua::UserAgent kChrome999{ua::Vendor::kChrome, 999, ua::Os::kWindows10};
 
 core::Polygraph make_model(bool swapped_table) {
   core::PolygraphConfig config;
@@ -52,72 +49,6 @@ ScoreRequest request_at_origin(std::uint64_t id,
   request.features = {0, 0};
   request.claimed = claimed;
   return request;
-}
-
-// --------------------------- degraded mode ---------------------------
-
-TEST(ServeRobustness, DegradedScoreJudgesClaimedUaAlone) {
-  // A UA naming a real release passes without fingerprint evidence.
-  const core::Detection real = degraded_score(kChrome100);
-  EXPECT_FALSE(real.flagged);
-  EXPECT_EQ(real.risk_factor, 0);
-  // A version that never shipped is fraudulent regardless of features.
-  const core::Detection fake = degraded_score(kChrome999);
-  EXPECT_TRUE(fake.flagged);
-  EXPECT_GE(fake.risk_factor, 1);
-}
-
-TEST(ServeRobustness, DegradedModeAnswersWhenNoModelIsPublished) {
-  ModelRegistry registry;  // never published
-  std::mutex mutex;
-  std::vector<ScoreResponse> responses;
-  EngineConfig config;
-  config.workers = 2;
-  config.degrade_without_model = true;
-  {
-    ScoringEngine engine(registry, config, [&](const ScoreResponse& r) {
-      std::lock_guard lock(mutex);
-      responses.push_back(r);
-    });
-    for (std::uint64_t id = 0; id < 16; ++id) {
-      ASSERT_EQ(engine.submit(request_at_origin(id)), SubmitResult::kAdmitted);
-    }
-    ASSERT_EQ(engine.submit(request_at_origin(16, kChrome999)),
-              SubmitResult::kAdmitted);
-    engine.drain();
-
-    const MetricsSnapshot metrics = engine.metrics();
-    EXPECT_EQ(metrics.degraded, 17u);
-    EXPECT_EQ(metrics.scored, 0u);
-    EXPECT_EQ(metrics.flagged, 1u);  // only the impossible Chrome 999
-  }
-  ASSERT_EQ(responses.size(), 17u);
-  for (const auto& r : responses) {
-    EXPECT_EQ(r.status, ResponseStatus::kDegraded);
-    EXPECT_EQ(r.model_version, 0u);
-    EXPECT_EQ(r.detection.flagged, r.id == 16u);
-  }
-}
-
-TEST(ServeRobustness, DegradedModeEndsWhenModelArrives) {
-  ModelRegistry registry;
-  std::atomic<std::uint64_t> degraded{0}, scored{0};
-  EngineConfig config;
-  config.workers = 1;
-  config.degrade_without_model = true;
-  ScoringEngine engine(registry, config, [&](const ScoreResponse& r) {
-    if (r.status == ResponseStatus::kDegraded) ++degraded;
-    if (r.status == ResponseStatus::kScored) ++scored;
-  });
-
-  ASSERT_EQ(engine.submit(request_at_origin(0)), SubmitResult::kAdmitted);
-  engine.drain();
-  registry.publish(make_model(false));
-  ASSERT_EQ(engine.submit(request_at_origin(1)), SubmitResult::kAdmitted);
-  engine.drain();
-
-  EXPECT_EQ(degraded.load(), 1u);
-  EXPECT_EQ(scored.load(), 1u);
 }
 
 // ---------------------- before the first publish ----------------------
